@@ -201,10 +201,20 @@ def _worker_init(spec: ModelSpec, ds: Dataset) -> None:
     _WORKER_STATE["ds"] = ds
 
 
+def _run_in_context(spec: ModelSpec, ds: Dataset, index: int, seed: int):
+    """``run_iteration``, with cell, iteration and seed added to any failure."""
+    try:
+        return run_iteration(spec, ds, seed)
+    except Exception as exc:
+        raise RuntimeError(
+            f"{spec.algorithm}/{int(spec.width)} failed at iteration {index} "
+            f"(seed {seed}): {exc}"
+        ) from exc
+
+
 def _worker_run(task):
     index, seed = task
-    acc, secs, flag = run_iteration(_WORKER_STATE["spec"], _WORKER_STATE["ds"], seed)
-    return index, acc, secs, flag
+    return (index, *_run_in_context(_WORKER_STATE["spec"], _WORKER_STATE["ds"], index, seed))
 
 
 def monte_carlo(spec: ModelSpec, ds: Dataset, cfg: CVConfig, jobs: int = 1) -> CellResult:
@@ -218,13 +228,7 @@ def monte_carlo(spec: ModelSpec, ds: Dataset, cfg: CVConfig, jobs: int = 1) -> C
     flags = [""] * cfg.iterations
     if jobs <= 1:
         for i, seed in enumerate(seeds):
-            try:
-                accuracies[i], seconds[i], flags[i] = run_iteration(spec, ds, seed)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"{spec.algorithm}/{int(spec.width)} failed at iteration {i} "
-                    f"(seed {seed}): {exc}"
-                ) from exc
+            accuracies[i], seconds[i], flags[i] = _run_in_context(spec, ds, i, seed)
     else:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
                                  initargs=(spec, ds)) as pool:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wallfollow import evaluation as ev
-from wallfollow.dataset import Width, shuffle_split
+from wallfollow.dataset import Dataset, Width, shuffle_split
 from wallfollow.rng import derive_seed
 
 
@@ -52,6 +52,33 @@ def test_monte_carlo_parallel_equals_serial(synth_d2):
     parallel = ev.monte_carlo(spec, synth_d2, cfg, jobs=4)
     assert np.array_equal(serial.accuracies, parallel.accuracies)
     assert serial.seeds == parallel.seeds
+
+
+def test_parallel_failure_names_cell_iteration_and_seed(synth_d2):
+    # class 3 keeps two rows, so LDA fails on every split that holds one out
+    rows = np.sort(np.concatenate([np.flatnonzero(synth_d2.labels != 3),
+                                   np.flatnonzero(synth_d2.labels == 3)[:2]]))
+    ds = Dataset(synth_d2.features[rows], synth_d2.labels[rows], Width.SIMPLIFIED2)
+    rare = np.flatnonzero(ds.labels == 3)
+
+    def first_failure(master_seed):
+        for i in range(4):
+            seed = derive_seed(master_seed, i)
+            if np.isin(rare, shuffle_split(ds, seed).test_indices).any():
+                return i, seed
+        return None
+
+    # a master seed whose first failing iteration is not the first one
+    candidates = ((m, first_failure(m)) for m in range(500))
+    master, (index, seed) = next((m, f) for m, f in candidates if f is not None and f[0] > 0)
+    cfg = ev.CVConfig(iterations=4, master_seed=master)
+    report = ev.run_table1({Width.SIMPLIFIED2: ds}, cfg, algorithms=["lda"], jobs=2)
+    error = report.cells[("lda", 2)].error
+    assert error.startswith(f"lda/2 failed at iteration {index} (seed {seed}): ")
+    assert "class 3 has fewer than 2 training rows" in error
+    with pytest.raises(RuntimeError) as serial:
+        ev.monte_carlo(ev.ModelSpec("lda", Width.SIMPLIFIED2), ds, cfg, jobs=1)
+    assert str(serial.value) == error
 
 
 def test_monte_carlo_summary_stats(synth_d4):

@@ -302,3 +302,85 @@ def test_svm_determinism(synth_d4):
     assert np.array_equal(
         sm.svm_decision_values(a, queries), sm.svm_decision_values(b, queries)
     )
+
+
+# ---------------------------------------------------------------------------
+# Blocked distance kernel against the broadcast reference
+# ---------------------------------------------------------------------------
+
+def _reference_sq_dists(a, b):
+    """The broadcast formula the blocked kernel must reproduce bit for bit."""
+    diff = a[:, None, :] - b[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def _reference_rbf_kernel(a, b, gamma):
+    return np.exp(-gamma * _reference_sq_dists(a, b))
+
+
+def _reference_rbf_kernel_symmetric(x, gamma):
+    k = _reference_rbf_kernel(x, x, gamma)
+    k = (k + k.T) / 2.0
+    np.fill_diagonal(k, 1.0)
+    return k
+
+
+SUM_ORDER_WIDTHS = (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 130, 257, 300)
+
+
+@pytest.mark.parametrize("d", SUM_ORDER_WIDTHS)
+def test_sq_dists_bitwise_equal_to_broadcast_reference(d):
+    rng = XoshiroLanes(1000 + d)
+    a = rng.uniform(-3, 3, (7, d))
+    b = rng.uniform(-3, 3, (13, d))
+    got = sm._sq_dists(a, np.ascontiguousarray(b.T))
+    assert np.array_equal(got, _reference_sq_dists(a, b))
+
+
+@pytest.mark.parametrize("d", (3, 24, 130))
+def test_rbf_kernel_bitwise_equal_across_row_blocks(d):
+    rng = XoshiroLanes(50 + d)
+    b = rng.uniform(-2, 2, (37, d))
+    step = sm._block_rows(b.shape[0])
+    # one row, a non-multiple of the block rows, and more than one block
+    for rows in (1, step - 3, 2 * step + 5):
+        a = rng.uniform(-2, 2, (rows, d))
+        got = sm.rbf_kernel(a, b, 0.3)
+        assert got.shape == (rows, 37)
+        assert np.array_equal(got, _reference_rbf_kernel(a, b, 0.3))
+
+
+@pytest.mark.parametrize("d", (2, 24, 129))
+def test_rbf_kernel_symmetric_bitwise_equal_to_rbf_kernel(d):
+    rng = XoshiroLanes(90 + d)
+    x = rng.uniform(-2, 2, (300, d))
+    assert 300 % sm._block_rows(300) and 300 > sm._block_rows(300)
+    kernel = sm.rbf_kernel_symmetric(x, 0.05)
+    assert np.array_equal(kernel, sm.rbf_kernel(x, x, 0.05))
+    assert np.array_equal(kernel, _reference_rbf_kernel_symmetric(x, 0.05))
+    assert np.array_equal(kernel, kernel.T)
+    assert (np.diag(kernel) == 1.0).all()
+
+
+def test_fit_svm_bitwise_equal_with_reference_kernel(synth_full, monkeypatch):
+    x, y = synth_full.features, synth_full.labels
+    queries = x[::3] + 0.01
+    blocked = sm.fit_svm(x, y, seed=6)
+    blocked_values = sm.svm_decision_values(blocked, queries)
+    monkeypatch.setattr(sm, "rbf_kernel", _reference_rbf_kernel)
+    monkeypatch.setattr(sm, "rbf_kernel_symmetric", _reference_rbf_kernel_symmetric)
+    reference = sm.fit_svm(x, y, seed=6)
+    for got, want in zip(blocked.machines, reference.machines):
+        assert np.array_equal(got.support_vectors, want.support_vectors)
+        assert np.array_equal(got.dual_coef, want.dual_coef)
+        assert got.bias == want.bias
+        assert got.converged == want.converged
+    assert np.array_equal(blocked_values, sm.svm_decision_values(reference, queries))
+
+
+def test_predict_knn_batch_equal_with_reference_kernel(synth_full, monkeypatch):
+    model = sm.fit_knn(synth_full.features[:300], synth_full.labels[:300], k=5)
+    queries = synth_full.features[300:]
+    blocked = sm.predict_knn_batch(model, queries)
+    monkeypatch.setattr(sm, "_sq_dists", lambda a, b_t: _reference_sq_dists(a, b_t.T))
+    assert np.array_equal(blocked, sm.predict_knn_batch(model, queries))
