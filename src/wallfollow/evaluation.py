@@ -13,6 +13,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -20,41 +22,82 @@ from . import neural, stat_models, tree_models
 from .dataset import Dataset, Width, shuffle_split, standardize
 from .rng import derive_seed
 
-CLASSIC_TAGS = ("dt", "gbc", "rfc", "lda", "svm", "knn", "gnb")
-NEURAL_TAGS = ("dfnn_ws", "dfnn3", "fnn1")
-ALL_TAGS = NEURAL_TAGS + CLASSIC_TAGS
+PRESET_BY_TAG = {"dfnn_ws": "DFNN_WS", "dfnn3": "DFNN3", "fnn1": "FNN1"}
 
-DISPLAY_NAMES = {
-    "dt": "Decision Tree (DT)",
-    "gbc": "Gradient Boost Classifier (GBC)",
-    "rfc": "Random Forest Classifier (RFC)",
-    "lda": "Linear Discriminant Analysis (LDA)",
-    "svm": "Support Vector Machine (SVM)",
-    "knn": "K-Nearest Neighbour (KNN)",
-    "gnb": "Gaussian Naive Bayes (GNB)",
-    "dfnn_ws": "DFNN with Weight Sharing",
-    "dfnn3": "DFNN (3 Hidden Layers)",
-    "fnn1": "FNN (1 Hidden Layer)",
+
+@dataclass(frozen=True)
+class Model:
+    """One benchmarked model: display name, default hyperparameters, fit and predict.
+
+    ``fit(x, y, hp, seed)`` returns the fitted model (the object that
+    ``serialize.save_model`` stores) and ``predict(model, x)`` its labels.
+    """
+
+    name: str
+    defaults: dict
+    fit: Callable
+    predict: Callable
+
+
+def _fit_network(tag: str, x, y, hp: dict, seed: int) -> neural.Network:
+    net = neural.build_preset(PRESET_BY_TAG[tag], x.shape[1], dropout=hp["dropout"],
+                              init_seed=derive_seed(seed, 0))
+    config = neural.TrainConfig(batch_size=hp["batch_size"], epochs=hp["epochs"],
+                                dropout=hp["dropout"], seed=derive_seed(seed, 1))
+    return neural.train_network(net, x, y, config)
+
+
+def _tree_params(hp: dict) -> tree_models.TreeParams:
+    return tree_models.TreeParams(hp["max_depth"], hp["min_samples_split"])
+
+
+_NETWORK = {"epochs": 200, "batch_size": 32, "dropout": 0.1}
+_TREE = {"max_depth": None, "min_samples_split": 2}
+
+# Row order is the order of the rendered tables and of results.csv.
+MODELS = {
+    "dfnn_ws": Model("DFNN with Weight Sharing", _NETWORK,
+                     partial(_fit_network, "dfnn_ws"), neural.Network.predict),
+    "dfnn3": Model("DFNN (3 Hidden Layers)", _NETWORK,
+                   partial(_fit_network, "dfnn3"), neural.Network.predict),
+    "fnn1": Model("FNN (1 Hidden Layer)", _NETWORK,
+                  partial(_fit_network, "fnn1"), neural.Network.predict),
+    "dt": Model("Decision Tree (DT)", _TREE,
+                lambda x, y, hp, seed: tree_models.fit_decision_tree(
+                    x, y, _tree_params(hp), seed),
+                tree_models.predict_tree),
+    "gbc": Model("Gradient Boost Classifier (GBC)",
+                 {"n_stages": 100, "learning_rate": 0.1, "max_depth": 3},
+                 lambda x, y, hp, seed: tree_models.fit_gradient_boost(
+                     x, y, hp["n_stages"], hp["learning_rate"], hp["max_depth"]),
+                 tree_models.predict_boost),
+    "rfc": Model("Random Forest Classifier (RFC)", {"n_trees": 100, **_TREE},
+                 lambda x, y, hp, seed: tree_models.fit_random_forest(
+                     x, y, hp["n_trees"], _tree_params(hp), seed),
+                 tree_models.predict_forest),
+    "lda": Model("Linear Discriminant Analysis (LDA)", {},
+                 lambda x, y, hp, seed: stat_models.fit_lda(x, y),
+                 stat_models.predict_lda),
+    "svm": Model("Support Vector Machine (SVM)",
+                 {"c": 1.0, "gamma": None, "tol": 1e-3, "max_passes": 2000},
+                 lambda x, y, hp, seed: stat_models.fit_svm(
+                     x, y, hp["c"], hp["gamma"], hp["tol"], hp["max_passes"], seed),
+                 stat_models.predict_svm),
+    "knn": Model("K-Nearest Neighbour (KNN)", {"k": 5},
+                 lambda x, y, hp, seed: stat_models.fit_knn(x, y, hp["k"]),
+                 stat_models.predict_knn_batch),
+    "gnb": Model("Gaussian Naive Bayes (GNB)", {},
+                 lambda x, y, hp, seed: stat_models.fit_gnb(x, y),
+                 stat_models.predict_gnb),
 }
+
+ALL_TAGS = tuple(MODELS)
+NEURAL_TAGS = tuple(PRESET_BY_TAG)
+CLASSIC_TAGS = tuple(tag for tag in ALL_TAGS if tag not in PRESET_BY_TAG)
 
 # Sequence models whose per-sample windowing is unspecified; rendered as
 # out-of-scope rows rather than benchmarked.
 OUT_OF_SCOPE_ROWS = ("Gated Recurrent Unit (GRU)", "Long Short Term Memory (LSTM)")
-
-DEFAULT_HYPERPARAMS = {
-    "dt": {"max_depth": None, "min_samples_split": 2},
-    "rfc": {"n_trees": 100, "max_depth": None, "min_samples_split": 2},
-    "gbc": {"n_stages": 100, "learning_rate": 0.1, "max_depth": 3},
-    "lda": {},
-    "gnb": {},
-    "knn": {"k": 5},
-    "svm": {"c": 1.0, "gamma": None, "tol": 1e-3, "max_passes": 2000},
-    "fnn1": {"epochs": 200, "batch_size": 32, "dropout": 0.1},
-    "dfnn3": {"epochs": 200, "batch_size": 32, "dropout": 0.1},
-    "dfnn_ws": {"epochs": 200, "batch_size": 32, "dropout": 0.1},
-}
-
-PRESET_BY_TAG = {"fnn1": "FNN1", "dfnn3": "DFNN3", "dfnn_ws": "DFNN_WS"}
 
 
 @dataclass
@@ -68,7 +111,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.algorithm not in ALL_TAGS:
             raise ValueError(f"unknown algorithm tag {self.algorithm!r}")
-        merged = dict(DEFAULT_HYPERPARAMS[self.algorithm])
+        merged = dict(MODELS[self.algorithm].defaults)
         unknown = set(self.hyperparams) - set(merged)
         if unknown:
             raise ValueError(f"unknown hyperparameters for {self.algorithm}: {sorted(unknown)}")
@@ -137,29 +180,6 @@ def accuracy(predicted, true) -> float:
     return float((predicted == true).mean())
 
 
-def _build_classic(spec: ModelSpec, seed: int):
-    hp = spec.hyperparams
-    if spec.algorithm == "dt":
-        params = tree_models.TreeParams(hp["max_depth"], hp["min_samples_split"])
-        return tree_models.DecisionTree(params, seed=seed)
-    if spec.algorithm == "rfc":
-        params = tree_models.TreeParams(hp["max_depth"], hp["min_samples_split"])
-        return tree_models.RandomForest(hp["n_trees"], params, seed=seed)
-    if spec.algorithm == "gbc":
-        return tree_models.GradientBoost(hp["n_stages"], hp["learning_rate"],
-                                         hp["max_depth"], seed=seed)
-    if spec.algorithm == "lda":
-        return stat_models.LinearDiscriminant()
-    if spec.algorithm == "gnb":
-        return stat_models.GaussianNaiveBayes()
-    if spec.algorithm == "knn":
-        return stat_models.KNearestNeighbours(hp["k"])
-    if spec.algorithm == "svm":
-        return stat_models.SupportVectorMachine(hp["c"], hp["gamma"], hp["tol"],
-                                                hp["max_passes"], seed=seed)
-    raise ValueError(spec.algorithm)
-
-
 def run_iteration(spec: ModelSpec, ds: Dataset, seed: int):
     """One Monte-Carlo iteration: split, (standardize,) fit, score.
 
@@ -171,25 +191,14 @@ def run_iteration(spec: ModelSpec, ds: Dataset, seed: int):
     train_y = ds.labels[split.train_indices]
     test_x = ds.features[split.test_indices]
     test_y = ds.labels[split.test_indices]
-    model_seed = derive_seed(seed, 1)
-    flag = ""
     if spec.is_neural:
         train_x, test_x, _ = standardize(train_x, test_x)
-        hp = spec.hyperparams
-        net = neural.build_preset(PRESET_BY_TAG[spec.algorithm], int(spec.width),
-                                  dropout=hp["dropout"],
-                                  init_seed=derive_seed(model_seed, 0))
-        config = neural.TrainConfig(batch_size=hp["batch_size"], epochs=hp["epochs"],
-                                    dropout=hp["dropout"],
-                                    seed=derive_seed(model_seed, 1))
-        neural.train_network(net, train_x, train_y, config)
-        predicted = net.predict(test_x)
-    else:
-        model = _build_classic(spec, model_seed)
-        model.fit(train_x, train_y)
-        predicted = model.predict(test_x)
-        if spec.algorithm == "svm" and not model.converged:
-            flag = "unconverged"
+    entry = MODELS[spec.algorithm]
+    model = entry.fit(train_x, train_y, spec.hyperparams, derive_seed(seed, 1))
+    predicted = entry.predict(model, test_x)
+    flag = ""
+    if spec.algorithm == "svm" and not all(m.converged for m in model.machines):
+        flag = "unconverged"
     return accuracy(predicted, test_y), time.perf_counter() - start, flag
 
 
@@ -306,13 +315,13 @@ def render_table1(report: BenchmarkReport) -> str:
     ]
     for tag in NEURAL_TAGS:
         cells = [_format_cell(report, tag, w) for w in (24, 4, 2)]
-        lines.append(f"| {DISPLAY_NAMES[tag]} | {cells[0]} | {cells[1]} | {cells[2]} |")
+        lines.append(f"| {MODELS[tag].name} | {cells[0]} | {cells[1]} | {cells[2]} |")
     for name in OUT_OF_SCOPE_ROWS:
         lines.append(f"| {name} | out of scope | out of scope | out of scope |")
     lines += ["", "## Machine learning models", "", header, rule]
     for tag in CLASSIC_TAGS:
         cells = [_format_cell(report, tag, w) for w in (24, 4, 2)]
-        lines.append(f"| {DISPLAY_NAMES[tag]} | {cells[0]} | {cells[1]} | {cells[2]} |")
+        lines.append(f"| {MODELS[tag].name} | {cells[0]} | {cells[1]} | {cells[2]} |")
     lines += ["", "## Configuration echo", ""]
     for (tag, width), cell in sorted(report.cells.items(),
                                      key=lambda kv: (ALL_TAGS.index(kv[0][0]), -kv[0][1])):
@@ -361,7 +370,7 @@ def render_table2(report: BenchmarkReport) -> str:
             "",
             "| Source | Model description | Accuracy | Train/test split |",
             "|---|---|---|---|",
-            f"| this run | {DISPLAY_NAMES[tag]} | {100.0 * cell.mean:.2f}% | yes |",
+            f"| this run | {MODELS[tag].name} | {100.0 * cell.mean:.2f}% | yes |",
         ]
         for description, acc, split in PRIOR_RESULTS[width]:
             lines.append(f"| published | {description} | {acc} | {split} |")

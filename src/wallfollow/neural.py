@@ -86,11 +86,6 @@ class SharedInputLayer:
         return [self.dw, self.db]
 
 
-def forward_shared(layer: SharedInputLayer, x: np.ndarray) -> np.ndarray:
-    """Single-vector forward: the (d, d) activation matrix for one sample."""
-    return layer.forward(x[None, :], train=False, rng=None).reshape(layer.d, layer.d)
-
-
 class Dense:
     def __init__(self, n_in: int, n_out: int):
         self.n_in = n_in
@@ -223,19 +218,6 @@ class Dropout:
 
     def grads(self):
         return []
-
-
-def batch_norm_forward(state: BatchNorm, batch: np.ndarray, mode: str) -> np.ndarray:
-    if mode not in ("train", "infer"):
-        raise ValueError("mode must be 'train' or 'infer'")
-    return state.forward(batch, train=(mode == "train"), rng=None)
-
-
-def dropout_apply(rate: float, mode: str, batch: np.ndarray, seed: int) -> np.ndarray:
-    if mode not in ("train", "infer"):
-        raise ValueError("mode must be 'train' or 'infer'")
-    layer = Dropout(rate)
-    return layer.forward(batch, train=(mode == "train"), rng=XoshiroLanes(seed))
 
 
 @dataclass
@@ -372,13 +354,16 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
     n = features.shape[0]
     if n == 0:
         raise ValueError("empty training set")
+    has_bn = any(isinstance(layer, BatchNorm) for layer in model.layers)
+    if has_bn and config.batch_size == 1:
+        raise ValueError("batch size 1 cannot train a network with batch norm: "
+                         "every batch is a singleton")
     for layer in model.layers:
         if isinstance(layer, Dropout):
             layer.rate = config.dropout
     onehot = (labels[:, None] == np.arange(4)[None, :]).astype(np.float64)
     rng = XoshiroLanes(config.seed)
     state = AdadeltaState(shapes=[p.shape for p in model.parameters()])
-    has_bn = any(isinstance(layer, BatchNorm) for layer in model.layers)
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         loss_sum = 0.0

@@ -36,16 +36,11 @@ def splitmix64(x: int) -> int:
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
-    """First ``count`` outputs of the splitmix64 sequence started at ``seed``."""
-    out = []
-    state = seed & MASK64
-    for _ in range(count):
-        state = (state + GOLDEN) & MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        out.append((z ^ (z >> 31)) & MASK64)
-    return out
+    """First ``count`` outputs of the splitmix64 sequence started at ``seed``.
+
+    Output ``i`` is ``splitmix64(seed + i * GOLDEN)``.
+    """
+    return [splitmix64((seed + i * GOLDEN) & MASK64) for i in range(count)]
 
 
 def derive_seed(base: int, index: int) -> int:

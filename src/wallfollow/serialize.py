@@ -1,14 +1,19 @@
 """Versioned, lossless serialization for every trained model.
 
 Models are stored as a single JSON document: ``{"format": "wallfollow-model",
-"version": 1, "kind": ..., "payload": ...}``.  Floats survive the round trip
-bit-for-bit (shortest-repr encoding), so reloaded models predict identically
-to the originals.
+"version": 1, "kind": ..., "payload": ...}``.  The model is what a ``fit_*``
+function returns, or a ``neural.Network``.  A fitted-model dataclass is
+encoded field by field, driven by its type annotations: arrays become nested
+lists, nested dataclasses become objects and tree nodes use one compact node
+codec.  Floats survive the round trip bit-for-bit (shortest-repr encoding),
+so reloaded models predict identically to the originals.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -19,48 +24,38 @@ FORMAT_NAME = "wallfollow-model"
 FORMAT_VERSION = 1
 
 
-def _tree_to_dict(node: tree_models.TreeNode) -> dict:
+# The payload of each kind is its class's fields, except that a decision tree
+# is wrapped as {"root": node} and a network holds its layer list.
+KINDS = {
+    "decision_tree": tree_models.TreeNode,
+    "random_forest": tree_models.ForestModel,
+    "gradient_boost": tree_models.BoostModel,
+    "lda": stat_models.LDAModel,
+    "gnb": stat_models.GNBModel,
+    "knn": stat_models.KNNModel,
+    "svm": stat_models.SVMModel,
+    "network": neural.Network,
+}
+_KIND_OF = {cls: kind for kind, cls in KINDS.items()}
+
+
+def _node_to_dict(node: tree_models.TreeNode) -> dict:
+    """Internal nodes as {"f", "t", "l", "r"}; leaves as {"counts"} or {"v"}."""
     if node.is_leaf:
-        return {"counts": [int(c) for c in node.counts]}
-    return {
-        "f": node.feature,
-        "t": node.threshold,
-        "l": _tree_to_dict(node.left),
-        "r": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(data: dict) -> tree_models.TreeNode:
-    if "counts" in data:
-        return tree_models.TreeNode(counts=np.array(data["counts"], dtype=np.int64))
-    return tree_models.TreeNode(
-        feature=data["f"],
-        threshold=data["t"],
-        left=_tree_from_dict(data["l"]),
-        right=_tree_from_dict(data["r"]),
-    )
-
-
-def _reg_tree_to_dict(node: tree_models.RegressionNode) -> dict:
-    if node.feature is None:
+        if isinstance(node.value, np.ndarray):
+            return {"counts": [int(c) for c in node.value]}
         return {"v": node.value}
-    return {
-        "f": node.feature,
-        "t": node.threshold,
-        "l": _reg_tree_to_dict(node.left),
-        "r": _reg_tree_to_dict(node.right),
-    }
+    return {"f": node.feature, "t": node.threshold,
+            "l": _node_to_dict(node.left), "r": _node_to_dict(node.right)}
 
 
-def _reg_tree_from_dict(data: dict) -> tree_models.RegressionNode:
-    if "v" in data:
-        return tree_models.RegressionNode(value=data["v"])
-    return tree_models.RegressionNode(
-        feature=data["f"],
-        threshold=data["t"],
-        left=_reg_tree_from_dict(data["l"]),
-        right=_reg_tree_from_dict(data["r"]),
-    )
+def _node_from_dict(data: dict) -> tree_models.TreeNode:
+    if "f" in data:
+        return tree_models.TreeNode(data["f"], data["t"], _node_from_dict(data["l"]),
+                                    _node_from_dict(data["r"]))
+    if "counts" in data:
+        return tree_models.TreeNode(value=np.array(data["counts"], dtype=np.int64))
+    return tree_models.TreeNode(value=data["v"])
 
 
 def _layer_to_dict(layer) -> dict:
@@ -109,58 +104,46 @@ def _layer_from_dict(data: dict):
     raise ValueError(f"unknown layer type {kind!r}")
 
 
+def _encode(value):
+    if isinstance(value, tree_models.TreeNode):
+        return _node_to_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+def _decode(hint, data):
+    """Rebuild a value of the annotated type ``hint`` from its JSON form."""
+    if hint is tree_models.TreeNode:
+        return _node_from_dict(data)
+    if hint is np.ndarray:
+        return np.array(data)
+    origin = typing.get_origin(hint)
+    if origin in (list, tuple):
+        item = typing.get_args(hint)[0]
+        return origin(_decode(item, v) for v in data)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return hint(**{f.name: _decode(hints[f.name], data[f.name])
+                       for f in dataclasses.fields(hint)})
+    return data
+
+
 def encode_model(model) -> dict:
-    if isinstance(model, tree_models.DecisionTree):
-        kind, payload = "decision_tree", {"root": _tree_to_dict(model.root)}
-    elif isinstance(model, tree_models.RandomForest):
-        kind, payload = "random_forest", {
-            "trees": [_tree_to_dict(t) for t in model.model.trees],
-            "seed": model.model.seed,
-            "features_per_split": model.model.features_per_split,
-        }
-    elif isinstance(model, tree_models.GradientBoost):
-        kind, payload = "gradient_boost", {
-            "init_scores": model.model.init_scores.tolist(),
-            "learning_rate": model.model.learning_rate,
-            "stages": [[_reg_tree_to_dict(t) for t in stage] for stage in model.model.stages],
-        }
-    elif isinstance(model, stat_models.LinearDiscriminant):
-        m = model.model
-        kind, payload = "lda", {
-            "means": m.means.tolist(), "priors": m.priors.tolist(),
-            "covariance": m.covariance.tolist(), "coef": m.coef.tolist(),
-            "intercept": m.intercept.tolist(),
-        }
-    elif isinstance(model, stat_models.GaussianNaiveBayes):
-        m = model.model
-        kind, payload = "gnb", {
-            "priors": m.priors.tolist(), "means": m.means.tolist(),
-            "variances": m.variances.tolist(), "smoothing": m.smoothing,
-        }
-    elif isinstance(model, stat_models.KNearestNeighbours):
-        m = model.model
-        kind, payload = "knn", {
-            "train_features": m.train_features.tolist(),
-            "train_labels": m.train_labels.tolist(), "k": m.k,
-        }
-    elif isinstance(model, stat_models.SupportVectorMachine):
-        m = model.model
-        kind, payload = "svm", {
-            "gamma": m.gamma, "c": m.c,
-            "machines": [
-                {"support_vectors": b.support_vectors.tolist(),
-                 "dual_coef": b.dual_coef.tolist(), "bias": b.bias,
-                 "converged": b.converged}
-                for b in m.machines
-            ],
-        }
-    elif isinstance(model, neural.Network):
-        kind, payload = "network", {
-            "name": model.name,
-            "layers": [_layer_to_dict(layer) for layer in model.layers],
-        }
-    else:
+    kind = _KIND_OF.get(type(model))
+    if kind is None:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    if kind == "decision_tree":
+        payload = {"root": _node_to_dict(model)}
+    elif kind == "network":
+        payload = {"name": model.name,
+                   "layers": [_layer_to_dict(layer) for layer in model.layers]}
+    else:
+        payload = _encode(model)
     return {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": kind,
             "payload": payload}
 
@@ -172,71 +155,14 @@ def decode_model(document: dict):
         raise ValueError(f"unsupported model format version {document.get('version')}")
     kind = document["kind"]
     payload = document["payload"]
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
     if kind == "decision_tree":
-        model = tree_models.DecisionTree()
-        model.root = _tree_from_dict(payload["root"])
-        return model
-    if kind == "random_forest":
-        model = tree_models.RandomForest()
-        model.model = tree_models.ForestModel(
-            trees=[_tree_from_dict(t) for t in payload["trees"]],
-            seed=payload["seed"],
-            features_per_split=payload["features_per_split"],
-        )
-        return model
-    if kind == "gradient_boost":
-        model = tree_models.GradientBoost()
-        model.model = tree_models.BoostModel(
-            init_scores=np.array(payload["init_scores"]),
-            stages=[tuple(_reg_tree_from_dict(t) for t in stage)
-                    for stage in payload["stages"]],
-            learning_rate=payload["learning_rate"],
-        )
-        return model
-    if kind == "lda":
-        model = stat_models.LinearDiscriminant()
-        model.model = stat_models.LDAModel(
-            means=np.array(payload["means"]), priors=np.array(payload["priors"]),
-            covariance=np.array(payload["covariance"]), coef=np.array(payload["coef"]),
-            intercept=np.array(payload["intercept"]),
-        )
-        return model
-    if kind == "gnb":
-        model = stat_models.GaussianNaiveBayes()
-        model.model = stat_models.GNBModel(
-            priors=np.array(payload["priors"]), means=np.array(payload["means"]),
-            variances=np.array(payload["variances"]), smoothing=payload["smoothing"],
-        )
-        return model
-    if kind == "knn":
-        model = stat_models.KNearestNeighbours(payload["k"])
-        model.model = stat_models.KNNModel(
-            train_features=np.array(payload["train_features"]),
-            train_labels=np.array(payload["train_labels"], dtype=np.int64),
-            k=payload["k"],
-        )
-        return model
-    if kind == "svm":
-        model = stat_models.SupportVectorMachine(payload["c"], payload["gamma"])
-        model.model = stat_models.SVMModel(
-            machines=[
-                stat_models.BinaryMachine(
-                    support_vectors=np.array(m["support_vectors"]).reshape(
-                        len(m["support_vectors"]), -1),
-                    dual_coef=np.array(m["dual_coef"]),
-                    bias=m["bias"],
-                    converged=m["converged"],
-                )
-                for m in payload["machines"]
-            ],
-            gamma=payload["gamma"],
-            c=payload["c"],
-        )
-        return model
+        return _node_from_dict(payload["root"])
     if kind == "network":
         return neural.Network([_layer_from_dict(d) for d in payload["layers"]],
                               name=payload["name"])
-    raise ValueError(f"unknown model kind {kind!r}")
+    return _decode(KINDS[kind], payload)
 
 
 def save_model(model, path) -> None:

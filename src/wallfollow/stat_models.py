@@ -79,19 +79,6 @@ def predict_lda(model: LDAModel, features: np.ndarray) -> np.ndarray:
     return lda_decision_scores(model, features).argmax(axis=1)
 
 
-class LinearDiscriminant:
-    def __init__(self, n_classes: int = N_CLASSES):
-        self.n_classes = n_classes
-        self.model: LDAModel | None = None
-
-    def fit(self, features, labels):
-        self.model = fit_lda(features, labels, self.n_classes)
-        return self
-
-    def predict(self, features):
-        return predict_lda(self.model, features)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian naive Bayes
 # ---------------------------------------------------------------------------
@@ -129,19 +116,6 @@ def gnb_log_posteriors(model: GNBModel, features: np.ndarray) -> np.ndarray:
 
 def predict_gnb(model: GNBModel, features: np.ndarray) -> np.ndarray:
     return gnb_log_posteriors(model, features).argmax(axis=1)
-
-
-class GaussianNaiveBayes:
-    def __init__(self, n_classes: int = N_CLASSES):
-        self.n_classes = n_classes
-        self.model: GNBModel | None = None
-
-    def fit(self, features, labels):
-        self.model = fit_gnb(features, labels, self.n_classes)
-        return self
-
-    def predict(self, features):
-        return predict_gnb(self.model, features)
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +203,6 @@ def predict_knn_batch(model: KNNModel, queries: np.ndarray) -> np.ndarray:
         np.add.at(votes, (rows, model.train_labels[nearest].reshape(-1)), 1)
         out[start:start + step] = votes.argmax(axis=1)
     return out
-
-
-def predict_knn(model: KNNModel, query: np.ndarray) -> int:
-    return int(predict_knn_batch(model, query[None, :])[0])
-
-
-class KNearestNeighbours:
-    def __init__(self, k: int = 5):
-        self.k = k
-        self.model: KNNModel | None = None
-
-    def fit(self, features, labels):
-        self.model = fit_knn(features, labels, self.k)
-        return self
-
-    def predict(self, features):
-        return predict_knn_batch(self.model, features)
 
 
 # ---------------------------------------------------------------------------
@@ -481,27 +438,3 @@ def svm_decision_values(model: SVMModel, features: np.ndarray) -> np.ndarray:
 
 def predict_svm(model: SVMModel, features: np.ndarray) -> np.ndarray:
     return svm_decision_values(model, features).argmax(axis=1)
-
-
-class SupportVectorMachine:
-    def __init__(self, c: float = 1.0, gamma: float | None = None, tol: float = 1e-3,
-                 max_passes: int = 2000, seed: int = 0, n_classes: int = N_CLASSES):
-        self.c = c
-        self.gamma = gamma
-        self.tol = tol
-        self.max_passes = max_passes
-        self.seed = seed
-        self.n_classes = n_classes
-        self.model: SVMModel | None = None
-
-    def fit(self, features, labels):
-        self.model = fit_svm(features, labels, self.c, self.gamma, self.tol,
-                             self.max_passes, self.seed, self.n_classes)
-        return self
-
-    def predict(self, features):
-        return predict_svm(self.model, features)
-
-    @property
-    def converged(self) -> bool:
-        return all(m.converged for m in self.model.machines)

@@ -10,40 +10,32 @@ expected to drive training error to zero whenever the data is consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import CLASS_NAMES, N_CLASSES
+from .neural import softmax
 from .rng import Xoshiro256StarStar, derive_seed
 
 
 @dataclass
 class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (class counts)."""
+    """Internal node (feature/threshold/children) or leaf (``feature is None``).
+
+    A classification leaf's ``value`` is its class-count vector, a regression
+    leaf's is its real-valued score.
+    """
 
     feature: int | None = None
     threshold: float = 0.0
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    counts: np.ndarray | None = None  # leaf class-count vector
+    value: np.ndarray | float = 0.0
 
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-
-@dataclass
-class RegressionNode:
-    """Regression tree node; leaves carry a real-valued score."""
-
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "RegressionNode | None" = None
-    right: "RegressionNode | None" = None
-    value: float = 0.0
-    # training-row indices that landed in this leaf; used once to set values
-    member_rows: np.ndarray | None = None
 
 
 @dataclass
@@ -66,9 +58,8 @@ class ForestModel:
 @dataclass
 class BoostModel:
     init_scores: np.ndarray  # per-class log prior, length 4
-    stages: list[tuple[RegressionNode, ...]]  # one regression tree per class
+    stages: list[tuple[TreeNode, ...]]  # one regression tree per class
     learning_rate: float
-    params: TreeParams = field(default_factory=lambda: TreeParams(max_depth=3))
 
 
 def gini_impurity(counts) -> float:
@@ -153,7 +144,7 @@ def fit_decision_tree(
             or rows.shape[0] < params.min_samples_split
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
-            return TreeNode(counts=counts)
+            return TreeNode(value=counts)
         if features_per_split is not None and features_per_split < len(pool):
             picks = rng.sample_indices(len(pool), features_per_split)
             candidates = sorted(pool[i] for i in picks)
@@ -161,7 +152,7 @@ def fit_decision_tree(
             candidates = pool
         found = best_split(features[rows], y, candidates)
         if found is None:
-            return TreeNode(counts=counts)
+            return TreeNode(value=counts)
         f, threshold, _ = found
         mask = features[rows, f] <= threshold
         return TreeNode(
@@ -174,41 +165,29 @@ def fit_decision_tree(
     return grow(np.arange(features.shape[0]), 0)
 
 
+def _route(root: TreeNode, features: np.ndarray):
+    """Yield (leaf, row indices) for every leaf that rows of ``features`` reach.
+
+    Rows keep their order, so the training rows recover each leaf's members.
+    """
+    stack = [(root, np.arange(features.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if node.is_leaf:
+            yield node, rows
+            continue
+        mask = features[rows, node.feature] <= node.threshold
+        stack += [(node.right, rows[~mask]), (node.left, rows[mask])]
+
+
 def predict_tree(root: TreeNode, features: np.ndarray) -> np.ndarray:
     """Route rows to leaves; argmax of leaf counts, lowest class on ties."""
     out = np.empty(features.shape[0], dtype=np.int64)
-
-    def walk(node: TreeNode, rows: np.ndarray) -> None:
-        if rows.size == 0:
-            return
-        if node.is_leaf:
-            out[rows] = int(np.argmax(node.counts))
-            return
-        mask = features[rows, node.feature] <= node.threshold
-        walk(node.left, rows[mask])
-        walk(node.right, rows[~mask])
-
-    walk(root, np.arange(features.shape[0]))
+    for leaf, rows in _route(root, features):
+        out[rows] = int(np.argmax(leaf.value))
     return out
-
-
-class DecisionTree:
-    """Uniform fit/predict wrapper around ``fit_decision_tree``."""
-
-    def __init__(self, params: TreeParams | None = None, seed: int = 0, allowed_features=None):
-        self.params = params or TreeParams()
-        self.seed = seed
-        self.allowed_features = allowed_features
-        self.root: TreeNode | None = None
-
-    def fit(self, features, labels):
-        self.root = fit_decision_tree(
-            features, labels, self.params, self.seed, allowed_features=self.allowed_features
-        )
-        return self
-
-    def predict(self, features):
-        return predict_tree(self.root, features)
 
 
 def default_features_per_split(d: int) -> int:
@@ -262,44 +241,24 @@ def predict_forest(model: ForestModel, features: np.ndarray) -> np.ndarray:
     return votes.argmax(axis=1)
 
 
-class RandomForest:
-    def __init__(self, n_trees: int = 100, params: TreeParams | None = None, seed: int = 0,
-                 bootstrap: bool = True, features_per_split: int | None = None):
-        self.n_trees = n_trees
-        self.params = params
-        self.seed = seed
-        self.bootstrap = bootstrap
-        self.features_per_split = features_per_split
-        self.model: ForestModel | None = None
-
-    def fit(self, features, labels):
-        self.model = fit_random_forest(
-            features, labels, self.n_trees, self.params, self.seed,
-            self.bootstrap, self.features_per_split,
-        )
-        return self
-
-    def predict(self, features):
-        return predict_forest(self.model, features)
-
-
 # ---------------------------------------------------------------------------
 # Regression trees for gradient boosting
 # ---------------------------------------------------------------------------
 
 def _fit_regression_tree(
     features: np.ndarray, target: np.ndarray, max_depth: int, min_samples_split: int = 2
-) -> RegressionNode:
+) -> TreeNode:
+    """Least-squares regression tree; leaf values are left at 0 for the caller."""
     d = features.shape[1]
 
-    def grow(rows: np.ndarray, depth: int) -> RegressionNode:
+    def grow(rows: np.ndarray, depth: int) -> TreeNode:
         t = target[rows]
         if (
             depth >= max_depth
             or rows.shape[0] < min_samples_split
             or np.ptp(t) == 0.0
         ):
-            return RegressionNode(member_rows=rows)
+            return TreeNode()
         best = None  # (child_sse, feature, threshold)
         for f in range(d):
             col = features[rows, f]
@@ -320,10 +279,10 @@ def _fit_regression_tree(
             if best is None or child[i] < best[0]:
                 best = (float(child[i]), f, float((sv[cuts[i]] + sv[cuts[i] + 1]) / 2.0))
         if best is None:
-            return RegressionNode(member_rows=rows)
+            return TreeNode()
         _, f, threshold = best
         mask = features[rows, f] <= threshold
-        return RegressionNode(
+        return TreeNode(
             feature=f,
             threshold=threshold,
             left=grow(rows[mask], depth + 1),
@@ -331,37 +290,6 @@ def _fit_regression_tree(
         )
 
     return grow(np.arange(features.shape[0]), 0)
-
-
-def _leaves(node: RegressionNode):
-    if node.feature is None:
-        yield node
-    else:
-        yield from _leaves(node.left)
-        yield from _leaves(node.right)
-
-
-def predict_regression_tree(root: RegressionNode, features: np.ndarray) -> np.ndarray:
-    out = np.empty(features.shape[0], dtype=np.float64)
-
-    def walk(node: RegressionNode, rows: np.ndarray) -> None:
-        if rows.size == 0:
-            return
-        if node.feature is None:
-            out[rows] = node.value
-            return
-        mask = features[rows, node.feature] <= node.threshold
-        walk(node.left, rows[mask])
-        walk(node.right, rows[~mask])
-
-    walk(root, np.arange(features.shape[0]))
-    return out
-
-
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def fit_gradient_boost(
@@ -392,67 +320,39 @@ def fit_gradient_boost(
     init_scores = np.log(priors)
     onehot = _class_matrix(labels)
     scores = np.tile(init_scores, (n, 1))
-    stages: list[tuple[RegressionNode, ...]] = []
+    stages: list[tuple[TreeNode, ...]] = []
     for _ in range(n_stages):
-        probs = _softmax_rows(scores)
+        probs = softmax(scores)
         residual = onehot - probs
         stage = []
         for k in range(N_CLASSES):
             tree = _fit_regression_tree(features, residual[:, k], max_depth)
-            for leaf in _leaves(tree):
-                rows = leaf.member_rows
+            for leaf, rows in _route(tree, features):
                 numerator = residual[rows, k].sum() * (N_CLASSES - 1) / N_CLASSES
                 p = probs[rows, k]
                 denominator = (p * (1.0 - p)).sum()
                 leaf.value = 0.0 if abs(denominator) < 1e-150 else float(numerator / denominator)
                 scores[rows, k] += learning_rate * leaf.value
-                leaf.member_rows = None
             stage.append(tree)
         stages.append(tuple(stage))
-    return BoostModel(
-        init_scores=init_scores,
-        stages=stages,
-        learning_rate=learning_rate,
-        params=TreeParams(max_depth=max_depth),
-    )
+    return BoostModel(init_scores=init_scores, stages=stages, learning_rate=learning_rate)
 
 
 def boost_raw_scores(model: BoostModel, features: np.ndarray) -> np.ndarray:
     scores = np.tile(model.init_scores, (features.shape[0], 1))
     for stage in model.stages:
         for k, tree in enumerate(stage):
-            scores[:, k] += model.learning_rate * predict_regression_tree(tree, features)
+            for leaf, rows in _route(tree, features):
+                scores[rows, k] += model.learning_rate * leaf.value
     return scores
 
 
 def predict_boost_proba(model: BoostModel, features: np.ndarray) -> np.ndarray:
-    return _softmax_rows(boost_raw_scores(model, features))
+    return softmax(boost_raw_scores(model, features))
 
 
 def predict_boost(model: BoostModel, features: np.ndarray) -> np.ndarray:
     return predict_boost_proba(model, features).argmax(axis=1)
-
-
-class GradientBoost:
-    def __init__(self, n_stages: int = 100, learning_rate: float = 0.1,
-                 max_depth: int = 3, seed: int = 0):
-        self.n_stages = n_stages
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.seed = seed
-        self.model: BoostModel | None = None
-
-    def fit(self, features, labels):
-        self.model = fit_gradient_boost(
-            features, labels, self.n_stages, self.learning_rate, self.max_depth, self.seed
-        )
-        return self
-
-    def predict(self, features):
-        return predict_boost(self.model, features)
-
-    def predict_proba(self, features):
-        return predict_boost_proba(self.model, features)
 
 
 def export_tree_text(root: TreeNode, feature_names: list[str]) -> str:
@@ -465,8 +365,8 @@ def export_tree_text(root: TreeNode, feature_names: list[str]) -> str:
         node_id = counter
         counter += 1
         if node.is_leaf:
-            cls = CLASS_NAMES[int(np.argmax(node.counts))]
-            counts = ", ".join(str(int(c)) for c in node.counts)
+            cls = CLASS_NAMES[int(np.argmax(node.value))]
+            counts = ", ".join(str(int(c)) for c in node.value)
             lines.append(f'  n{node_id} [label="{cls}\\ncounts=[{counts}]"];')
         else:
             lines.append(

@@ -142,6 +142,13 @@ def test_run_table1_marks_failed_cells(synth_d2):
     assert "failed" in ev.render_table1(report)
 
 
+def test_run_table1_fails_batch_norm_cell_with_batch_size_one(synth_d2):
+    report = ev.run_table1({Width.SIMPLIFIED2: synth_d2}, ev.CVConfig(iterations=1),
+                           ["dfnn_ws"], overrides={"dfnn_ws": {"batch_size": 1, "epochs": 1}})
+    error = report.cells[("dfnn_ws", 2)].error
+    assert error is not None and "batch size 1" in error
+
+
 def test_render_table1_layout(synth_d2):
     report = ev.run_table1({Width.SIMPLIFIED2: synth_d2},
                            ev.CVConfig(iterations=2, master_seed=1), ["dt"],

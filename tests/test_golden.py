@@ -10,7 +10,6 @@ build with a different BLAS may round them differently.
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from wallfollow import dataset as dsm
@@ -63,44 +62,43 @@ def _document_sha256(model) -> str:
 
 
 def test_decision_tree_document_fingerprint(synth_d4):
-    model = tm.DecisionTree().fit(synth_d4.features, synth_d4.labels)
+    model = tm.fit_decision_tree(synth_d4.features, synth_d4.labels)
     assert _document_sha256(model) == (
         "33dad251700a86afa0997f8297b21f98b3e07dedb50e08d1063944e9c8477508")
 
 
 def test_random_forest_document_fingerprint(synth_d4):
-    model = tm.RandomForest(n_trees=4, seed=2).fit(synth_d4.features, synth_d4.labels)
+    model = tm.fit_random_forest(synth_d4.features, synth_d4.labels, n_trees=4, seed=2)
     assert _document_sha256(model) == (
         "e46fa4c54e3be8029aaea0f2047851fa453cae3382c717ad7455947992539b20")
 
 
 def test_gradient_boost_document_fingerprint(synth_d4):
-    model = tm.GradientBoost(n_stages=4).fit(synth_d4.features, synth_d4.labels)
+    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=4)
     assert _document_sha256(model) == (
         "908b9c121cff40ca7a0e6a5fc0f2cb4b4d78fc903237198c4ab55560890f64a3")
 
 
 def test_lda_document_fingerprint(synth_full):
-    model = sm.LinearDiscriminant().fit(synth_full.features, synth_full.labels)
+    model = sm.fit_lda(synth_full.features, synth_full.labels)
     assert _document_sha256(model) == (
         "1c99fa14799490b205402f54085bea38385711c32baa8019471b3a0f3170e837")
 
 
 def test_gnb_document_fingerprint(synth_full):
-    model = sm.GaussianNaiveBayes().fit(synth_full.features, synth_full.labels)
+    model = sm.fit_gnb(synth_full.features, synth_full.labels)
     assert _document_sha256(model) == (
         "38435e5d7dbee8b6d2223086635dbcffb6ed62bf52a53e6c7d8861d8a7e4aab8")
 
 
 def test_knn_document_fingerprint(synth_d2):
-    model = sm.KNearestNeighbours(k=5).fit(synth_d2.features, synth_d2.labels)
+    model = sm.fit_knn(synth_d2.features, synth_d2.labels, k=5)
     assert _document_sha256(model) == (
         "694d430cc74ff3e0233db316ef8e850aa914bf11b6c4f4d9d5bc52ad6968cdf8")
 
 
 def test_svm_document_fingerprint(synth_d4):
-    model = sm.SupportVectorMachine(seed=1).fit(synth_d4.features[:150],
-                                                synth_d4.labels[:150])
+    model = sm.fit_svm(synth_d4.features[:150], synth_d4.labels[:150], seed=1)
     assert _document_sha256(model) == (
         "249a090f41dccdd2fbb9e89b32f907474c4750e97ad9957403cf0b820a0f13f8")
 

@@ -13,10 +13,15 @@ from wallfollow.rng import XoshiroLanes
 # shared input layer
 # ---------------------------------------------------------------------------
 
+def _forward_one(layer, x):
+    """The (d, d) activation map of one sample."""
+    return layer.forward(x[None, :], train=False, rng=None).reshape(layer.d, layer.d)
+
+
 def test_shared_zero_input_identity_activation():
     layer = nn.SharedInputLayer(4)
     layer.b = np.array([1.0, 2.0, 3.0, 4.0])
-    out = nn.forward_shared(layer, np.zeros(4))
+    out = _forward_one(layer, np.zeros(4))
     assert out.shape == (4, 4)
     for i in range(4):
         assert (out[i] == layer.b[i]).all()
@@ -26,7 +31,7 @@ def test_shared_unit_weights_reproduce_input():
     layer = nn.SharedInputLayer(5)
     layer.w = np.ones(5)
     x = np.array([0.1, -0.5, 2.0, 3.5, -1.0])
-    out = nn.forward_shared(layer, x)
+    out = _forward_one(layer, x)
     for i in range(5):
         assert np.array_equal(out[i], x)
 
@@ -37,7 +42,7 @@ def test_shared_matches_formula_oracle():
     layer.w = rng.uniform(-2, 2, 6)
     layer.b = rng.uniform(-1, 1, 6)
     x = rng.uniform(-3, 3, 6)
-    out = nn.forward_shared(layer, x)
+    out = _forward_one(layer, x)
     for i in range(6):
         for j in range(6):
             expected = max(layer.w[i] * x[j] + layer.b[i], 0.0)
@@ -107,7 +112,7 @@ def test_batch_norm_constant_column_becomes_beta():
     layer = nn.BatchNorm(2)
     layer.beta = np.array([0.7, -0.2])
     batch = np.column_stack([np.full(8, 5.0), np.arange(8, dtype=float)])
-    out = nn.batch_norm_forward(layer, batch, "train")
+    out = layer.forward(batch, train=True, rng=None)
     assert out[:, 0] == pytest.approx(np.full(8, 0.7), abs=1e-9)
 
 
@@ -117,7 +122,7 @@ def test_batch_norm_train_moments():
     layer.gamma = np.array([1.0, 2.0, 0.5, -1.5])
     layer.beta = np.array([0.0, 1.0, -1.0, 0.25])
     batch = rng.uniform(-4, 4, (256, 4))
-    out = nn.batch_norm_forward(layer, batch, "train")
+    out = layer.forward(batch, train=True, rng=None)
     assert out.mean(axis=0) == pytest.approx(layer.beta, abs=1e-6)
     assert out.std(axis=0) == pytest.approx(np.abs(layer.gamma), abs=1e-3)
 
@@ -125,26 +130,21 @@ def test_batch_norm_train_moments():
 def test_batch_norm_batch_of_one_rejected():
     layer = nn.BatchNorm(3)
     with pytest.raises(ValueError, match="batch of >= 2"):
-        nn.batch_norm_forward(layer, np.ones((1, 3)), "train")
+        layer.forward(np.ones((1, 3)), train=True, rng=None)
 
 
 def test_batch_norm_infer_deterministic_and_uses_running_stats():
     layer = nn.BatchNorm(2)
     rng = XoshiroLanes(9)
     for _ in range(10):
-        nn.batch_norm_forward(layer, rng.uniform(0, 2, (32, 2)), "train")
+        layer.forward(rng.uniform(0, 2, (32, 2)), train=True, rng=None)
     query = rng.uniform(0, 2, (5, 2))
-    a = nn.batch_norm_forward(layer, query, "infer")
-    b = nn.batch_norm_forward(layer, query, "infer")
+    a = layer.forward(query, train=False, rng=None)
+    b = layer.forward(query, train=False, rng=None)
     assert np.array_equal(a, b)
     # infer mode must not depend on the query batch statistics
-    c = nn.batch_norm_forward(layer, query[:2], "infer")
+    c = layer.forward(query[:2], train=False, rng=None)
     assert np.array_equal(a[:2], c)
-
-
-def test_batch_norm_mode_validation():
-    with pytest.raises(ValueError, match="mode"):
-        nn.batch_norm_forward(nn.BatchNorm(1), np.ones((4, 1)), "predict")
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +153,19 @@ def test_batch_norm_mode_validation():
 
 def test_dropout_rate_zero_is_identity():
     batch = XoshiroLanes(1).uniform(-1, 1, (6, 5))
-    out = nn.dropout_apply(0.0, "train", batch, seed=3)
+    out = nn.Dropout(0.0).forward(batch, train=True, rng=XoshiroLanes(3))
     assert np.array_equal(out, batch)
 
 
 def test_dropout_infer_is_identity():
     batch = XoshiroLanes(2).uniform(-1, 1, (6, 5))
-    out = nn.dropout_apply(0.9, "infer", batch, seed=3)
+    out = nn.Dropout(0.9).forward(batch, train=False, rng=XoshiroLanes(3))
     assert np.array_equal(out, batch)
 
 
 def test_dropout_preserves_expectation():
     batch = np.ones((1000, 1000))
-    out = nn.dropout_apply(0.1, "train", batch, seed=12)
+    out = nn.Dropout(0.1).forward(batch, train=True, rng=XoshiroLanes(12))
     assert out.mean() == pytest.approx(1.0, abs=0.01)
     kept = out[out != 0]
     assert kept == pytest.approx(np.full(kept.shape, 1.0 / 0.9), abs=1e-12)
@@ -412,6 +412,21 @@ def test_train_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         nn.train_network(net, np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
                          nn.TrainConfig())
+
+
+def test_train_rejects_batch_size_one_with_batch_norm():
+    # every batch would be a singleton that batch norm cannot train on
+    features, labels = _toy_clusters()
+    net = nn.build_preset("DFNN_WS", 2, init_seed=0)
+    config = nn.TrainConfig(batch_size=1, epochs=1, dropout=0.1, seed=1)
+    for log in (None, io.StringIO()):
+        with pytest.raises(ValueError, match="batch size 1.*batch norm"):
+            nn.train_network(net, features, labels, config, log=log)
+    # without batch norm, single-row batches still train
+    plain = nn.build_preset("FNN1", 2, init_seed=0)
+    before = [p.copy() for p in plain.parameters()]
+    nn.train_network(plain, features, labels, config)
+    assert any(not np.array_equal(a, b) for a, b in zip(before, plain.parameters()))
 
 
 def test_train_config_validation():

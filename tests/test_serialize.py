@@ -17,65 +17,67 @@ def _round_trip(model, tmp_path):
 
 
 def test_decision_tree_round_trip(tmp_path, synth_d4):
-    model = tm.DecisionTree().fit(synth_d4.features, synth_d4.labels)
+    model = tm.fit_decision_tree(synth_d4.features, synth_d4.labels)
     loaded = _round_trip(model, tmp_path)
-    assert np.array_equal(loaded.predict(synth_d4.features), model.predict(synth_d4.features))
+    assert np.array_equal(tm.predict_tree(loaded, synth_d4.features),
+                          tm.predict_tree(model, synth_d4.features))
     names = ["a", "b", "c", "d"]
-    assert tm.export_tree_text(loaded.root, names) == tm.export_tree_text(model.root, names)
+    assert tm.export_tree_text(loaded, names) == tm.export_tree_text(model, names)
 
 
 def test_random_forest_round_trip(tmp_path, synth_d4):
-    model = tm.RandomForest(n_trees=5, seed=2).fit(synth_d4.features, synth_d4.labels)
+    model = tm.fit_random_forest(synth_d4.features, synth_d4.labels, n_trees=5, seed=2)
     loaded = _round_trip(model, tmp_path)
-    assert np.array_equal(loaded.predict(synth_d4.features), model.predict(synth_d4.features))
-    assert loaded.model.features_per_split == model.model.features_per_split
+    assert np.array_equal(tm.predict_forest(loaded, synth_d4.features),
+                          tm.predict_forest(model, synth_d4.features))
+    assert loaded.features_per_split == model.features_per_split
 
 
 def test_gradient_boost_round_trip(tmp_path, synth_d4):
-    model = tm.GradientBoost(n_stages=6).fit(synth_d4.features, synth_d4.labels)
+    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=6)
     loaded = _round_trip(model, tmp_path)
     assert np.array_equal(
-        tm.boost_raw_scores(loaded.model, synth_d4.features),
-        tm.boost_raw_scores(model.model, synth_d4.features),
+        tm.boost_raw_scores(loaded, synth_d4.features),
+        tm.boost_raw_scores(model, synth_d4.features),
     )
 
 
 def test_lda_round_trip(tmp_path, synth_full):
-    model = sm.LinearDiscriminant().fit(synth_full.features, synth_full.labels)
+    model = sm.fit_lda(synth_full.features, synth_full.labels)
     loaded = _round_trip(model, tmp_path)
     assert np.array_equal(
-        sm.lda_decision_scores(loaded.model, synth_full.features),
-        sm.lda_decision_scores(model.model, synth_full.features),
+        sm.lda_decision_scores(loaded, synth_full.features),
+        sm.lda_decision_scores(model, synth_full.features),
     )
 
 
 def test_gnb_round_trip(tmp_path, synth_full):
-    model = sm.GaussianNaiveBayes().fit(synth_full.features, synth_full.labels)
+    model = sm.fit_gnb(synth_full.features, synth_full.labels)
     loaded = _round_trip(model, tmp_path)
     assert np.array_equal(
-        sm.gnb_log_posteriors(loaded.model, synth_full.features),
-        sm.gnb_log_posteriors(model.model, synth_full.features),
+        sm.gnb_log_posteriors(loaded, synth_full.features),
+        sm.gnb_log_posteriors(model, synth_full.features),
     )
 
 
 def test_knn_round_trip(tmp_path, synth_d2):
-    model = sm.KNearestNeighbours(k=5).fit(synth_d2.features, synth_d2.labels)
+    model = sm.fit_knn(synth_d2.features, synth_d2.labels, k=5)
     loaded = _round_trip(model, tmp_path)
     queries = synth_d2.features[:60]
-    assert np.array_equal(loaded.predict(queries), model.predict(queries))
+    assert np.array_equal(sm.predict_knn_batch(loaded, queries),
+                          sm.predict_knn_batch(model, queries))
 
 
 def test_svm_round_trip(tmp_path, synth_d4):
     rows = np.arange(150)
-    model = sm.SupportVectorMachine(seed=1).fit(synth_d4.features[rows],
-                                                synth_d4.labels[rows])
+    model = sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows], seed=1)
     loaded = _round_trip(model, tmp_path)
     queries = synth_d4.features[150:200]
     assert np.array_equal(
-        sm.svm_decision_values(loaded.model, queries),
-        sm.svm_decision_values(model.model, queries),
+        sm.svm_decision_values(loaded, queries),
+        sm.svm_decision_values(model, queries),
     )
-    assert loaded.model.gamma == model.model.gamma
+    assert loaded.gamma == model.gamma
 
 
 def test_network_round_trip(tmp_path):
@@ -91,7 +93,7 @@ def test_network_round_trip(tmp_path):
 
 
 def test_document_shape(tmp_path, synth_d2):
-    model = tm.DecisionTree().fit(synth_d2.features, synth_d2.labels)
+    model = tm.fit_decision_tree(synth_d2.features, synth_d2.labels)
     path = tmp_path / "m.json"
     sz.save_model(model, path)
     doc = json.loads(path.read_text())

@@ -129,7 +129,7 @@ def _knn_oracle(train_x, train_y, query, k):
 def test_knn_query_equal_to_training_row(synth_d4):
     model = sm.fit_knn(synth_d4.features, synth_d4.labels, k=1)
     for i in (0, 5, 17):
-        assert sm.predict_knn(model, synth_d4.features[i]) == synth_d4.labels[i]
+        assert sm.predict_knn_batch(model, synth_d4.features[i][None, :])[0] == synth_d4.labels[i]
 
 
 def test_knn_five_point_toy_matches_oracle():
@@ -137,7 +137,7 @@ def test_knn_five_point_toy_matches_oracle():
     labels = np.array([0, 0, 1, 2, 2])
     model = sm.fit_knn(train, labels, k=3)
     for query in (np.array([0.2, 0.1]), np.array([4.0, 4.4]), np.array([2.0, 2.0])):
-        assert sm.predict_knn(model, query) == _knn_oracle(train, labels, query, 3)
+        assert sm.predict_knn_batch(model, query[None, :])[0] == _knn_oracle(train, labels, query, 3)
 
 
 def test_knn_matches_oracle_on_random_queries():
@@ -156,7 +156,7 @@ def test_knn_distance_tie_prefers_lower_row_index():
     labels = np.array([2, 1, 3])
     model = sm.fit_knn(train, labels, k=1)
     # equidistant from rows 0 and 1; row 0 wins
-    assert sm.predict_knn(model, np.array([0.0, 0.0])) == 2
+    assert sm.predict_knn_batch(model, np.array([[0.0, 0.0]]))[0] == 2
 
 
 def test_knn_full_k_predicts_global_majority(synth_d2):

@@ -205,13 +205,13 @@ def test_degenerate_forest_equals_single_tree(synth_d4):
 
 
 def test_stub_tree_majority_vote():
-    leaf = lambda k: tm.TreeNode(counts=np.eye(4, dtype=np.int64)[k])
+    leaf = lambda k: tm.TreeNode(value=np.eye(4, dtype=np.int64)[k])
     model = tm.ForestModel(trees=[leaf(0), leaf(0), leaf(1)], seed=0, features_per_split=1)
     assert tm.predict_forest(model, np.zeros((3, 2))).tolist() == [0, 0, 0]
 
 
 def test_vote_tie_breaks_to_lowest_class():
-    leaf = lambda k: tm.TreeNode(counts=np.eye(4, dtype=np.int64)[k])
+    leaf = lambda k: tm.TreeNode(value=np.eye(4, dtype=np.int64)[k])
     model = tm.ForestModel(trees=[leaf(2), leaf(1)], seed=0, features_per_split=1)
     assert tm.predict_forest(model, np.zeros((1, 2)))[0] == 1
 
@@ -288,7 +288,7 @@ def test_boost_validates_arguments(synth_d4):
 # ---------------------------------------------------------------------------
 
 def test_export_single_leaf():
-    root = tm.TreeNode(counts=np.array([0, 5, 0, 0]))
+    root = tm.TreeNode(value=np.array([0, 5, 0, 0]))
     text = tm.export_tree_text(root, ["X_0"])
     assert text.startswith("digraph tree {")
     assert 'n0 [label="SlightRightTurn\\ncounts=[0, 5, 0, 0]"];' in text
