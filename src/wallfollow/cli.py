@@ -8,6 +8,8 @@ every command is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import http.client
+import os
 import sys
 import urllib.request
 from pathlib import Path
@@ -92,6 +94,23 @@ def _load_width(data_dir: Path, width: Width):
     return load_dataset(path, width)
 
 
+def _download(url: str, path: Path) -> int:
+    """Copy ``url`` to ``path`` through a temp file beside it; returns the size.
+
+    The temp file is renamed over ``path`` only once the whole download has
+    arrived, so a failure leaves neither a truncated file nor the temp file.
+    """
+    with urllib.request.urlopen(url) as response:
+        payload = response.read()  # raises IncompleteRead on a short body
+    part = path.with_name(path.name + ".part")
+    try:
+        part.write_bytes(payload)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+    return len(payload)
+
+
 def cmd_data(args, config: dict) -> int:
     data_dir = Path(_pick(args.data_dir, config, "data_dir", "data"))
     if args.subcommand == "fetch":
@@ -101,13 +120,11 @@ def cmd_data(args, config: dict) -> int:
             url = f"{base.rstrip('/')}/{name}"
             print(f"fetching {url}")
             try:
-                with urllib.request.urlopen(url) as response:
-                    payload = response.read()
-            except OSError as exc:
+                size = _download(url, data_dir / name)
+            except (OSError, http.client.HTTPException) as exc:
                 print(f"error: download failed for {url}: {exc}", file=sys.stderr)
                 return EXIT_DATA
-            (data_dir / name).write_bytes(payload)
-            print(f"wrote {data_dir / name} ({len(payload)} bytes)")
+            print(f"wrote {data_dir / name} ({size} bytes)")
         return EXIT_OK
 
     if args.subcommand == "verify":

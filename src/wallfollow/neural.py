@@ -13,7 +13,8 @@ is deterministic given the initialization seed and the training seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,12 +161,15 @@ class BatchNorm:
             if x.shape[0] < 2:
                 raise ValueError("batch normalization needs a batch of >= 2 in train mode")
             mu = x.mean(axis=0)
-            var = x.var(axis=0)
+            xmu = x - mu
+            # x.var(axis=0) spelled out to reuse the centred batch; numpy
+            # computes it with these same operations, so the bits agree
+            var = (xmu * xmu).sum(axis=0) / x.shape[0]
             ivar = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mu) * ivar
+            xhat = xmu * ivar
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-            self._cache = (x - mu, ivar, xhat, True)
+            self._cache = (xmu, ivar, xhat, True)
         else:
             ivar = 1.0 / np.sqrt(self.running_var + self.eps)
             xhat = (x - self.running_mean) * ivar
@@ -279,33 +283,59 @@ def backprop(model: Network, batch: np.ndarray, target_onehot: np.ndarray,
     return loss, model.gradients()
 
 
+def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive parts of ``flat``, one per shape."""
+    views = []
+    start = 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 @dataclass
 class AdadeltaState:
-    """Decaying accumulators of squared gradients and squared updates."""
+    """Decaying accumulators of squared gradients and squared updates.
+
+    Each accumulator is one flat buffer over all parameters' entries in
+    ``shapes`` order; ``acc_grad[i]`` and ``acc_delta[i]`` are views of
+    parameter ``i``'s part.
+    """
 
     shapes: list
     rho: float = ADADELTA_RHO
     eps: float = ADADELTA_EPS
-    acc_grad: list = field(default_factory=list)
-    acc_delta: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.acc_grad:
-            self.acc_grad = [np.zeros(s) for s in self.shapes]
-            self.acc_delta = [np.zeros(s) for s in self.shapes]
+        size = sum(math.prod(s) for s in self.shapes)
+        self.grad_sq = np.zeros(size)
+        self.delta_sq = np.zeros(size)
+        self.acc_grad = _split(self.grad_sq, self.shapes)
+        self.acc_delta = _split(self.delta_sq, self.shapes)
+
+    def step(self, g: np.ndarray) -> np.ndarray:
+        """One update from the flat gradient ``g``; returns the flat delta to add.
+
+        Elementwise, so the result is bit-identical to updating each
+        parameter on its own.
+        """
+        rho = self.rho
+        self.grad_sq *= rho
+        self.grad_sq += (1 - rho) * g * g
+        delta = -np.sqrt(self.delta_sq + self.eps) / np.sqrt(self.grad_sq + self.eps) * g
+        self.delta_sq *= rho
+        self.delta_sq += (1 - rho) * delta * delta
+        return delta
+
+
+def _flatten(arrays) -> np.ndarray:
+    return np.concatenate([a.reshape(-1) for a in arrays])
 
 
 def adadelta_step(state: AdadeltaState, gradients: list) -> list:
     """One Adadelta update; returns the per-parameter deltas to add."""
-    deltas = []
-    for i, g in enumerate(gradients):
-        state.acc_grad[i] = state.rho * state.acc_grad[i] + (1 - state.rho) * g * g
-        delta = -np.sqrt(state.acc_delta[i] + state.eps) / np.sqrt(
-            state.acc_grad[i] + state.eps
-        ) * g
-        state.acc_delta[i] = state.rho * state.acc_delta[i] + (1 - state.rho) * delta * delta
-        deltas.append(delta)
-    return deltas
+    return _split(state.step(_flatten(gradients)), state.shapes)
 
 
 PRESET_NAMES = ("FNN1", "DFNN3", "DFNN_WS")
@@ -350,6 +380,12 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
     overrides the rate of every dropout layer in the model.  The returned
     model is left in inference mode (prediction uses running batch-norm
     statistics).  Bit-identical results for identical (model, data, config).
+
+    Training first rebinds every layer's parameters as views of one flat
+    buffer, which each batch updates in one step; arrays fetched from the
+    model before training keep the old values and no longer alias the
+    trained weights.  Raises ``ValueError`` naming the epoch after which a
+    weight is no longer finite.
     """
     n = features.shape[0]
     if n == 0:
@@ -361,9 +397,15 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
     for layer in model.layers:
         if isinstance(layer, Dropout):
             layer.rate = config.dropout
+    named = [(layer, name, array) for layer in model.layers
+             for name, array in layer.params()]
+    shapes = [array.shape for _, _, array in named]
+    theta = _flatten(array for _, _, array in named)
+    for (layer, name, _), view in zip(named, _split(theta, shapes)):
+        setattr(layer, name, view)
+    state = AdadeltaState(shapes=shapes)
     onehot = (labels[:, None] == np.arange(4)[None, :]).astype(np.float64)
     rng = XoshiroLanes(config.seed)
-    state = AdadeltaState(shapes=[p.shape for p in model.parameters()])
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         loss_sum = 0.0
@@ -376,15 +418,16 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
                 continue
             x, y = features[idx], onehot[idx]
             probs = model.forward(x, train=True, rng=rng)
-            loss_sum += cross_entropy(probs, y) * idx.shape[0]
-            hits += int((probs.argmax(axis=1) == labels[idx]).sum())
-            seen += idx.shape[0]
+            if log is not None:
+                loss_sum += cross_entropy(probs, y) * idx.shape[0]
+                hits += int((probs.argmax(axis=1) == labels[idx]).sum())
+                seen += idx.shape[0]
             grad = (probs - y) / idx.shape[0]
             for layer in reversed(model.layers):
                 grad = layer.backward(grad)
-            params = model.parameters()
-            for p, delta in zip(params, adadelta_step(state, model.gradients())):
-                p += delta
+            theta += state.step(_flatten(model.gradients()))
+        if not np.isfinite(theta).all():
+            raise ValueError(f"training diverged: non-finite weights after epoch {epoch + 1}")
         if log is not None:
             log.write(f"epoch={epoch + 1} loss={loss_sum / seen:.6f} acc={hits / seen:.4f}\n")
     return model

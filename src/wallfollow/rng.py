@@ -17,6 +17,8 @@ Derived seeds use ``derive_seed(base, index) = splitmix64(base ^ index)``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -25,6 +27,9 @@ GOLDEN = 0x9E3779B97F4A7C15
 # Lane count is part of the output stream definition; changing it changes
 # every bulk draw, so it is frozen here.
 LANES = 512
+
+_5, _7, _9, _19, _57 = (np.uint64(k) for k in (5, 7, 9, 19, 57))
+_SHIFTS = np.array([[17], [45]], dtype=np.uint64)
 
 
 def splitmix64(x: int) -> int:
@@ -120,36 +125,43 @@ class XoshiroLanes:
         dead = ~state.any(axis=0)
         if dead.any():
             state[0, dead] = np.uint64(GOLDEN)
-        self._s = state  # shape (4, lanes)
+        self._s = state  # shape (4, lanes), stepped in place
+        self._w = np.empty((2, lanes), dtype=np.uint64)  # per-step scratch
         self.lanes = lanes
 
-    def _next_block(self) -> np.ndarray:
-        s0, s1, s2, s3 = self._s
-        five = np.uint64(5)
-        nine = np.uint64(9)
-        r = s1 * five
-        result = ((r << np.uint64(7)) | (r >> np.uint64(57))) * nine
-        t = s1 << np.uint64(17)
-        s2 = s2 ^ s0
-        s3 = s3 ^ s1
-        s1 = s1 ^ s2
-        s0 = s0 ^ s3
-        s2 = s2 ^ t
-        s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-        self._s = np.stack([s0, s1, s2, s3])
-        return result
-
     def u64(self, count: int) -> np.ndarray:
+        """The next ``count`` raw outputs, step-major across the lanes.
+
+        The unread rest of the last step is discarded.
+        """
         blocks = -(-count // self.lanes)
         out = np.empty((blocks, self.lanes), dtype=np.uint64)
+        st, w = self._s, self._w
+        s1, s3 = st[1], st[3]
+        s01, s23, s10, s13 = st[:2], st[2:], st[1::-1], st[1::2]
         for b in range(blocks):
-            out[b] = self._next_block()
+            # one xoshiro256** step of every lane, in place on row views; the
+            # scrambler reads only s1, so keep s1 and scramble all rows below
+            out[b] = s1
+            s23 ^= s01  # s2 ^= s0; s3 ^= s1
+            np.left_shift(s13, _SHIFTS, w)  # w = (s1 << 17, s3 << 45)
+            s10 ^= s23  # s1 ^= s2; s0 ^= s3
+            s3 >>= _19
+            # s2 ^= old s1 << 17; s3 = rotl(s3, 45), whose two halves share
+            # no bit, so xor joins them as or would
+            s23 ^= w
+        # rotl(s1 * 5, 7) * 9, wrapping modulo 2**64
+        out *= _5
+        high = out >> _57
+        out <<= _7
+        out |= high
+        out *= _9
         return out.reshape(-1)[:count]
 
     def doubles(self, shape) -> np.ndarray:
         """Uniform doubles in [0, 1), row-major over ``shape``."""
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         u = self.u64(count)
         return ((u >> np.uint64(11)).astype(np.float64) * 2.0**-53).reshape(shape)
 

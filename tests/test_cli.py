@@ -1,6 +1,6 @@
 import threading
 from functools import partial
-from http.server import HTTPServer, SimpleHTTPRequestHandler
+from http.server import BaseHTTPRequestHandler, HTTPServer, SimpleHTTPRequestHandler
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +85,50 @@ def test_fetch_reports_failure(tmp_path, capsys):
     assert rc == cli.EXIT_DATA
     assert "download failed" in capsys.readouterr().err
 
+
+def test_fetch_failure_leaves_no_partial_file(published_like_dir, tmp_path, capsys):
+    # a file:// mirror without the second file: the first download lands,
+    # the failed one neither truncates the existing copy nor leaves a temp file
+    mirror = tmp_path / "mirror"
+    mirror.mkdir()
+    for name in (DATA_FILES[0], DATA_FILES[2]):
+        (mirror / name).write_bytes((published_like_dir / name).read_bytes())
+    dest = tmp_path / "data"
+    dest.mkdir()
+    (dest / DATA_FILES[1]).write_text("previous copy\n")
+    rc = run_cli("data", "fetch", "--data-dir", str(dest), "--base-url", mirror.as_uri())
+    assert rc == cli.EXIT_DATA
+    assert "download failed" in capsys.readouterr().err
+    assert sorted(p.name for p in dest.iterdir()) == sorted(DATA_FILES[:2])
+    assert (dest / DATA_FILES[0]).read_bytes() == (mirror / DATA_FILES[0]).read_bytes()
+    assert (dest / DATA_FILES[1]).read_text() == "previous copy\n"
+
+class _ShortBodyHandler(BaseHTTPRequestHandler):
+    """Announces 100 more bytes than it sends, then closes the connection."""
+
+    def do_GET(self):
+        body = b"1.0,2.0,Move-Forward\n" * 50
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body) + 100))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_fetch_truncated_transfer_reports_failure(tmp_path, capsys):
+    server = HTTPServer(("127.0.0.1", 0), _ShortBodyHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        rc = run_cli("data", "fetch", "--data-dir", str(tmp_path),
+                     "--base-url", f"http://127.0.0.1:{server.server_port}")
+    finally:
+        server.shutdown()
+    assert rc == cli.EXIT_DATA
+    assert "download failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 # ---------------------------------------------------------------------------
 # bench

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wallfollow import evaluation as ev
+from wallfollow import neural as nn
 from wallfollow.dataset import Dataset, Width, shuffle_split
 from wallfollow.rng import derive_seed
 
@@ -147,6 +148,22 @@ def test_run_table1_fails_batch_norm_cell_with_batch_size_one(synth_d2):
                            ["dfnn_ws"], overrides={"dfnn_ws": {"batch_size": 1, "epochs": 1}})
     error = report.cells[("dfnn_ws", 2)].error
     assert error is not None and "batch size 1" in error
+
+
+def test_run_table1_names_cell_and_epoch_of_diverged_training(synth_d2, monkeypatch):
+    # weights large enough that the second dense layer overflows to inf
+    def overflowing_init(self, rng):
+        self.weight = 1e200 * rng.uniform(-1, 1, (self.n_out, self.n_in))
+        self.bias = np.zeros(self.n_out)
+
+    monkeypatch.setattr(nn.Dense, "init_params", overflowing_init)
+    cfg = ev.CVConfig(iterations=1, master_seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = ev.run_table1({Width.SIMPLIFIED2: synth_d2}, cfg, ["dfnn3"],
+                               overrides={"dfnn3": {"epochs": 2}})
+    error = report.cells[("dfnn3", 2)].error
+    assert error == (f"dfnn3/2 failed at iteration 0 (seed {derive_seed(3, 0)}): "
+                     "training diverged: non-finite weights after epoch 1")
 
 
 def test_render_table1_layout(synth_d2):

@@ -147,6 +147,24 @@ def test_batch_norm_infer_deterministic_and_uses_running_stats():
     assert np.array_equal(a[:2], c)
 
 
+@pytest.mark.parametrize("units", [1, 4, 16, 576])
+@pytest.mark.parametrize("rows", [2, 3, 7, 32, 33, 129])
+def test_batch_norm_train_bitwise_equal_to_numpy_moments(units, rows):
+    # forward computes the variance from its centred batch; it must equal
+    # x.var(axis=0), and the output the formula on numpy's moments, bit for bit
+    rng = XoshiroLanes(rows * 1000 + units)
+    batch = 50.0 + 1e3 * rng.uniform(-1, 1, (rows, units)) ** 3
+    layer = nn.BatchNorm(units, momentum=0.0)  # running stats = batch stats
+    layer.gamma = rng.uniform(-2, 2, units)
+    layer.beta = rng.uniform(-1, 1, units)
+    out = layer.forward(batch, train=True, rng=None)
+    mu, var = batch.mean(axis=0), batch.var(axis=0)
+    assert np.array_equal(layer.running_var, var)
+    assert np.array_equal(layer.running_mean, mu)
+    expected = layer.gamma * ((batch - mu) * (1.0 / np.sqrt(var + layer.eps))) + layer.beta
+    assert np.array_equal(out, expected)
+
+
 # ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
@@ -209,6 +227,36 @@ def test_adadelta_defaults():
     state = nn.AdadeltaState(shapes=[(1,)])
     assert state.rho == 0.95
     assert state.eps == 1e-6
+
+
+def _reference_adadelta_step(acc_grad, acc_delta, gradients, rho=0.95, eps=1e-6):
+    """The original per-parameter Adadelta loop, updating the lists in place."""
+    deltas = []
+    for i, g in enumerate(gradients):
+        acc_grad[i] = rho * acc_grad[i] + (1 - rho) * g * g
+        delta = -np.sqrt(acc_delta[i] + eps) / np.sqrt(acc_grad[i] + eps) * g
+        acc_delta[i] = rho * acc_delta[i] + (1 - rho) * delta * delta
+        deltas.append(delta)
+    return deltas
+
+
+def test_adadelta_bitwise_equal_to_per_parameter_loop():
+    shapes = [(3,), (16, 24), (1,), (4, 4), (576,), (2, 3)]
+    rng = XoshiroLanes(31)
+    state = nn.AdadeltaState(shapes=shapes)
+    acc_grad = [np.zeros(s) for s in shapes]
+    acc_delta = [np.zeros(s) for s in shapes]
+    for step in range(6):
+        # gradients spanning many magnitudes, some exactly zero
+        grads = [rng.uniform(-1, 1, s) * 10.0 ** (step - 3) for s in shapes]
+        grads[2][:] = 0.0
+        deltas = nn.adadelta_step(state, grads)
+        expected = _reference_adadelta_step(acc_grad, acc_delta, grads)
+        for i, shape in enumerate(shapes):
+            assert deltas[i].shape == shape
+            assert np.array_equal(deltas[i], expected[i])
+            assert np.array_equal(state.acc_grad[i], acc_grad[i])
+            assert np.array_equal(state.acc_delta[i], acc_delta[i])
 
 
 # ---------------------------------------------------------------------------
@@ -434,3 +482,99 @@ def test_train_config_validation():
         nn.TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         nn.TrainConfig(dropout=1.0)
+
+
+def _reference_train(model, features, labels, config, log=None):
+    """The original training loop: per-parameter Adadelta, ``p += delta``."""
+    n = features.shape[0]
+    has_bn = any(isinstance(layer, nn.BatchNorm) for layer in model.layers)
+    for layer in model.layers:
+        if isinstance(layer, nn.Dropout):
+            layer.rate = config.dropout
+    onehot = (labels[:, None] == np.arange(4)[None, :]).astype(np.float64)
+    rng = XoshiroLanes(config.seed)
+    params = model.parameters()
+    acc_grad = [np.zeros(p.shape) for p in params]
+    acc_delta = [np.zeros(p.shape) for p in params]
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        loss_sum = 0.0
+        hits = 0
+        seen = 0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            if idx.shape[0] == 1 and has_bn and n > 1:
+                continue
+            x, y = features[idx], onehot[idx]
+            probs = model.forward(x, train=True, rng=rng)
+            loss_sum += nn.cross_entropy(probs, y) * idx.shape[0]
+            hits += int((probs.argmax(axis=1) == labels[idx]).sum())
+            seen += idx.shape[0]
+            grad = (probs - y) / idx.shape[0]
+            for layer in reversed(model.layers):
+                grad = layer.backward(grad)
+            deltas = _reference_adadelta_step(acc_grad, acc_delta, model.gradients())
+            for p, delta in zip(params, deltas):
+                p += delta
+        if log is not None:
+            log.write(f"epoch={epoch + 1} loss={loss_sum / seen:.6f} acc={hits / seen:.4f}\n")
+    return model
+
+
+def _network_state(net):
+    running = [a for layer in net.layers if isinstance(layer, nn.BatchNorm)
+               for a in (layer.running_mean, layer.running_var)]
+    return net.parameters() + running
+
+
+@pytest.mark.parametrize("preset,width", [("FNN1", 2), ("DFNN3", 4), ("DFNN_WS", 4),
+                                          ("DFNN_WS", 24)])
+@pytest.mark.parametrize("with_log", [False, True])
+def test_training_bitwise_equal_to_per_parameter_loop(preset, width, with_log):
+    rng = XoshiroLanes(width)
+    features = rng.uniform(-2, 2, (75, width))  # 75 = two full batches and a tail
+    labels = (rng.doubles(75) * 4).astype(np.int64)
+    config = nn.TrainConfig(batch_size=32, epochs=3, dropout=0.1, seed=17)
+    logs = [io.StringIO() if with_log else None for _ in range(2)]
+    net = nn.build_preset(preset, width, init_seed=6)
+    reference = _reference_train(nn.build_preset(preset, width, init_seed=6),
+                                 features, labels, config, log=logs[0])
+    assert nn.train_network(net, features, labels, config, log=logs[1]) is net
+    for a, b in zip(_network_state(reference), _network_state(net), strict=True):
+        assert np.array_equal(a, b)
+    if with_log:
+        assert logs[1].getvalue() == logs[0].getvalue()
+    x = rng.uniform(-2, 2, (9, width))
+    assert np.array_equal(net.forward(x), reference.forward(x))
+
+
+def test_training_rebinds_parameters_to_one_buffer():
+    features, labels = _toy_clusters()
+    net = nn.build_preset("DFNN3", 2, init_seed=3)
+    before = net.parameters()
+    copies = [p.copy() for p in before]
+    nn.train_network(net, features, labels,
+                     nn.TrainConfig(batch_size=8, epochs=2, dropout=0.0, seed=4))
+    # arrays fetched before training keep their values ...
+    assert all(np.array_equal(a, b) for a, b in zip(before, copies))
+    # ... while the trained weights are views of one flat buffer
+    after = net.parameters()
+    assert len({id(p.base) for p in after}) == 1
+    assert any(not np.array_equal(a, b) for a, b in zip(copies, after))
+
+
+def _overflowing_dense_init(self, rng):
+    # weights so large that a second dense layer overflows to inf
+    self.weight = 1e200 * rng.uniform(-1, 1, (self.n_out, self.n_in))
+    self.bias = np.zeros(self.n_out)
+
+
+def test_train_raises_naming_epoch_when_weights_diverge(monkeypatch):
+    features, labels = _toy_clusters()
+    monkeypatch.setattr(nn.Dense, "init_params", _overflowing_dense_init)
+    config = nn.TrainConfig(batch_size=8, epochs=3, dropout=0.0, seed=1)
+    for log in (None, io.StringIO()):
+        net = nn.build_preset("DFNN3", 2, init_seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite weights after epoch 1$"):
+            nn.train_network(net, features, labels, config, log=log)

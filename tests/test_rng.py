@@ -76,7 +76,7 @@ def test_lanes_match_scalar_generators():
     # splitmix64 quadruple
     lanes = XoshiroLanes(12345, lanes=8)
     words = splitmix64_stream(12345, 32)
-    blocks = [lanes._next_block() for _ in range(5)]
+    blocks = lanes.u64(5 * 8).reshape(5, 8)
     for lane in range(8):
         scalar = Xoshiro256StarStar.__new__(Xoshiro256StarStar)
         scalar._s = words[4 * lane: 4 * lane + 4]
@@ -106,3 +106,33 @@ def test_lanes_determinism_across_chunking():
     b = XoshiroLanes(77, lanes=100)
     first = np.concatenate([a.u64(100), a.u64(100)])
     assert np.array_equal(first, b.u64(200))
+
+
+def _reference_lane_u64(state: np.ndarray, count: int) -> np.ndarray:
+    """The original lane stepping: whole-row temporaries and ``np.stack``."""
+    blocks = []
+    for _ in range(-(-count // state.shape[1])):
+        s0, s1, s2, s3 = state
+        r = s1 * np.uint64(5)
+        blocks.append(((r << np.uint64(7)) | (r >> np.uint64(57))) * np.uint64(9))
+        t = s1 << np.uint64(17)
+        s2 = s2 ^ s0
+        s3 = s3 ^ s1
+        s1 = s1 ^ s2
+        s0 = s0 ^ s3
+        s2 = s2 ^ t
+        s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
+        state[:] = np.stack([s0, s1, s2, s3])
+    out = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.uint64)
+    return out[:count]
+
+
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_lanes_mixed_size_calls_equal_reference_stepping(seed):
+    # sizes of a 576-wide dropout mask, partial steps and a ragged tail; each
+    # call discards the unread rest of its last step
+    lanes = XoshiroLanes(seed)
+    state = XoshiroLanes(seed)._s.copy()
+    for count in (18432, 512, 256, 128, 4910, 1, 0, 513):
+        assert np.array_equal(lanes.u64(count), _reference_lane_u64(state, count)), count
+    assert np.array_equal(lanes._s, state)
