@@ -268,19 +268,20 @@ class Network:
 
 def backprop(model: Network, batch: np.ndarray, target_onehot: np.ndarray,
              train: bool = True, rng=None):
-    """Mean cross-entropy loss and exact gradients for every parameter.
+    """Softmax outputs and exact gradients of the mean cross-entropy loss.
 
-    Dropout masks are drawn once during the forward pass and reused by the
-    backward pass; reseeding ``rng`` reproduces them exactly.
+    Returns ``(probs, gradients)``, one gradient per parameter in
+    ``model.parameters()`` order.  Dropout masks are drawn once during the
+    forward pass and reused by the backward pass; reseeding ``rng``
+    reproduces them exactly.
     """
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
     probs = model.forward(batch, train=train, rng=rng)
-    loss = cross_entropy(probs, target_onehot)
     grad = (probs - target_onehot) / batch.shape[0]
     for layer in reversed(model.layers):
         grad = layer.backward(grad)
-    return loss, model.gradients()
+    return probs, model.gradients()
 
 
 def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -417,15 +418,12 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
             if idx.shape[0] == 1 and has_bn and n > 1:
                 continue
             x, y = features[idx], onehot[idx]
-            probs = model.forward(x, train=True, rng=rng)
+            probs, grads = backprop(model, x, y, rng=rng)
             if log is not None:
                 loss_sum += cross_entropy(probs, y) * idx.shape[0]
                 hits += int((probs.argmax(axis=1) == labels[idx]).sum())
                 seen += idx.shape[0]
-            grad = (probs - y) / idx.shape[0]
-            for layer in reversed(model.layers):
-                grad = layer.backward(grad)
-            theta += state.step(_flatten(model.gradients()))
+            theta += state.step(_flatten(grads))
         if not np.isfinite(theta).all():
             raise ValueError(f"training diverged: non-finite weights after epoch {epoch + 1}")
         if log is not None:

@@ -58,50 +58,37 @@ def _node_from_dict(data: dict) -> tree_models.TreeNode:
     return tree_models.TreeNode(value=data["v"])
 
 
+# Network layers: type -> (class, constructor arguments, array attributes);
+# a layer's object lists "type", then the arguments, then the arrays.
+LAYERS = {
+    "shared": (neural.SharedInputLayer, ("d", "activation"), ("w", "b")),
+    "dense": (neural.Dense, ("n_in", "n_out"), ("weight", "bias")),
+    "batchnorm": (neural.BatchNorm, ("units", "momentum", "eps"),
+                  ("gamma", "beta", "running_mean", "running_var")),
+    "relu": (neural.Relu, (), ()),
+    "dropout": (neural.Dropout, ("rate",), ()),
+}
+_LAYER_TYPE_OF = {cls: kind for kind, (cls, _, _) in LAYERS.items()}
+
+
 def _layer_to_dict(layer) -> dict:
-    if isinstance(layer, neural.SharedInputLayer):
-        return {"type": "shared", "d": layer.d, "activation": layer.activation,
-                "w": layer.w.tolist(), "b": layer.b.tolist()}
-    if isinstance(layer, neural.Dense):
-        return {"type": "dense", "n_in": layer.n_in, "n_out": layer.n_out,
-                "weight": layer.weight.tolist(), "bias": layer.bias.tolist()}
-    if isinstance(layer, neural.BatchNorm):
-        return {"type": "batchnorm", "units": layer.units, "momentum": layer.momentum,
-                "eps": layer.eps, "gamma": layer.gamma.tolist(),
-                "beta": layer.beta.tolist(),
-                "running_mean": layer.running_mean.tolist(),
-                "running_var": layer.running_var.tolist()}
-    if isinstance(layer, neural.Relu):
-        return {"type": "relu"}
-    if isinstance(layer, neural.Dropout):
-        return {"type": "dropout", "rate": layer.rate}
-    raise TypeError(f"cannot serialize layer {type(layer).__name__}")
+    kind = _LAYER_TYPE_OF.get(type(layer))
+    if kind is None:
+        raise TypeError(f"cannot serialize layer {type(layer).__name__}")
+    _, args, arrays = LAYERS[kind]
+    return {"type": kind, **{a: getattr(layer, a) for a in args},
+            **{a: getattr(layer, a).tolist() for a in arrays}}
 
 
 def _layer_from_dict(data: dict):
     kind = data["type"]
-    if kind == "shared":
-        layer = neural.SharedInputLayer(data["d"], data["activation"])
-        layer.w = np.array(data["w"])
-        layer.b = np.array(data["b"])
-        return layer
-    if kind == "dense":
-        layer = neural.Dense(data["n_in"], data["n_out"])
-        layer.weight = np.array(data["weight"])
-        layer.bias = np.array(data["bias"])
-        return layer
-    if kind == "batchnorm":
-        layer = neural.BatchNorm(data["units"], data["momentum"], data["eps"])
-        layer.gamma = np.array(data["gamma"])
-        layer.beta = np.array(data["beta"])
-        layer.running_mean = np.array(data["running_mean"])
-        layer.running_var = np.array(data["running_var"])
-        return layer
-    if kind == "relu":
-        return neural.Relu()
-    if kind == "dropout":
-        return neural.Dropout(data["rate"])
-    raise ValueError(f"unknown layer type {kind!r}")
+    if kind not in LAYERS:
+        raise ValueError(f"unknown layer type {kind!r}")
+    cls, args, arrays = LAYERS[kind]
+    layer = cls(*(data[a] for a in args))
+    for a in arrays:
+        setattr(layer, a, np.array(data[a]))
+    return layer
 
 
 def _encode(value):

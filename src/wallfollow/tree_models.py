@@ -6,6 +6,10 @@ values.  Ties are broken by lowest feature index, then lowest threshold, so
 fits are fully deterministic.  An impure node may take a zero-gain split:
 greedy Gini gain alone cannot separate XOR-style layouts, and the trees are
 expected to drive training error to zero whenever the data is consistent.
+
+Classification and regression trees share one grower and one split search;
+only the gain differs: the Gini decrease on one-hot labels, or minus the
+children's squared error on boosting residuals.
 """
 
 from __future__ import annotations
@@ -76,21 +80,41 @@ def _class_matrix(labels: np.ndarray) -> np.ndarray:
     return (labels[:, None] == np.arange(N_CLASSES)[None, :]).astype(np.float64)
 
 
-def best_split(features: np.ndarray, labels: np.ndarray, candidate_features):
-    """Best (feature, threshold, impurity decrease) over the candidates.
-
-    Returns None when the node is pure or no threshold separates the rows.
-    Zero-gain splits of impure nodes are returned (see module docstring).
-    """
-    n = labels.shape[0]
-    if n < 2:
-        return None
-    totals = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
+def _gini_gain(target: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Gini impurity decrease of each cut of one-hot rows sorted by a feature."""
+    n = target.shape[0]
+    cum = np.cumsum(target, axis=0)
+    totals = cum[-1]
     parent = 1.0 - ((totals / n) ** 2).sum()
-    if parent == 0.0:
-        return None
-    onehot = _class_matrix(labels)
-    best = None  # (decrease, feature, threshold)
+    left = cum[cuts]
+    right = totals[None, :] - left
+    n_left = (cuts + 1).astype(np.float64)
+    n_right = n - n_left
+    gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+    return parent - (n_left * gini_left + n_right * gini_right) / n
+
+
+def _sse_gain(target: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Minus the children's summed squared error for each cut of sorted values."""
+    cum = np.cumsum(target)
+    cum2 = np.cumsum(target * target)
+    n_left = (cuts + 1).astype(np.float64)
+    n_right = target.shape[0] - n_left
+    sse_left = cum2[cuts] - cum[cuts] ** 2 / n_left
+    sse_right = (cum2[-1] - cum2[cuts]) - (cum[-1] - cum[cuts]) ** 2 / n_right
+    return -(sse_left + sse_right)
+
+
+def best_split(features: np.ndarray, target: np.ndarray, candidate_features, gain):
+    """Best (feature, threshold, gain) over the candidate features.
+
+    ``gain(sorted_target, cuts)`` scores every cut of the rows sorted by one
+    feature, where cut ``i`` puts sorted rows ``0..i`` on the left.  Returns
+    None when no candidate has two distinct values.  Zero-gain splits are
+    returned (see module docstring).
+    """
+    best = None  # (gain, feature, threshold)
     for f in sorted(candidate_features):
         col = features[:, f]
         order = np.argsort(col, kind="stable")
@@ -98,21 +122,43 @@ def best_split(features: np.ndarray, labels: np.ndarray, candidate_features):
         cuts = np.nonzero(sv[:-1] != sv[1:])[0]
         if cuts.size == 0:
             continue
-        cum = np.cumsum(onehot[order], axis=0)
-        left = cum[cuts]
-        right = totals[None, :] - left
-        n_left = (cuts + 1).astype(np.float64)
-        n_right = n - n_left
-        gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
-        decrease = parent - (n_left * gini_left + n_right * gini_right) / n
-        i = int(np.argmax(decrease))  # first max -> lowest threshold
-        if best is None or decrease[i] > best[0]:
+        scores = gain(target[order], cuts)
+        i = int(np.argmax(scores))  # first max -> lowest threshold
+        if best is None or scores[i] > best[0]:
             threshold = (sv[cuts[i]] + sv[cuts[i] + 1]) / 2.0
-            best = (float(decrease[i]), f, float(threshold))
+            best = (float(scores[i]), f, float(threshold))
     if best is None:
         return None
     return best[1], best[2], best[0]
+
+
+def _grow(features: np.ndarray, target: np.ndarray, params: TreeParams, gain, leaf,
+          candidates, depth: int = 0) -> TreeNode:
+    """Grow a tree on ``target`` (one-hot rows or a vector of reals).
+
+    A node becomes ``leaf(target)`` when its targets are all equal, it has
+    fewer than ``params.min_samples_split`` rows, it is at ``params.max_depth``
+    or no candidate feature separates its rows.  ``candidates()`` is called
+    only after the first three checks, so a node that stops draws nothing.
+    """
+    if (
+        (target == target[0]).all()
+        or target.shape[0] < params.min_samples_split
+        or (params.max_depth is not None and depth >= params.max_depth)
+    ):
+        return leaf(target)
+    found = best_split(features, target, candidates(), gain)
+    if found is None:
+        return leaf(target)
+    f, threshold, _ = found
+    left = features[:, f] <= threshold
+    right = ~left
+    return TreeNode(
+        feature=f,
+        threshold=threshold,
+        left=_grow(features[left], target[left], params, gain, leaf, candidates, depth + 1),
+        right=_grow(features[right], target[right], params, gain, leaf, candidates, depth + 1),
+    )
 
 
 def fit_decision_tree(
@@ -131,38 +177,17 @@ def fit_decision_tree(
     """
     if features.shape[0] == 0:
         raise ValueError("empty training set")
-    params = params or TreeParams()
     d = features.shape[1]
     pool = list(range(d)) if allowed_features is None else sorted(allowed_features)
     rng = Xoshiro256StarStar(seed)
-
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        y = labels[rows]
-        counts = np.bincount(y, minlength=N_CLASSES)
-        if (
-            (counts > 0).sum() == 1
-            or rows.shape[0] < params.min_samples_split
-            or (params.max_depth is not None and depth >= params.max_depth)
-        ):
-            return TreeNode(value=counts)
-        if features_per_split is not None and features_per_split < len(pool):
-            picks = rng.sample_indices(len(pool), features_per_split)
-            candidates = sorted(pool[i] for i in picks)
-        else:
-            candidates = pool
-        found = best_split(features[rows], y, candidates)
-        if found is None:
-            return TreeNode(value=counts)
-        f, threshold, _ = found
-        mask = features[rows, f] <= threshold
-        return TreeNode(
-            feature=f,
-            threshold=threshold,
-            left=grow(rows[mask], depth + 1),
-            right=grow(rows[~mask], depth + 1),
-        )
-
-    return grow(np.arange(features.shape[0]), 0)
+    if features_per_split is not None and features_per_split < len(pool):
+        def candidates():
+            return [pool[i] for i in rng.sample_indices(len(pool), features_per_split)]
+    else:
+        def candidates():
+            return pool
+    return _grow(features, _class_matrix(labels), params or TreeParams(), _gini_gain,
+                 lambda t: TreeNode(value=t.sum(axis=0).astype(np.int64)), candidates)
 
 
 def _route(root: TreeNode, features: np.ndarray):
@@ -241,57 +266,6 @@ def predict_forest(model: ForestModel, features: np.ndarray) -> np.ndarray:
     return votes.argmax(axis=1)
 
 
-# ---------------------------------------------------------------------------
-# Regression trees for gradient boosting
-# ---------------------------------------------------------------------------
-
-def _fit_regression_tree(
-    features: np.ndarray, target: np.ndarray, max_depth: int, min_samples_split: int = 2
-) -> TreeNode:
-    """Least-squares regression tree; leaf values are left at 0 for the caller."""
-    d = features.shape[1]
-
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        t = target[rows]
-        if (
-            depth >= max_depth
-            or rows.shape[0] < min_samples_split
-            or np.ptp(t) == 0.0
-        ):
-            return TreeNode()
-        best = None  # (child_sse, feature, threshold)
-        for f in range(d):
-            col = features[rows, f]
-            order = np.argsort(col, kind="stable")
-            sv = col[order]
-            cuts = np.nonzero(sv[:-1] != sv[1:])[0]
-            if cuts.size == 0:
-                continue
-            ts = t[order]
-            cum = np.cumsum(ts)
-            cum2 = np.cumsum(ts * ts)
-            n_left = (cuts + 1).astype(np.float64)
-            n_right = rows.shape[0] - n_left
-            sse_left = cum2[cuts] - cum[cuts] ** 2 / n_left
-            sse_right = (cum2[-1] - cum2[cuts]) - (cum[-1] - cum[cuts]) ** 2 / n_right
-            child = sse_left + sse_right
-            i = int(np.argmin(child))  # first min -> lowest threshold
-            if best is None or child[i] < best[0]:
-                best = (float(child[i]), f, float((sv[cuts[i]] + sv[cuts[i] + 1]) / 2.0))
-        if best is None:
-            return TreeNode()
-        _, f, threshold = best
-        mask = features[rows, f] <= threshold
-        return TreeNode(
-            feature=f,
-            threshold=threshold,
-            left=grow(rows[mask], depth + 1),
-            right=grow(rows[~mask], depth + 1),
-        )
-
-    return grow(np.arange(features.shape[0]), 0)
-
-
 def fit_gradient_boost(
     features: np.ndarray,
     labels: np.ndarray,
@@ -320,13 +294,16 @@ def fit_gradient_boost(
     init_scores = np.log(priors)
     onehot = _class_matrix(labels)
     scores = np.tile(init_scores, (n, 1))
+    params = TreeParams(max_depth)
+    every_feature = range(features.shape[1])
     stages: list[tuple[TreeNode, ...]] = []
     for _ in range(n_stages):
         probs = softmax(scores)
         residual = onehot - probs
         stage = []
         for k in range(N_CLASSES):
-            tree = _fit_regression_tree(features, residual[:, k], max_depth)
+            tree = _grow(features, residual[:, k], params, _sse_gain,
+                         lambda t: TreeNode(), lambda: every_feature)
             for leaf, rows in _route(tree, features):
                 numerator = residual[rows, k].sum() * (N_CLASSES - 1) / N_CLASSES
                 p = probs[rows, k]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wallfollow import neural as nn
 from wallfollow.rng import XoshiroLanes
@@ -365,8 +365,13 @@ def test_preset_unknown_name():
         nn.build_preset("CNN", 24)
 
 
+# float64 softmax rounds a confident row to exactly 1.0: the DFNN_WS/4 nets of
+# seeds 2052 and 2159 and the DFNN3/4 net of seed 2072 do so
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
+@example(2052)
+@example(2159)
+@example(2072)
 def test_forward_produces_probability_vector(seed):
     rng = XoshiroLanes(seed)
     for preset, width in (("FNN1", 2), ("DFNN3", 4), ("DFNN_WS", 4)):
@@ -374,7 +379,7 @@ def test_forward_produces_probability_vector(seed):
         x = rng.uniform(-5, 5, (3, width))
         probs = net.forward(x)
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
-        assert (probs > 0).all() and (probs < 1).all()
+        assert (probs > 0).all() and (probs <= 1).all()
 
 
 # ---------------------------------------------------------------------------

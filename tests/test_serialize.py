@@ -112,3 +112,12 @@ def test_rejects_foreign_documents():
 def test_rejects_unknown_model_type():
     with pytest.raises(TypeError, match="cannot serialize"):
         sz.encode_model(object())
+
+
+def test_rejects_unknown_layers():
+    with pytest.raises(TypeError, match="cannot serialize layer object"):
+        sz.encode_model(nn.Network([nn.Relu(), object()]))
+    document = sz.encode_model(nn.Network([nn.Relu()]))
+    document["payload"]["layers"][0]["type"] = "conv"
+    with pytest.raises(ValueError, match="unknown layer type 'conv'"):
+        sz.decode_model(document)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wallfollow import tree_models as tm
-from wallfollow.rng import XoshiroLanes
+from wallfollow import serialize, tree_models as tm
+from wallfollow.rng import XoshiroLanes, Xoshiro256StarStar
 
 
 def tree_depth(node):
@@ -70,25 +72,24 @@ def _exhaustive_best_split(features, labels):
     return best
 
 
+def _gini_split(features, labels, candidates):
+    return tm.best_split(features, tm._class_matrix(labels), candidates, tm._gini_gain)
+
+
 def test_best_split_four_point_line():
     features = np.array([[1.0], [2.0], [3.0], [4.0]])
     labels = np.array([0, 0, 1, 1])
-    result = tm.best_split(features, labels, [0])
+    result = _gini_split(features, labels, [0])
     oracle = _exhaustive_best_split(features, labels)
     assert result == (0, 2.5, 0.5)
     assert oracle == (0, 2.5, 0.5)
-
-
-def test_best_split_pure_node_returns_none():
-    features = np.array([[1.0], [2.0], [3.0]])
-    assert tm.best_split(features, np.array([2, 2, 2]), [0]) is None
 
 
 def test_best_split_identical_columns_take_lower_index():
     col = np.array([1.0, 2.0, 3.0, 4.0])
     features = np.column_stack([col, col])
     labels = np.array([0, 0, 1, 1])
-    feature, threshold, _ = tm.best_split(features, labels, [0, 1])
+    feature, threshold, _ = _gini_split(features, labels, [0, 1])
     assert feature == 0
     assert threshold == 2.5
 
@@ -99,7 +100,7 @@ def test_best_split_matches_exhaustive_oracle(seed):
     rng = XoshiroLanes(seed)
     features = np.round(rng.uniform(0, 4, (25, 3)), 1)
     labels = (rng.doubles(25) * 4).astype(np.int64)
-    result = tm.best_split(features, labels, range(3))
+    result = _gini_split(features, labels, range(3))
     oracle = _exhaustive_best_split(features, labels)
     if oracle is None or oracle[2] <= 1e-12:
         return  # plateau splits: oracle tie-breaking not comparable
@@ -281,6 +282,204 @@ def test_boost_validates_arguments(synth_d4):
         tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, learning_rate=0.0)
     with pytest.raises(ValueError):
         tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=-1)
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracle: the separate classification and regression growers that
+# the shared grower replaced, kept verbatim as references
+# ---------------------------------------------------------------------------
+
+def _reference_best_split(features, labels, candidate_features):
+    n = labels.shape[0]
+    if n < 2:
+        return None
+    totals = np.bincount(labels, minlength=tm.N_CLASSES).astype(np.float64)
+    parent = 1.0 - ((totals / n) ** 2).sum()
+    if parent == 0.0:
+        return None
+    onehot = tm._class_matrix(labels)
+    best = None  # (decrease, feature, threshold)
+    for f in sorted(candidate_features):
+        col = features[:, f]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        cuts = np.nonzero(sv[:-1] != sv[1:])[0]
+        if cuts.size == 0:
+            continue
+        cum = np.cumsum(onehot[order], axis=0)
+        left = cum[cuts]
+        right = totals[None, :] - left
+        n_left = (cuts + 1).astype(np.float64)
+        n_right = n - n_left
+        gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+        gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+        decrease = parent - (n_left * gini_left + n_right * gini_right) / n
+        i = int(np.argmax(decrease))  # first max -> lowest threshold
+        if best is None or decrease[i] > best[0]:
+            threshold = (sv[cuts[i]] + sv[cuts[i] + 1]) / 2.0
+            best = (float(decrease[i]), f, float(threshold))
+    if best is None:
+        return None
+    return best[1], best[2], best[0]
+
+
+def _reference_decision_tree(features, labels, params=None, seed=0,
+                             features_per_split=None, allowed_features=None):
+    if features.shape[0] == 0:
+        raise ValueError("empty training set")
+    params = params or tm.TreeParams()
+    d = features.shape[1]
+    pool = list(range(d)) if allowed_features is None else sorted(allowed_features)
+    rng = Xoshiro256StarStar(seed)
+
+    def grow(rows, depth):
+        y = labels[rows]
+        counts = np.bincount(y, minlength=tm.N_CLASSES)
+        if (
+            (counts > 0).sum() == 1
+            or rows.shape[0] < params.min_samples_split
+            or (params.max_depth is not None and depth >= params.max_depth)
+        ):
+            return tm.TreeNode(value=counts)
+        if features_per_split is not None and features_per_split < len(pool):
+            picks = rng.sample_indices(len(pool), features_per_split)
+            candidates = sorted(pool[i] for i in picks)
+        else:
+            candidates = pool
+        found = _reference_best_split(features[rows], y, candidates)
+        if found is None:
+            return tm.TreeNode(value=counts)
+        f, threshold, _ = found
+        mask = features[rows, f] <= threshold
+        return tm.TreeNode(
+            feature=f,
+            threshold=threshold,
+            left=grow(rows[mask], depth + 1),
+            right=grow(rows[~mask], depth + 1),
+        )
+
+    return grow(np.arange(features.shape[0]), 0)
+
+
+def _reference_regression_tree(features, target, max_depth, min_samples_split=2):
+    d = features.shape[1]
+
+    def grow(rows, depth):
+        t = target[rows]
+        if (
+            depth >= max_depth
+            or rows.shape[0] < min_samples_split
+            or np.ptp(t) == 0.0
+        ):
+            return tm.TreeNode()
+        best = None  # (child_sse, feature, threshold)
+        for f in range(d):
+            col = features[rows, f]
+            order = np.argsort(col, kind="stable")
+            sv = col[order]
+            cuts = np.nonzero(sv[:-1] != sv[1:])[0]
+            if cuts.size == 0:
+                continue
+            ts = t[order]
+            cum = np.cumsum(ts)
+            cum2 = np.cumsum(ts * ts)
+            n_left = (cuts + 1).astype(np.float64)
+            n_right = rows.shape[0] - n_left
+            sse_left = cum2[cuts] - cum[cuts] ** 2 / n_left
+            sse_right = (cum2[-1] - cum2[cuts]) - (cum[-1] - cum[cuts]) ** 2 / n_right
+            child = sse_left + sse_right
+            i = int(np.argmin(child))  # first min -> lowest threshold
+            if best is None or child[i] < best[0]:
+                best = (float(child[i]), f, float((sv[cuts[i]] + sv[cuts[i] + 1]) / 2.0))
+        if best is None:
+            return tm.TreeNode()
+        _, f, threshold = best
+        mask = features[rows, f] <= threshold
+        return tm.TreeNode(
+            feature=f,
+            threshold=threshold,
+            left=grow(rows[mask], depth + 1),
+            right=grow(rows[~mask], depth + 1),
+        )
+
+    return grow(np.arange(features.shape[0]), 0)
+
+
+def _reference_gradient_boost(features, labels, n_stages, learning_rate, max_depth):
+    n = features.shape[0]
+    counts = np.bincount(labels, minlength=tm.N_CLASSES).astype(np.float64)
+    priors = np.maximum(counts / n, 1e-12)
+    init_scores = np.log(priors)
+    onehot = tm._class_matrix(labels)
+    scores = np.tile(init_scores, (n, 1))
+    stages = []
+    for _ in range(n_stages):
+        probs = tm.softmax(scores)
+        residual = onehot - probs
+        stage = []
+        for k in range(tm.N_CLASSES):
+            tree = _reference_regression_tree(features, residual[:, k], max_depth)
+            for leaf, rows in tm._route(tree, features):
+                numerator = residual[rows, k].sum() * (tm.N_CLASSES - 1) / tm.N_CLASSES
+                p = probs[rows, k]
+                denominator = (p * (1.0 - p)).sum()
+                leaf.value = 0.0 if abs(denominator) < 1e-150 else float(numerator / denominator)
+                scores[rows, k] += learning_rate * leaf.value
+            stage.append(tree)
+        stages.append(tuple(stage))
+    return tm.BoostModel(init_scores=init_scores, stages=stages, learning_rate=learning_rate)
+
+
+def _document(model):
+    return json.dumps(serialize.encode_model(model))
+
+
+def _tie_heavy(seed, n, d):
+    """Features rounded to one decimal and labels partly set by a rule."""
+    rng = XoshiroLanes(seed)
+    features = np.round(rng.uniform(0, 2, (n, d)), 1)
+    noise = (rng.doubles(n) * 4).astype(np.int64)
+    rule = (features[:, 0] > 1.0).astype(np.int64) + 2 * (features[:, -1] > 0.6)
+    labels = np.where(rng.doubles(n) < 0.7, rule, noise)
+    return features, labels
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 7, 24])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decision_tree_documents_equal_reference_grower(d, seed):
+    features, labels = _tie_heavy(seed, 80, d)
+    m = tm.default_features_per_split(d)
+    for params in (None, tm.TreeParams(max_depth=1), tm.TreeParams(max_depth=3),
+                   tm.TreeParams(min_samples_split=9),
+                   tm.TreeParams(max_depth=4, min_samples_split=5)):
+        for kwargs in ({}, {"features_per_split": m, "seed": seed + 7},
+                       {"features_per_split": 1, "seed": seed},
+                       {"allowed_features": list(range(0, d, 2))},
+                       {"allowed_features": [d - 1, 0], "features_per_split": 1,
+                        "seed": seed + 3}):
+            expected = _reference_decision_tree(features, labels, params, **kwargs)
+            actual = tm.fit_decision_tree(features, labels, params, **kwargs)
+            assert _document(actual) == _document(expected), (params, kwargs)
+
+
+@pytest.mark.parametrize("d", [2, 5, 24])
+def test_random_forest_documents_equal_reference_grower(d, monkeypatch):
+    features, labels = _tie_heavy(d, 60, d)
+    actual = tm.fit_random_forest(features, labels, n_trees=4, seed=d,
+                                  params=tm.TreeParams(max_depth=5))
+    monkeypatch.setattr(tm, "fit_decision_tree", _reference_decision_tree)
+    expected = tm.fit_random_forest(features, labels, n_trees=4, seed=d,
+                                    params=tm.TreeParams(max_depth=5))
+    assert _document(actual) == _document(expected)
+
+
+@pytest.mark.parametrize("d", [1, 3, 24])
+@pytest.mark.parametrize("max_depth", [1, 2, 3])
+def test_gradient_boost_documents_equal_reference_grower(d, max_depth):
+    features, labels = _tie_heavy(10 * d + max_depth, 70, d)
+    expected = _reference_gradient_boost(features, labels, 3, 0.1, max_depth)
+    actual = tm.fit_gradient_boost(features, labels, 3, 0.1, max_depth)
+    assert _document(actual) == _document(expected)
 
 
 # ---------------------------------------------------------------------------
