@@ -94,20 +94,24 @@ def _load_width(data_dir: Path, width: Width):
     return load_dataset(path, width)
 
 
-def _download(url: str, path: Path) -> int:
-    """Copy ``url`` to ``path`` through a temp file beside it; returns the size.
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
 
-    The temp file is renamed over ``path`` only once the whole download has
-    arrived, so a failure leaves neither a truncated file nor the temp file.
+    A failure leaves neither a truncated ``path`` nor the temp file.
     """
-    with urllib.request.urlopen(url) as response:
-        payload = response.read()  # raises IncompleteRead on a short body
     part = path.with_name(path.name + ".part")
     try:
-        part.write_bytes(payload)
+        part.write_bytes(data)
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)
+
+
+def _download(url: str, path: Path) -> int:
+    """Copy ``url`` to ``path`` once the whole body has arrived; returns the size."""
+    with urllib.request.urlopen(url) as response:
+        payload = response.read()  # raises IncompleteRead on a short body
+    _write_atomic(path, payload)
     return len(payload)
 
 
@@ -179,9 +183,11 @@ def cmd_bench(args, config: dict) -> int:
     data_dir = Path(_pick(args.data_dir, config, "data_dir", "data"))
     seed = _pick(args.seed, config, "seed", 0, int)
     iters = _pick(args.iters, config, "iters", 50, int)
-    jobs = _pick(args.jobs, config, "jobs", 1, int)
     out_dir = Path(_pick(args.out, config, "out", "results"))
     try:
+        jobs = _pick(args.jobs, config, "jobs", 1, int)
+        if jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {jobs}")
         models = _parse_models(_pick(args.models, config, "models",
                                      ",".join(evaluation.ALL_TAGS)))
         widths = _parse_widths(_pick(args.widths, config, "widths", "24,4,2"))
@@ -197,15 +203,16 @@ def cmd_bench(args, config: dict) -> int:
     report = run_table1(datasets, cfg, models, widths, jobs,
                         progress=lambda text: print(f"running {text}", file=sys.stderr))
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "results.csv").write_text(evaluation.report_csv(report), encoding="utf-8")
+    _write_atomic(out_dir / "results.csv", evaluation.report_csv(report).encode("utf-8"))
     table1 = evaluation.render_table1(report)
-    (out_dir / "table1.md").write_text(table1, encoding="utf-8")
+    _write_atomic(out_dir / "table1.md", table1.encode("utf-8"))
     wrote = ["results.csv", "table1.md"]
     if all((tag, w) in report.cells and report.cells[(tag, w)].error is None
            for w, tag in evaluation.TABLE2_OURS.items()):
-        (out_dir / "table2.md").write_text(evaluation.render_table2(report),
-                                           encoding="utf-8")
+        _write_atomic(out_dir / "table2.md", evaluation.render_table2(report).encode("utf-8"))
         wrote.append("table2.md")
+    else:  # a table2.md left by an earlier run would not match this run's results
+        (out_dir / "table2.md").unlink(missing_ok=True)
     print(table1)
     for (tag, width), cell in sorted(report.cells.items()):
         if cell.error is None:
@@ -262,7 +269,7 @@ def cmd_export_tree(args, config: dict) -> int:
     names = [f"X_{i}" for i in range(int(width))]
     text = tree_models.export_tree_text(root, names)
     try:
-        out_path.write_text(text, encoding="utf-8")
+        _write_atomic(out_path, text.encode("utf-8"))
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_DATA

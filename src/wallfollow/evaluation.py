@@ -1,19 +1,22 @@
 """Monte-Carlo cross-validation harness and benchmark report generation.
 
-Every benchmark cell repeats the same loop: derive an iteration seed from the
-master seed, shuffle-and-split 10:1, fit the model on the training fold, and
-score accuracy on the held-out fold; the cell reports the mean and sample
-standard deviation over the iterations.  Iteration seeds are derived up
-front (``splitmix64(master_seed ^ iteration)``), so results are identical
+Every (model, width) cell repeats one iteration: shuffle-and-split 10:1 with
+the iteration's seed (``splitmix64(master_seed ^ iteration)``), fit on the
+training fold and score accuracy on the held-out fold; the cell reports the
+mean and sample standard deviation.  ``run_table1`` runs the whole grid as one
+list of ``(spec, iteration, seed)`` tasks, in turn or in one process pool, and
+builds each cell from its rows in task order, so results are identical
 regardless of worker count or scheduling.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -202,51 +205,46 @@ def run_iteration(spec: ModelSpec, ds: Dataset, seed: int):
     return accuracy(predicted, test_y), time.perf_counter() - start, flag
 
 
-_WORKER_STATE: dict = {}
+def _task_error(task, exc) -> str:
+    spec, index, seed = task
+    return f"{spec.algorithm}/{int(spec.width)} failed at iteration {index} (seed {seed}): {exc}"
 
 
-def _worker_init(spec: ModelSpec, ds: Dataset) -> None:
-    _WORKER_STATE["spec"] = spec
-    _WORKER_STATE["ds"] = ds
-
-
-def _run_in_context(spec: ModelSpec, ds: Dataset, index: int, seed: int):
-    """``run_iteration``, with cell, iteration and seed added to any failure."""
+def _run_task(datasets: dict, task):
+    """One ``(spec, iteration, seed)`` task: ``(accuracy, seconds, flag, error or None)``."""
+    spec, _, seed = task
     try:
-        return run_iteration(spec, ds, seed)
+        return (*run_iteration(spec, datasets[spec.width], seed), None)
     except Exception as exc:
-        raise RuntimeError(
-            f"{spec.algorithm}/{int(spec.width)} failed at iteration {index} "
-            f"(seed {seed}): {exc}"
-        ) from exc
+        return 0.0, 0.0, "", _task_error(task, exc)
 
 
-def _worker_run(task):
-    index, seed = task
-    return (index, *_run_in_context(_WORKER_STATE["spec"], _WORKER_STATE["ds"], index, seed))
+_POOL_DATASETS: dict = {}  # Width -> Dataset, set once in each pool worker
 
 
-def monte_carlo(spec: ModelSpec, ds: Dataset, cfg: CVConfig, jobs: int = 1) -> CellResult:
-    """Run the full iteration loop for one cell; order-independent results."""
-    if ds.width is not spec.width:
-        raise ValueError(f"dataset width {ds.width.name} does not match spec "
-                         f"width {spec.width.name}")
-    seeds = [derive_seed(cfg.master_seed, i) for i in range(cfg.iterations)]
-    accuracies = np.zeros(cfg.iterations)
-    seconds = np.zeros(cfg.iterations)
-    flags = [""] * cfg.iterations
-    if jobs <= 1:
-        for i, seed in enumerate(seeds):
-            accuracies[i], seconds[i], flags[i] = _run_in_context(spec, ds, i, seed)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                                 initargs=(spec, ds)) as pool:
-            for index, acc, secs, flag in pool.map(_worker_run, list(enumerate(seeds))):
-                accuracies[index] = acc
-                seconds[index] = secs
-                flags[index] = flag
-    return CellResult(spec=spec, seeds=seeds, accuracies=accuracies,
-                      seconds=seconds, flags=flags)
+def _pool_init(datasets: dict) -> None:
+    _POOL_DATASETS.update(datasets)
+
+
+def _pool_task(task):
+    return _run_task(_POOL_DATASETS, task)
+
+
+def _task_rows(datasets: dict, tasks: list, jobs: int):
+    """Task rows in task order, in turn or from one pool; a dead worker fails what it lost."""
+    if jobs == 1:
+        yield from map(partial(_run_task, datasets), tasks)
+        return
+    pool = ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_pool_init, initargs=(datasets,))
+    try:
+        futures = [pool.submit(_pool_task, task) for task in tasks]
+        for task, future in zip(tasks, futures):
+            try:
+                yield future.result()
+            except BrokenProcessPool as exc:
+                yield 0.0, 0.0, "", _task_error(task, exc)
+    finally:  # an abandoned run (Ctrl-C) must not wait for the queued tasks
+        pool.shutdown(cancel_futures=True)
 
 
 def run_table1(datasets: dict, cfg: CVConfig, algorithms=None, widths=None,
@@ -254,32 +252,33 @@ def run_table1(datasets: dict, cfg: CVConfig, algorithms=None, widths=None,
     """Benchmark the selected models on every applicable width.
 
     ``datasets`` maps Width -> Dataset.  ``overrides`` maps an algorithm tag
-    to hyperparameter overrides for its cells.  A failing cell is recorded
-    with its error message; remaining cells are still produced.
+    to hyperparameter overrides for its cells.  A cell fails with the message
+    of its first failing iteration; remaining cells are still produced.
     """
     from . import __version__
 
     algorithms = list(ALL_TAGS) if algorithms is None else list(algorithms)
     widths = sorted(datasets, key=int, reverse=True) if widths is None else list(widths)
     overrides = overrides or {}
-    for tag in algorithms:
-        if tag not in ALL_TAGS:
-            raise ValueError(f"unknown algorithm tag {tag!r}")
+    for width in widths:
+        if width not in datasets:
+            raise ValueError(f"no dataset loaded for width {int(width)}")
+        if datasets[width].width is not width:
+            raise ValueError(f"dataset width {datasets[width].width.name} is not {width.name}")
+    specs = [ModelSpec(t, w, dict(overrides.get(t, {}))) for t in algorithms for w in widths]
+    seeds = [derive_seed(cfg.master_seed, i) for i in range(cfg.iterations)]
+    tasks = [(spec, i, seed) for spec in specs for i, seed in enumerate(seeds)]
     cells = {}
-    for tag in algorithms:
-        for width in widths:
-            if width not in datasets:
-                raise ValueError(f"no dataset loaded for width {int(width)}")
-            spec = ModelSpec(tag, width, dict(overrides.get(tag, {})))
+    with closing(_task_rows(datasets, tasks, jobs)) as rows:
+        for spec in specs:
             if progress is not None:
-                progress(f"{tag} / {int(width)} sensors")
-            try:
-                cells[(tag, int(width))] = monte_carlo(spec, datasets[width], cfg, jobs)
-            except Exception as exc:
-                cells[(tag, int(width))] = CellResult(
-                    spec=spec, seeds=[], accuracies=np.zeros(0),
-                    seconds=np.zeros(0), flags=[], error=str(exc),
-                )
+                progress(f"{spec.algorithm} / {int(spec.width)} sensors")
+            accuracies, seconds, flags, errors = zip(*islice(rows, cfg.iterations))
+            error = next((e for e in errors if e is not None), None)
+            cells[(spec.algorithm, int(spec.width))] = (
+                CellResult(spec, list(seeds), np.array(accuracies), np.array(seconds),
+                           list(flags)) if error is None else
+                CellResult(spec, [], np.zeros(0), np.zeros(0), [], error=error))
     return BenchmarkReport(cells=cells, iterations=cfg.iterations,
                            master_seed=cfg.master_seed, version=__version__)
 

@@ -187,6 +187,28 @@ def test_bench_writes_table2_when_cells_present(published_like_dir, tmp_path):
     assert rc == 0
     table2 = (out / "table2.md").read_text()
     assert "98.8%" in table2 and "99.63%" in table2
+    # a narrower run into the same directory must not leave the old table2.md
+    rc = run_cli("bench", "--data-dir", str(published_like_dir), "--models", "dt",
+                 "--widths", "2", "--iters", "1", "--seed", "5", "--out", str(out))
+    assert rc == 0
+    assert sorted(path.name for path in out.iterdir()) == ["results.csv", "table1.md"]
+    assert (out / "results.csv").read_text().splitlines()[1].startswith("dt,2,0,")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_bench_rejects_jobs_below_one(tmp_path, capsys, source, jobs):
+    # the data directory is missing too: the usage error must come first
+    args = ["bench", "--data-dir", str(tmp_path / "nowhere"), "--out", str(tmp_path / "r")]
+    if source == "flag":
+        args.append(f"--jobs={jobs}")
+    else:
+        config = tmp_path / "bench.cfg"
+        config.write_text(f"jobs = {jobs}\n")
+        args = ["--config", str(config), *args]
+    assert run_cli(*args) == cli.EXIT_USAGE
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_config_file_presets_flags(published_like_dir, tmp_path, capsys):

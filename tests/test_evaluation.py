@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -36,21 +40,24 @@ def test_cv_config_validation():
         ev.CVConfig(iterations=0)
 
 
+def _cell(ds, tag, cfg, jobs=1, overrides=None):
+    report = ev.run_table1({ds.width: ds}, cfg, [tag], jobs=jobs, overrides=overrides)
+    return report.cells[(tag, int(ds.width))]
+
+
 def test_monte_carlo_deterministic(synth_d2):
-    spec = ev.ModelSpec("dt", Width.SIMPLIFIED2)
     cfg = ev.CVConfig(iterations=4, master_seed=7)
-    a = ev.monte_carlo(spec, synth_d2, cfg)
-    b = ev.monte_carlo(spec, synth_d2, cfg)
+    a = _cell(synth_d2, "dt", cfg)
+    b = _cell(synth_d2, "dt", cfg)
     assert np.array_equal(a.accuracies, b.accuracies)
     assert a.seeds == b.seeds
     assert (a.accuracies >= 0).all() and (a.accuracies <= 1).all()
 
 
 def test_monte_carlo_parallel_equals_serial(synth_d2):
-    spec = ev.ModelSpec("dt", Width.SIMPLIFIED2)
     cfg = ev.CVConfig(iterations=6, master_seed=3)
-    serial = ev.monte_carlo(spec, synth_d2, cfg, jobs=1)
-    parallel = ev.monte_carlo(spec, synth_d2, cfg, jobs=4)
+    serial = _cell(synth_d2, "dt", cfg, jobs=1)
+    parallel = _cell(synth_d2, "dt", cfg, jobs=4)
     assert np.array_equal(serial.accuracies, parallel.accuracies)
     assert serial.seeds == parallel.seeds
 
@@ -77,14 +84,53 @@ def test_parallel_failure_names_cell_iteration_and_seed(synth_d2):
     error = report.cells[("lda", 2)].error
     assert error.startswith(f"lda/2 failed at iteration {index} (seed {seed}): ")
     assert "class 3 has fewer than 2 training rows" in error
-    with pytest.raises(RuntimeError) as serial:
-        ev.monte_carlo(ev.ModelSpec("lda", Width.SIMPLIFIED2), ds, cfg, jobs=1)
-    assert str(serial.value) == error
+    assert _cell(ds, "lda", cfg, jobs=1).error == error
+
+
+def test_run_table1_starts_one_pool_of_at_most_one_worker_per_task(synth_d2, monkeypatch):
+    workers = []
+
+    class CountingPool(ev.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", CountingPool)
+    cfg = ev.CVConfig(iterations=2, master_seed=1)
+    datasets = {Width.SIMPLIFIED2: synth_d2}
+    serial = ev.run_table1(datasets, cfg, ["dt", "gnb"], jobs=1)
+    assert workers == []
+    parallel = ev.run_table1(datasets, cfg, ["dt", "gnb"], jobs=2)
+    assert workers == [2]
+    assert ev.report_csv(parallel) == ev.report_csv(serial)
+    ev.run_table1(datasets, ev.CVConfig(iterations=1), ["dt"], jobs=2)
+    assert workers == [2, 1]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="monkeypatch reaches pool workers only when they are forked")
+def test_dead_worker_fails_the_cells_it_lost_with_context(synth_d2, monkeypatch):
+    def exit_worker(x, y, hp, seed):
+        os._exit(1)
+
+    monkeypatch.setitem(ev.MODELS, "gnb", ev.Model("exits", {}, exit_worker, None))
+    cfg = ev.CVConfig(iterations=3, master_seed=4)
+    report = ev.run_table1({Width.SIMPLIFIED2: synth_d2}, cfg, ["dt", "gnb", "lda"], jobs=2)
+    assert report.cells[("gnb", 2)].error is not None
+    for (tag, _), cell in report.cells.items():
+        if cell.error is None:
+            assert cell.seeds == [derive_seed(4, i) for i in range(3)]
+            assert cell.accuracies.shape == cell.seconds.shape == (3,)
+            assert np.isfinite(cell.accuracies).all() and len(cell.flags) == 3
+        else:
+            found = re.fullmatch(rf"{tag}/2 failed at iteration (\d+) \(seed (\d+)\): .+",
+                                 cell.error)
+            assert found and int(found[2]) == derive_seed(4, int(found[1]))
+            assert cell.seeds == [] and cell.accuracies.size == cell.seconds.size == 0
 
 
 def test_monte_carlo_summary_stats(synth_d4):
-    spec = ev.ModelSpec("gnb", Width.SIMPLIFIED4)
-    cell = ev.monte_carlo(spec, synth_d4, ev.CVConfig(iterations=5, master_seed=1))
+    cell = _cell(synth_d4, "gnb", ev.CVConfig(iterations=5, master_seed=1))
     assert cell.mean == pytest.approx(float(np.mean(cell.accuracies)), abs=1e-12)
     assert cell.std == pytest.approx(float(np.std(cell.accuracies, ddof=1)), abs=1e-12)
     assert cell.std >= 0.0
@@ -93,9 +139,8 @@ def test_monte_carlo_summary_stats(synth_d4):
 
 
 def test_monte_carlo_width_mismatch(synth_d2):
-    spec = ev.ModelSpec("dt", Width.SIMPLIFIED4)
     with pytest.raises(ValueError, match="width"):
-        ev.monte_carlo(spec, synth_d2, ev.CVConfig(iterations=1))
+        ev.run_table1({Width.SIMPLIFIED4: synth_d2}, ev.CVConfig(iterations=1), ["dt"])
 
 
 def test_different_master_seeds_use_different_splits(synth_d2):
@@ -107,13 +152,13 @@ def test_different_master_seeds_use_different_splits(synth_d2):
 def test_iteration_seed_derivation_matches_contract(synth_d2):
     cfg = ev.CVConfig(iterations=3, master_seed=42)
     expected = [derive_seed(42, i) for i in range(3)]
-    cell = ev.monte_carlo(ev.ModelSpec("dt", Width.SIMPLIFIED2), synth_d2, cfg)
+    cell = _cell(synth_d2, "dt", cfg)
     assert cell.seeds == expected
 
 
 def test_neural_spec_through_monte_carlo(synth_d2):
-    spec = ev.ModelSpec("fnn1", Width.SIMPLIFIED2, {"epochs": 2})
-    cell = ev.monte_carlo(spec, synth_d2, ev.CVConfig(iterations=2, master_seed=9))
+    cell = _cell(synth_d2, "fnn1", ev.CVConfig(iterations=2, master_seed=9),
+                 overrides={"fnn1": {"epochs": 2}})
     assert cell.accuracies.shape == (2,)
     assert (cell.accuracies > 0.2).all()  # better than chance on 4 classes
 

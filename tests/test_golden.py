@@ -37,14 +37,14 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def grid_report():
+@pytest.fixture(scope="module", params=[1, 2], ids=["jobs1", "jobs2"])
+def grid_report(request):
     full = synth_full_dataset(600)
     four = dsm.derive_simplified4(full, SYNTH_ARCS)
     two = dsm.derive_simplified2(four)
     datasets = {ds.width: ds for ds in (full, four, two)}
     return ev.run_table1(datasets, ev.CVConfig(iterations=2, master_seed=11),
-                         overrides=GRID_OVERRIDES)
+                         overrides=GRID_OVERRIDES, jobs=request.param)
 
 
 def test_grid_results_csv_fingerprint(grid_report):
