@@ -59,7 +59,7 @@ class DataFormatError(ValueError):
 
 
 class ArcCalibrationError(ValueError):
-    """No unique arc assignment reproduces the published 4-sensor file."""
+    """The 24- and 4-sensor data do not pair up, or no unique arc map reproduces the latter."""
 
 
 ARC_DIRECTIONS = ("front", "left", "right", "back")
@@ -212,11 +212,11 @@ def calibrate_arc_map(full: Dataset, published4: Dataset) -> ArcMap:
     published column exactly; each direction must match exactly one window.
     """
     if full.width is not Width.FULL24 or published4.width is not Width.SIMPLIFIED4:
-        raise ValueError("calibrate_arc_map needs a FULL24 and a SIMPLIFIED4 dataset")
+        raise ArcCalibrationError("calibrate_arc_map needs a FULL24 and a SIMPLIFIED4 dataset")
     if full.n != published4.n:
-        raise ValueError(f"row counts differ: {full.n} vs {published4.n}")
+        raise ArcCalibrationError(f"row counts differ: {full.n} vs {published4.n}")
     if not np.array_equal(full.labels, published4.labels):
-        raise ValueError("label sequences differ between the full and 4-sensor files")
+        raise ArcCalibrationError("label sequences differ between the full and 4-sensor files")
 
     windows = _candidate_windows()
     mins = np.stack([full.features[:, w].min(axis=1) for w in windows])

@@ -3,10 +3,10 @@
 Every (model, width) cell repeats one iteration: shuffle-and-split 10:1 with
 the iteration's seed (``splitmix64(master_seed ^ iteration)``), fit on the
 training fold and score accuracy on the held-out fold; the cell reports the
-mean and sample standard deviation.  ``run_table1`` runs the whole grid as one
-list of ``(spec, iteration, seed)`` tasks, in turn or in one process pool, and
-builds each cell from its rows in task order, so results are identical
-regardless of worker count or scheduling.
+mean and sample standard deviation.  ``run_table1`` runs the whole grid's
+``(spec, iteration, seed)`` tasks, one list per cell, in turn or in one process
+pool; it builds each cell from its rows in task order, so results are identical
+regardless of worker count or scheduling, and stops a cell at its first failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -230,19 +229,41 @@ def _pool_task(task):
     return _run_task(_POOL_DATASETS, task)
 
 
-def _task_rows(datasets: dict, tasks: list, jobs: int):
-    """Task rows in task order, in turn or from one pool; a dead worker fails what it lost."""
-    if jobs == 1:
-        yield from map(partial(_run_task, datasets), tasks)
-        return
-    pool = ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_pool_init, initargs=(datasets,))
+def _future_row(task, future):
     try:
-        futures = [pool.submit(_pool_task, task) for task in tasks]
-        for task, future in zip(tasks, futures):
-            try:
-                yield future.result()
-            except BrokenProcessPool as exc:
-                yield 0.0, 0.0, "", _task_error(task, exc)
+        return future.result()
+    except BrokenProcessPool as exc:
+        return 0.0, 0.0, "", _task_error(task, exc)
+
+
+def _until_failure(rows) -> list:
+    """``rows`` up to and including the first one with an error."""
+    out = []
+    for row in rows:
+        out.append(row)
+        if row[3] is not None:
+            break
+    return out
+
+
+def _cell_rows(datasets: dict, cells: list, jobs: int):
+    """Each cell's rows in task order, through its first failure; a dead worker fails what it
+    lost.  In turn, no later task of a failed cell runs; in the pool, those not started are
+    cancelled.
+    """
+    if jobs == 1:
+        for tasks in cells:
+            yield _until_failure(map(partial(_run_task, datasets), tasks))
+        return
+    pool = ProcessPoolExecutor(min(jobs, sum(map(len, cells))),
+                               initializer=_pool_init, initargs=(datasets,))
+    try:
+        futures = [[pool.submit(_pool_task, task) for task in tasks] for tasks in cells]
+        for tasks, cell in zip(cells, futures):
+            rows = _until_failure(map(_future_row, tasks, cell))
+            for future in cell[len(rows):]:
+                future.cancel()
+            yield rows
     finally:  # an abandoned run (Ctrl-C) must not wait for the queued tasks
         pool.shutdown(cancel_futures=True)
 
@@ -253,7 +274,7 @@ def run_table1(datasets: dict, cfg: CVConfig, algorithms=None, widths=None,
 
     ``datasets`` maps Width -> Dataset.  ``overrides`` maps an algorithm tag
     to hyperparameter overrides for its cells.  A cell fails with the message
-    of its first failing iteration; remaining cells are still produced.
+    of its first failing iteration and stops there; other cells still run.
     """
     from . import __version__
 
@@ -267,14 +288,14 @@ def run_table1(datasets: dict, cfg: CVConfig, algorithms=None, widths=None,
             raise ValueError(f"dataset width {datasets[width].width.name} is not {width.name}")
     specs = [ModelSpec(t, w, dict(overrides.get(t, {}))) for t in algorithms for w in widths]
     seeds = [derive_seed(cfg.master_seed, i) for i in range(cfg.iterations)]
-    tasks = [(spec, i, seed) for spec in specs for i, seed in enumerate(seeds)]
+    tasks = [[(spec, i, seed) for i, seed in enumerate(seeds)] for spec in specs]
     cells = {}
-    with closing(_task_rows(datasets, tasks, jobs)) as rows:
+    with closing(_cell_rows(datasets, tasks, jobs)) as rows:
         for spec in specs:
             if progress is not None:
                 progress(f"{spec.algorithm} / {int(spec.width)} sensors")
-            accuracies, seconds, flags, errors = zip(*islice(rows, cfg.iterations))
-            error = next((e for e in errors if e is not None), None)
+            accuracies, seconds, flags, errors = zip(*next(rows))
+            error = errors[-1]
             cells[(spec.algorithm, int(spec.width))] = (
                 CellResult(spec, list(seeds), np.array(accuracies), np.array(seconds),
                            list(flags)) if error is None else

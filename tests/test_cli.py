@@ -60,6 +60,15 @@ def test_derive_detects_corruption(published_like_dir, tmp_path, capsys):
     assert "mismatched cells" in capsys.readouterr().err
 
 
+def test_derive_rejects_files_of_different_lengths(published_like_dir, tmp_path, capsys):
+    for name in DATA_FILES:
+        (tmp_path / name).write_text((published_like_dir / name).read_text())
+    path = tmp_path / "sensor_readings_4.data"
+    path.write_text("\n".join(path.read_text().splitlines()[:-10]) + "\n")
+    assert run_cli("data", "derive", "--data-dir", str(tmp_path)) == cli.EXIT_DATA
+    assert "row counts differ" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # data fetch (exercised against a local HTTP server)
 # ---------------------------------------------------------------------------
@@ -195,19 +204,30 @@ def test_bench_writes_table2_when_cells_present(published_like_dir, tmp_path):
     assert (out / "results.csv").read_text().splitlines()[1].startswith("dt,2,0,")
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_bench_rejects_jobs_below_one(tmp_path, capsys, source, jobs):
+BENCH_USAGE_ERRORS = [
+    *(pytest.param(source, f"jobs={jobs}", "--jobs must be at least 1", id=f"{jobs}-{source}")
+      for jobs in (0, -1) for source in ("flag", "config")),
+    *(pytest.param(source, "iters=0", "--iters must be at least 1", id=f"iters0-{source}")
+      for source in ("flag", "config")),
+    pytest.param("config", "seed=x", "argument --seed: invalid int value: 'x'",
+                 id="seed-x-config"),
+    pytest.param("config", "iterations=3", "unknown config key 'iterations'",
+                 id="unknown-key-config"),
+]
+
+
+@pytest.mark.parametrize("source, setting, message", BENCH_USAGE_ERRORS)
+def test_bench_rejects_jobs_below_one(tmp_path, capsys, source, setting, message):
     # the data directory is missing too: the usage error must come first
     args = ["bench", "--data-dir", str(tmp_path / "nowhere"), "--out", str(tmp_path / "r")]
     if source == "flag":
-        args.append(f"--jobs={jobs}")
+        args.append(f"--{setting}")
     else:
         config = tmp_path / "bench.cfg"
-        config.write_text(f"jobs = {jobs}\n")
+        config.write_text(setting.replace("=", " = ") + "\n")
         args = ["--config", str(config), *args]
     assert run_cli(*args) == cli.EXIT_USAGE
-    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
@@ -228,6 +248,16 @@ def test_config_file_presets_flags(published_like_dir, tmp_path, capsys):
                    "--out", str(tmp_path / "cfg_out2")) == 0
     lines = (tmp_path / "cfg_out2" / "results.csv").read_text().splitlines()
     assert len(lines) == 2
+    # the same file presets export-tree's --restrict, and then its --width too
+    config.write_text(config.read_text() + "restrict = front\n")
+    tree = tmp_path / "front.dot"
+    assert run_cli("--config", str(config), "export-tree", "--width", "4",
+                   "--out", str(tree)) == 0
+    splits = [line for line in tree.read_text().splitlines() if "<=" in line]
+    assert splits and all("X_0" in line for line in splits)
+    config.write_text(config.read_text() + "width = 4\n")
+    assert run_cli("--config", str(config), "export-tree", "--out", str(tmp_path / "t.dot")) == 0
+    assert (tmp_path / "t.dot").read_bytes() == tree.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +302,7 @@ def test_export_tree_bad_restrict(published_like_dir, tmp_path, capsys):
     assert rc == cli.EXIT_USAGE
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
     assert run_cli("no-such-command") == cli.EXIT_USAGE
     assert run_cli() == cli.EXIT_USAGE
+    assert run_cli("--config", str(tmp_path / "missing.cfg"), "bench") == cli.EXIT_USAGE

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +128,40 @@ def test_dead_worker_fails_the_cells_it_lost_with_context(synth_d2, monkeypatch)
                                  cell.error)
             assert found and int(found[2]) == derive_seed(4, int(found[1]))
             assert cell.seeds == [] and cell.accuracies.size == cell.seconds.size == 0
+
+
+def test_failed_cell_runs_no_iteration_after_its_first_failure(synth_d2, monkeypatch):
+    seeds = []
+
+    def failing_fit(x, y, hp, seed):
+        seeds.append(seed)
+        raise RuntimeError("diverged")
+
+    monkeypatch.setitem(ev.MODELS, "gnb", ev.Model("fails", {}, failing_fit, None))
+    cell = _cell(synth_d2, "gnb", ev.CVConfig(iterations=5, master_seed=2))
+    assert cell.error == f"gnb/2 failed at iteration 0 (seed {derive_seed(2, 0)}): diverged"
+    assert len(seeds) == 1
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="monkeypatch reaches pool workers only when they are forked")
+def test_failed_cell_cancels_its_tasks_not_started(synth_d2, monkeypatch, tmp_path):
+    # iteration 0 fails at once and every other one takes 0.5 s, so the two
+    # workers have started only a few of the 24 tasks when the failure is read
+    first_seed = derive_seed(2, 0)
+    log = tmp_path / "fit-calls"
+
+    def slow_failing_fit(x, y, hp, seed):
+        with open(log, "a") as f:
+            f.write(f"{seed}\n")
+        if seed != first_seed:
+            time.sleep(0.5)
+        raise RuntimeError("diverged")
+
+    monkeypatch.setitem(ev.MODELS, "gnb", ev.Model("fails", {}, slow_failing_fit, None))
+    cell = _cell(synth_d2, "gnb", ev.CVConfig(iterations=24, master_seed=2), jobs=2)
+    assert cell.error == f"gnb/2 failed at iteration 0 (seed {first_seed}): diverged"
+    assert len(log.read_text().splitlines()) < 24
 
 
 def test_monte_carlo_summary_stats(synth_d4):
