@@ -83,8 +83,17 @@ def _parse_width(text: str) -> Width:
     return Width(int(text))
 
 
+def _distinct(text: str, items: list, what: str) -> list:
+    """``items`` parsed from ``text``; an empty list or a repeated entry is a usage error."""
+    if not items:
+        raise argparse.ArgumentTypeError(f"no {what} in {text!r}")
+    if len(set(items)) < len(items):
+        raise argparse.ArgumentTypeError(f"repeated {what} in {text!r}")
+    return items
+
+
 def _parse_widths(text: str) -> list[Width]:
-    return [_parse_width(token) for token in text.split(",")]
+    return _distinct(text, [_parse_width(token) for token in text.split(",")], "width")
 
 
 def _parse_models(text: str) -> list[str]:
@@ -94,7 +103,7 @@ def _parse_models(text: str) -> list[str]:
             raise argparse.ArgumentTypeError(
                 f"unknown model tag {tag!r} (expected one of {', '.join(evaluation.ALL_TAGS)})"
             )
-    return tags
+    return _distinct(text, tags, "model tag")
 
 
 def _load_width(data_dir: Path, width: Width):
@@ -201,7 +210,7 @@ def cmd_bench(args) -> int:
     else:  # a table2.md left by an earlier run would not match this run's results
         (args.out / "table2.md").unlink(missing_ok=True)
     print(table1)
-    for (tag, width), cell in sorted(report.cells.items()):
+    for (tag, width), cell in report.ordered_cells():
         if cell.error is None:
             secs = float(cell.seconds.sum())
             print(f"{tag}/{width}: mean {100.0 * cell.mean:.2f}% "

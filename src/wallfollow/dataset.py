@@ -27,23 +27,21 @@ N_SENSORS = 24
 STD_FLOOR = 1e-8
 
 
-class ClassLabel(enum.IntEnum):
-    MOVE_FORWARD = 0
-    SLIGHT_RIGHT_TURN = 1
-    SHARP_RIGHT_TURN = 2
-    SLIGHT_LEFT_TURN = 3
-
-
-# Tokens as they appear in the published files.  Ingest refuses anything
-# outside this table (override via ``label_tokens=`` if a file differs).
+# Tokens as they appear in the published files, mapped to class indices.
+# Ingest refuses anything outside this table.
 DEFAULT_LABEL_TOKENS = {
-    "Move-Forward": ClassLabel.MOVE_FORWARD,
-    "Slight-Right-Turn": ClassLabel.SLIGHT_RIGHT_TURN,
-    "Sharp-Right-Turn": ClassLabel.SHARP_RIGHT_TURN,
-    "Slight-Left-Turn": ClassLabel.SLIGHT_LEFT_TURN,
+    "Move-Forward": 0,
+    "Slight-Right-Turn": 1,
+    "Sharp-Right-Turn": 2,
+    "Slight-Left-Turn": 3,
 }
 
 CLASS_NAMES = ("MoveForward", "SlightRightTurn", "SharpRightTurn", "SlightLeftTurn")
+
+
+def one_hot(labels: np.ndarray) -> np.ndarray:
+    """(n, N_CLASSES) float64 indicator matrix of class indices ``labels``."""
+    return (labels[:, None] == np.arange(N_CLASSES)[None, :]).astype(np.float64)
 
 
 class Width(enum.IntEnum):
@@ -141,7 +139,6 @@ class SplitPair:
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -153,14 +150,13 @@ class StandardizationStats:
     eps: float = STD_FLOOR
 
 
-def load_dataset(path, width: Width, label_tokens: dict | None = None) -> Dataset:
+def load_dataset(path, width: Width) -> Dataset:
     """Parse one comma-separated sensor file into a Dataset.
 
     Each line must hold ``width`` numeric fields followed by one label token.
     Row order is preserved.  Malformed lines are reported with their 1-based
     line number.
     """
-    tokens = DEFAULT_LABEL_TOKENS if label_tokens is None else label_tokens
     d = int(width)
     path = Path(path)
     rows: list[list[float]] = []
@@ -183,10 +179,10 @@ def load_dataset(path, width: Width, label_tokens: dict | None = None) -> Datase
             if not all(math.isfinite(v) for v in values):
                 raise DataFormatError(f"{path.name}:{lineno}: non-finite sensor value")
             token = fields[d]
-            if token not in tokens:
+            if token not in DEFAULT_LABEL_TOKENS:
                 raise DataFormatError(f"{path.name}:{lineno}: unknown label token {token!r}")
             rows.append(values)
-            labels.append(int(tokens[token]))
+            labels.append(DEFAULT_LABEL_TOKENS[token])
     if not rows:
         raise DataFormatError(f"{path.name}: empty dataset")
     return Dataset(
@@ -279,7 +275,6 @@ def shuffle_split(ds: Dataset, seed: int) -> SplitPair:
     return SplitPair(
         train_indices=np.array(indices[:cut], dtype=np.int64),
         test_indices=np.array(indices[cut:], dtype=np.int64),
-        seed=seed,
     )
 
 

@@ -170,6 +170,10 @@ class BenchmarkReport:
     master_seed: int
     version: str
 
+    def ordered_cells(self) -> list:
+        """``((tag, width), cell)`` pairs in ``ALL_TAGS`` order, widest first."""
+        return sorted(self.cells.items(), key=lambda kv: (ALL_TAGS.index(kv[0][0]), -kv[0][1]))
+
 
 def accuracy(predicted, true) -> float:
     """Fraction of exact label matches."""
@@ -343,8 +347,7 @@ def render_table1(report: BenchmarkReport) -> str:
         cells = [_format_cell(report, tag, w) for w in (24, 4, 2)]
         lines.append(f"| {MODELS[tag].name} | {cells[0]} | {cells[1]} | {cells[2]} |")
     lines += ["", "## Configuration echo", ""]
-    for (tag, width), cell in sorted(report.cells.items(),
-                                     key=lambda kv: (ALL_TAGS.index(kv[0][0]), -kv[0][1])):
+    for (tag, width), cell in report.ordered_cells():
         hp = " ".join(f"{k}={v}" for k, v in sorted(cell.spec.hyperparams.items()))
         lines.append(f"- {tag}/{width}: {hp if hp else '(no hyperparameters)'}")
     return "\n".join(lines) + "\n"
@@ -401,8 +404,7 @@ def render_table2(report: BenchmarkReport) -> str:
 def report_csv(report: BenchmarkReport) -> str:
     """Machine-readable per-iteration results, one line per (cell, iteration)."""
     lines = ["model,width,iteration,seed,accuracy"]
-    for (tag, width), cell in sorted(report.cells.items(),
-                                     key=lambda kv: (ALL_TAGS.index(kv[0][0]), -kv[0][1])):
+    for (tag, width), cell in report.ordered_cells():
         if cell.error is not None:
             continue
         for i, (seed, acc) in enumerate(zip(cell.seeds, cell.accuracies)):

@@ -7,6 +7,9 @@ dense layers, batch normalization, inverted dropout, softmax/cross-entropy
 and the Adadelta update rule.  Everything runs in float64 numpy with
 reverse-mode gradients written out by hand.
 
+Each layer class names the arrays it trains in one ``PARAMS`` tuple; its
+``backward`` leaves the gradient of parameter ``name`` at ``d<name>``.
+
 Blocks are ordered affine -> batch norm -> activation -> dropout.  Training
 is deterministic given the initialization seed and the training seed.
 """
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import one_hot
 from .rng import XoshiroLanes
 
 ADADELTA_RHO = 0.95
@@ -51,6 +55,8 @@ class SharedInputLayer:
     map is act(w[i] * x[j] + b[i]), flattened row-major over (i, j).
     """
 
+    PARAMS = ("w", "b")
+
     def __init__(self, d: int, activation: str = "identity"):
         if activation not in ("identity", "relu"):
             raise ValueError(f"unknown activation {activation!r}")
@@ -80,14 +86,10 @@ class SharedInputLayer:
         self.db = g.sum(axis=(0, 2))
         return np.einsum("bij,i->bj", g, self.w)
 
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
-
-    def grads(self):
-        return [self.dw, self.db]
-
 
 class Dense:
+    PARAMS = ("weight", "bias")
+
     def __init__(self, n_in: int, n_out: int):
         self.n_in = n_in
         self.n_out = n_out
@@ -110,14 +112,10 @@ class Dense:
         self.dbias = grad.sum(axis=0)
         return grad @ self.weight
 
-    def params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def grads(self):
-        return [self.dweight, self.dbias]
-
 
 class Relu:
+    PARAMS = ()
+
     def forward(self, x: np.ndarray, train: bool, rng) -> np.ndarray:
         self._cache = x
         return _relu(x)
@@ -125,29 +123,22 @@ class Relu:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad * (self._cache > 0)
 
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
-
 
 class BatchNorm:
     """Per-unit batch normalization with learned scale and shift.
 
     Train mode normalizes by batch statistics (population variance) and
     updates the running stats by momentum; inference mode uses the running
-    stats only.
+    stats only and caches nothing, so ``backward`` follows a train forward.
     """
+
+    PARAMS = ("gamma", "beta")
 
     def __init__(self, units: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
         self.units = units
         self.momentum = momentum
         self.eps = eps
-        self.gamma = np.ones(units)
-        self.beta = np.zeros(units)
-        self.running_mean = np.zeros(units)
-        self.running_var = np.ones(units)
+        self.init_params(None)
         self._cache = None
 
     def init_params(self, rng) -> None:
@@ -169,34 +160,27 @@ class BatchNorm:
             xhat = xmu * ivar
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-            self._cache = (xmu, ivar, xhat, True)
+            self._cache = (xmu, ivar, xhat)
         else:
             ivar = 1.0 / np.sqrt(self.running_var + self.eps)
             xhat = (x - self.running_mean) * ivar
-            self._cache = (None, ivar, xhat, False)
         return self.gamma * xhat + self.beta
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        xmu, ivar, xhat, trained = self._cache
+        xmu, ivar, xhat = self._cache
         self.dgamma = (grad * xhat).sum(axis=0)
         self.dbeta = grad.sum(axis=0)
         dxhat = grad * self.gamma
-        if not trained:
-            return dxhat * ivar
         m = grad.shape[0]
         dvar = (dxhat * xmu).sum(axis=0) * (-0.5) * ivar**3
         dmu = -(dxhat.sum(axis=0) * ivar) + dvar * (-2.0 / m) * xmu.sum(axis=0)
         return dxhat * ivar + dvar * (2.0 / m) * xmu + dmu / m
 
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def grads(self):
-        return [self.dgamma, self.dbeta]
-
 
 class Dropout:
     """Inverted dropout: zero with probability ``rate`` and rescale survivors."""
+
+    PARAMS = ()
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -216,12 +200,6 @@ class Dropout:
         if self._mask is None:
             return grad
         return grad * self._mask
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 @dataclass
@@ -254,10 +232,10 @@ class Network:
         return self.forward(x).argmax(axis=1)
 
     def parameters(self) -> list[np.ndarray]:
-        return [array for layer in self.layers for _, array in layer.params()]
+        return [getattr(layer, name) for layer in self.layers for name in layer.PARAMS]
 
     def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads()]
+        return [getattr(layer, "d" + name) for layer in self.layers for name in layer.PARAMS]
 
     def init_params(self, seed: int) -> None:
         rng = XoshiroLanes(seed)
@@ -266,9 +244,8 @@ class Network:
                 layer.init_params(rng)
 
 
-def backprop(model: Network, batch: np.ndarray, target_onehot: np.ndarray,
-             train: bool = True, rng=None):
-    """Softmax outputs and exact gradients of the mean cross-entropy loss.
+def backprop(model: Network, batch: np.ndarray, target_onehot: np.ndarray, rng=None):
+    """Train-mode softmax outputs and exact gradients of the mean cross-entropy loss.
 
     Returns ``(probs, gradients)``, one gradient per parameter in
     ``model.parameters()`` order.  Dropout masks are drawn once during the
@@ -277,7 +254,7 @@ def backprop(model: Network, batch: np.ndarray, target_onehot: np.ndarray,
     """
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
-    probs = model.forward(batch, train=train, rng=rng)
+    probs = model.forward(batch, True, rng)
     grad = (probs - target_onehot) / batch.shape[0]
     for layer in reversed(model.layers):
         grad = layer.backward(grad)
@@ -300,8 +277,7 @@ class AdadeltaState:
     """Decaying accumulators of squared gradients and squared updates.
 
     Each accumulator is one flat buffer over all parameters' entries in
-    ``shapes`` order; ``acc_grad[i]`` and ``acc_delta[i]`` are views of
-    parameter ``i``'s part.
+    ``shapes`` order.
     """
 
     shapes: list
@@ -312,8 +288,6 @@ class AdadeltaState:
         size = sum(math.prod(s) for s in self.shapes)
         self.grad_sq = np.zeros(size)
         self.delta_sq = np.zeros(size)
-        self.acc_grad = _split(self.grad_sq, self.shapes)
-        self.acc_delta = _split(self.delta_sq, self.shapes)
 
     def step(self, g: np.ndarray) -> np.ndarray:
         """One update from the flat gradient ``g``; returns the flat delta to add.
@@ -398,14 +372,14 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
     for layer in model.layers:
         if isinstance(layer, Dropout):
             layer.rate = config.dropout
-    named = [(layer, name, array) for layer in model.layers
-             for name, array in layer.params()]
-    shapes = [array.shape for _, _, array in named]
-    theta = _flatten(array for _, _, array in named)
-    for (layer, name, _), view in zip(named, _split(theta, shapes)):
+    named = [(layer, name) for layer in model.layers for name in layer.PARAMS]
+    params = model.parameters()
+    shapes = [p.shape for p in params]
+    theta = _flatten(params)
+    for (layer, name), view in zip(named, _split(theta, shapes)):
         setattr(layer, name, view)
     state = AdadeltaState(shapes=shapes)
-    onehot = (labels[:, None] == np.arange(4)[None, :]).astype(np.float64)
+    onehot = one_hot(labels)
     rng = XoshiroLanes(config.seed)
     for epoch in range(config.epochs):
         perm = rng.permutation(n)

@@ -79,10 +79,6 @@ class Xoshiro256StarStar:
         self._s = [s0, s1, s2, s3]
         return result
 
-    def random(self) -> float:
-        """Uniform double in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection sampling."""
         if n <= 0:

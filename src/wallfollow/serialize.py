@@ -58,13 +58,14 @@ def _node_from_dict(data: dict) -> tree_models.TreeNode:
     return tree_models.TreeNode(value=data["v"])
 
 
-# Network layers: type -> (class, constructor arguments, array attributes);
-# a layer's object lists "type", then the arguments, then the arrays.
+# Network layers: type -> (class, constructor arguments, arrays stored beyond
+# the class's PARAMS); a layer's object lists "type", then the arguments, then
+# PARAMS, then the extra arrays.
 LAYERS = {
-    "shared": (neural.SharedInputLayer, ("d", "activation"), ("w", "b")),
-    "dense": (neural.Dense, ("n_in", "n_out"), ("weight", "bias")),
+    "shared": (neural.SharedInputLayer, ("d", "activation"), ()),
+    "dense": (neural.Dense, ("n_in", "n_out"), ()),
     "batchnorm": (neural.BatchNorm, ("units", "momentum", "eps"),
-                  ("gamma", "beta", "running_mean", "running_var")),
+                  ("running_mean", "running_var")),
     "relu": (neural.Relu, (), ()),
     "dropout": (neural.Dropout, ("rate",), ()),
 }
@@ -75,18 +76,18 @@ def _layer_to_dict(layer) -> dict:
     kind = _LAYER_TYPE_OF.get(type(layer))
     if kind is None:
         raise TypeError(f"cannot serialize layer {type(layer).__name__}")
-    _, args, arrays = LAYERS[kind]
+    cls, args, extra = LAYERS[kind]
     return {"type": kind, **{a: getattr(layer, a) for a in args},
-            **{a: getattr(layer, a).tolist() for a in arrays}}
+            **{a: getattr(layer, a).tolist() for a in cls.PARAMS + extra}}
 
 
 def _layer_from_dict(data: dict):
     kind = data["type"]
     if kind not in LAYERS:
         raise ValueError(f"unknown layer type {kind!r}")
-    cls, args, arrays = LAYERS[kind]
+    cls, args, extra = LAYERS[kind]
     layer = cls(*(data[a] for a in args))
-    for a in arrays:
+    for a in cls.PARAMS + extra:
         setattr(layer, a, np.array(data[a]))
     return layer
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASS_NAMES, N_CLASSES
+from .dataset import CLASS_NAMES, N_CLASSES, one_hot
 from .neural import softmax
 from .rng import Xoshiro256StarStar, derive_seed
 
@@ -74,10 +74,6 @@ def gini_impurity(counts) -> float:
         raise ValueError("gini_impurity needs at least one sample")
     p = counts / total
     return float(1.0 - (p * p).sum())
-
-
-def _class_matrix(labels: np.ndarray) -> np.ndarray:
-    return (labels[:, None] == np.arange(N_CLASSES)[None, :]).astype(np.float64)
 
 
 def _gini_gain(target: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -186,7 +182,7 @@ def fit_decision_tree(
     else:
         def candidates():
             return pool
-    return _grow(features, _class_matrix(labels), params or TreeParams(), _gini_gain,
+    return _grow(features, one_hot(labels), params or TreeParams(), _gini_gain,
                  lambda t: TreeNode(value=t.sum(axis=0).astype(np.int64)), candidates)
 
 
@@ -292,7 +288,7 @@ def fit_gradient_boost(
     counts = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
     priors = np.maximum(counts / n, 1e-12)
     init_scores = np.log(priors)
-    onehot = _class_matrix(labels)
+    onehot = one_hot(labels)
     scores = np.tile(init_scores, (n, 1))
     params = TreeParams(max_depth)
     every_feature = range(features.shape[1])

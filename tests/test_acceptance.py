@@ -292,7 +292,7 @@ def test_c12_gradient_check_every_layer_type():
     x = XoshiroLanes(8).uniform(-2, 2, (3, d))
     y = np.eye(4)[np.array([0, 2, 3])]
     seed, h = 11, 1e-4
-    _, grads = nn.backprop(net, x, y, train=True, rng=XoshiroLanes(seed))
+    _, grads = nn.backprop(net, x, y, rng=XoshiroLanes(seed))
     worst = 0.0
     for array, grad in zip(net.parameters(), grads):
         flat, gflat = array.reshape(-1), grad.reshape(-1)

@@ -157,14 +157,22 @@ def test_bench_single_cell(published_like_dir, tmp_path, capsys):
     assert (out / "table1.md").exists()
 
 
-def test_bench_repeat_runs_byte_identical(published_like_dir, tmp_path):
+def test_bench_repeat_runs_byte_identical(published_like_dir, tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     args = ("bench", "--data-dir", str(published_like_dir), "--models", "dt,gnb",
             "--widths", "2,4", "--iters", "2", "--seed", "7")
     assert run_cli(*args, "--out", str(out_a)) == 0
+    capsys.readouterr()
     assert run_cli(*args, "--out", str(out_b)) == 0
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
     assert (out_a / "table1.md").read_bytes() == (out_b / "table1.md").read_bytes()
+    # the per-cell summary lists the cells in results.csv order
+    rows = (out_b / "results.csv").read_text().splitlines()[1:]
+    csv_cells = list(dict.fromkeys("/".join(row.split(",")[:2]) for row in rows))
+    summary = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+               if ": mean " in line]
+    assert csv_cells == ["dt/4", "dt/2", "gnb/4", "gnb/2"]
+    assert summary == csv_cells
 
 
 def test_bench_parallel_matches_serial(published_like_dir, tmp_path):
@@ -213,6 +221,12 @@ BENCH_USAGE_ERRORS = [
                  id="seed-x-config"),
     pytest.param("config", "iterations=3", "unknown config key 'iterations'",
                  id="unknown-key-config"),
+    *(pytest.param(source, setting, message, id=f"{name}-{source}")
+      for name, setting, message in (
+          ("no-models", "models=,", "no model tag in ','"),
+          ("repeated-model", "models=dt,dt", "repeated model tag in 'dt,dt'"),
+          ("repeated-width", "widths=2,2", "repeated width in '2,2'"))
+      for source in ("flag", "config")),
 ]
 
 

@@ -75,13 +75,6 @@ def test_load_unknown_label_token(tmp_path):
         load_dataset(path, Width.SIMPLIFIED2)
 
 
-def test_load_custom_token_table(tmp_path):
-    path = tmp_path / "alt.data"
-    path.write_text("1.0,2.0,fwd\n")
-    ds = load_dataset(path, Width.SIMPLIFIED2, label_tokens={"fwd": dsm.ClassLabel.MOVE_FORWARD})
-    assert ds.labels[0] == 0
-
-
 def test_dataset_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(np.array([[np.inf, 1.0]]), np.array([0]), Width.SIMPLIFIED2)

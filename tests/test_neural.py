@@ -200,12 +200,12 @@ def test_dropout_rate_validation():
 
 def test_adadelta_zero_gradient_gives_zero_delta():
     state = nn.AdadeltaState(shapes=[(3,)])
-    state.acc_grad[0][:] = 0.4
-    state.acc_delta[0][:] = 0.1
+    state.grad_sq[:] = 0.4
+    state.delta_sq[:] = 0.1
     deltas = nn.adadelta_step(state, [np.zeros(3)])
     assert (deltas[0] == 0.0).all()
-    assert state.acc_grad[0] == pytest.approx(np.full(3, 0.95 * 0.4))
-    assert state.acc_delta[0] == pytest.approx(np.full(3, 0.95 * 0.1))
+    assert state.grad_sq == pytest.approx(np.full(3, 0.95 * 0.4))
+    assert state.delta_sq == pytest.approx(np.full(3, 0.95 * 0.1))
 
 
 def test_adadelta_first_step_opposes_gradient():
@@ -255,8 +255,8 @@ def test_adadelta_bitwise_equal_to_per_parameter_loop():
         for i, shape in enumerate(shapes):
             assert deltas[i].shape == shape
             assert np.array_equal(deltas[i], expected[i])
-            assert np.array_equal(state.acc_grad[i], acc_grad[i])
-            assert np.array_equal(state.acc_delta[i], acc_delta[i])
+        assert np.array_equal(state.grad_sq, np.concatenate([a.reshape(-1) for a in acc_grad]))
+        assert np.array_equal(state.delta_sq, np.concatenate([a.reshape(-1) for a in acc_delta]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ def _finite_difference_check(net, x, y, seed, h=1e-4, rtol=1e-4):
         probs = net.forward(x, train=True, rng=XoshiroLanes(seed))
         return nn.cross_entropy(probs, y)
 
-    _, grads = nn.backprop(net, x, y, train=True, rng=XoshiroLanes(seed))
+    _, grads = nn.backprop(net, x, y, rng=XoshiroLanes(seed))
     for array, grad in zip(net.parameters(), grads):
         flat, gflat = array.reshape(-1), grad.reshape(-1)
         for i in range(flat.size):
@@ -312,7 +312,7 @@ def test_zero_network_uniform_probs_and_bias_gradient():
     y = np.eye(4)[np.array([0, 1, 2, 3, 0, 1])]
     probs = net.forward(x, train=True, rng=XoshiroLanes(0))
     assert probs == pytest.approx(np.full((6, 4), 0.25))
-    _, grads = nn.backprop(net, x, y, train=True, rng=XoshiroLanes(0))
+    _, grads = nn.backprop(net, x, y, rng=XoshiroLanes(0))
     output_bias_grad = grads[-1]
     expected = (np.full((6, 4), 0.25) - y).mean(axis=0)
     assert output_bias_grad == pytest.approx(expected, abs=1e-12)
@@ -431,7 +431,7 @@ def test_loss_non_increasing_first_five_steps_on_fixed_batch():
     state = nn.AdadeltaState(shapes=[p.shape for p in net.parameters()])
     losses = [nn.cross_entropy(net.forward(features), onehot)]
     for _ in range(5):
-        _, grads = nn.backprop(net, features, onehot, train=True)
+        _, grads = nn.backprop(net, features, onehot)
         for p, delta in zip(net.parameters(), nn.adadelta_step(state, grads)):
             p += delta
         losses.append(nn.cross_entropy(net.forward(features), onehot))

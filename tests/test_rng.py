@@ -38,13 +38,6 @@ def test_scalar_generator_determinism():
     assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
 
 
-def test_random_unit_interval():
-    gen = Xoshiro256StarStar(3)
-    values = [gen.random() for _ in range(1000)]
-    assert all(0.0 <= v < 1.0 for v in values)
-    assert 0.4 < sum(values) / len(values) < 0.6
-
-
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=1000))
 def test_below_stays_in_bounds(seed, bound):
     gen = Xoshiro256StarStar(seed)

@@ -92,6 +92,43 @@ def test_network_round_trip(tmp_path):
     assert loaded.name == "DFNN_WS"
 
 
+# One layer of each serialized type: a factory, its output width on a 5-wide
+# input, and the PARAMS it must declare.
+LAYER_CASES = {
+    "shared": (lambda: nn.SharedInputLayer(5, activation="relu"), 25, ("w", "b")),
+    "dense": (lambda: nn.Dense(5, 6), 6, ("weight", "bias")),
+    "batchnorm": (lambda: nn.BatchNorm(5), 5, ("gamma", "beta")),
+    "relu": (nn.Relu, 5, ()),
+    "dropout": (lambda: nn.Dropout(0.25), 5, ()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(sz.LAYERS))
+def test_layer_params_match_gradients_and_survive_round_trip(tmp_path, kind):
+    make, width, params = LAYER_CASES[kind]
+    layer = make()
+    assert type(layer) is sz.LAYERS[kind][0]
+    assert layer.PARAMS == params
+    net = nn.Network([nn.Dense(3, 5), layer, nn.Dense(width, 4)])
+    net.init_params(4)
+    x = XoshiroLanes(5).uniform(-2, 2, (6, 3))
+    y = np.eye(4)[np.array([0, 1, 2, 3, 0, 1])]
+    _, grads = nn.backprop(net, x, y, rng=XoshiroLanes(6))
+    named = [(owner, name) for owner in net.layers for name in owner.PARAMS]
+    assert [name for _, name in named] == ["weight", "bias", *params, "weight", "bias"]
+    parameters = net.parameters()
+    assert len(parameters) == len(grads) == len(named)
+    for (owner, name), p, g in zip(named, parameters, grads):
+        assert p is getattr(owner, name)
+        assert g is getattr(owner, "d" + name)
+        assert g.shape == p.shape
+    loaded = _round_trip(net, tmp_path)
+    for a, b in zip(net.parameters(), loaded.parameters(), strict=True):
+        assert np.array_equal(a, b)
+    for name in sz.LAYERS[kind][2]:
+        assert np.array_equal(getattr(loaded.layers[1], name), getattr(layer, name))
+
+
 def test_document_shape(tmp_path, synth_d2):
     model = tm.fit_decision_tree(synth_d2.features, synth_d2.labels)
     path = tmp_path / "m.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wallfollow import serialize, tree_models as tm
+from wallfollow.dataset import one_hot
 from wallfollow.rng import XoshiroLanes, Xoshiro256StarStar
 
 
@@ -73,7 +74,7 @@ def _exhaustive_best_split(features, labels):
 
 
 def _gini_split(features, labels, candidates):
-    return tm.best_split(features, tm._class_matrix(labels), candidates, tm._gini_gain)
+    return tm.best_split(features, one_hot(labels), candidates, tm._gini_gain)
 
 
 def test_best_split_four_point_line():
@@ -297,7 +298,7 @@ def _reference_best_split(features, labels, candidate_features):
     parent = 1.0 - ((totals / n) ** 2).sum()
     if parent == 0.0:
         return None
-    onehot = tm._class_matrix(labels)
+    onehot = one_hot(labels)
     best = None  # (decrease, feature, threshold)
     for f in sorted(candidate_features):
         col = features[:, f]
@@ -410,7 +411,7 @@ def _reference_gradient_boost(features, labels, n_stages, learning_rate, max_dep
     counts = np.bincount(labels, minlength=tm.N_CLASSES).astype(np.float64)
     priors = np.maximum(counts / n, 1e-12)
     init_scores = np.log(priors)
-    onehot = tm._class_matrix(labels)
+    onehot = one_hot(labels)
     scores = np.tile(init_scores, (n, 1))
     stages = []
     for _ in range(n_stages):
