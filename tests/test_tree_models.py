@@ -74,7 +74,7 @@ def _exhaustive_best_split(features, labels):
 
 
 def _gini_split(features, labels, candidates):
-    return tm.best_split(features, one_hot(labels), candidates, tm._gini_gain)
+    return tm.best_split(*tm._presort(features), one_hot(labels), candidates, tm._gini_gain)
 
 
 def test_best_split_four_point_line():
@@ -127,6 +127,22 @@ def test_xor_layout_needs_zero_gain_splits():
     labels = np.array([0, 0, 1, 1])
     root = tm.fit_decision_tree(features, labels)
     assert tree_depth(root) == 2
+    assert (tm.predict_tree(root, features) == labels).all()
+
+
+@pytest.mark.parametrize("a, b", [
+    pytest.param(np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0),
+                 id="adjacent-floats"),
+    pytest.param(1e308, 1.7e308, id="overflowing-sum"),
+])
+def test_split_whose_midpoint_is_not_below_the_largest_value(a, b):
+    # (a + b) / 2 rounds up to b, or overflows: a ``<=`` split there would
+    # send every row left and never separate them.
+    assert not (a + b) / 2.0 < b
+    features = np.array([[a], [b], [a], [b]])
+    labels = np.array([0, 1, 0, 1])
+    root = tm.fit_decision_tree(features, labels)
+    assert root.threshold == a
     assert (tm.predict_tree(root, features) == labels).all()
 
 
@@ -285,6 +301,61 @@ def test_boost_validates_arguments(synth_d4):
         tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=-1)
 
 
+@pytest.mark.parametrize("fit, match", [
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, features_per_split=0),
+                 "features_per_split", id="dt-features_per_split-0"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, allowed_features=[]),
+                 "allowed_features", id="dt-allowed_features-empty"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, allowed_features=[0, 4]),
+                 "allowed_features", id="dt-allowed_features-above-range"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, allowed_features=[-1, 2]),
+                 "allowed_features", id="dt-allowed_features-negative"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(max_depth=-2)),
+                 "max_depth", id="dt-max_depth-negative"),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, max_depth=-1),
+                 "max_depth", id="gbc-max_depth-negative"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x[:, :0], y),
+                 "no columns", id="dt-no-columns"),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(np.where(x > 2.0, np.nan, x), y),
+                 "finite", id="gbc-nan-feature"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y[:-1]),
+                 "labels has 39 rows", id="dt-row-mismatch"),
+    pytest.param(lambda x, y: tm.fit_random_forest(x, y[:-1], n_trees=2),
+                 "labels has 39 rows", id="rfc-row-mismatch"),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(x[:-1], y, n_stages=2),
+                 "labels has 40 rows but features has 39", id="gbc-row-mismatch"),
+])
+def test_tree_fits_reject_bad_arguments(synth_d4, fit, match):
+    with pytest.raises(ValueError, match=match):
+        fit(synth_d4.features[:40], synth_d4.labels[:40])
+
+
+class _CountingNumpy:
+    """numpy, counting the ``argsort`` calls made through it."""
+
+    def __init__(self):
+        self.argsorts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, *args, **kwargs):
+        self.argsorts += 1
+        return np.argsort(*args, **kwargs)
+
+
+@pytest.mark.parametrize("fit, sorts", [
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y), 1, id="dt"),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, n_stages=3), 1, id="gbc"),
+    pytest.param(lambda x, y: tm.fit_random_forest(x, y, n_trees=5, seed=2), 5, id="rfc"),
+])
+def test_each_fit_sorts_its_columns_once(synth_d4, monkeypatch, fit, sorts):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(tm, "np", counting)
+    fit(synth_d4.features, synth_d4.labels)
+    assert counting.argsorts == sorts
+
+
 # ---------------------------------------------------------------------------
 # bitwise oracle: the separate classification and regression growers that
 # the shared grower replaced, kept verbatim as references
@@ -435,20 +506,37 @@ def _document(model):
     return json.dumps(serialize.encode_model(model))
 
 
-def _tie_heavy(seed, n, d):
-    """Features rounded to one decimal and labels partly set by a rule."""
+def _tie_heavy(seed, n, d, decimals=1):
+    """Features rounded to ``decimals`` decimals and labels partly set by a rule."""
     rng = XoshiroLanes(seed)
-    features = np.round(rng.uniform(0, 2, (n, d)), 1)
+    features = np.round(rng.uniform(0, 2, (n, d)), decimals)
     noise = (rng.doubles(n) * 4).astype(np.int64)
     rule = (features[:, 0] > 1.0).astype(np.int64) + 2 * (features[:, -1] > 0.6)
     labels = np.where(rng.doubles(n) < 0.7, rule, noise)
     return features, labels
 
 
-@pytest.mark.parametrize("d", [1, 2, 4, 7, 24])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_decision_tree_documents_equal_reference_grower(d, seed):
-    features, labels = _tie_heavy(seed, 80, d)
+def _few_ties(seed, n, d):
+    """Three decimals, as the sensor files have: nearly continuous, a few ties."""
+    return _tie_heavy(seed, n, d, decimals=3)
+
+
+def _repeated_rows(seed, n, d):
+    """A bootstrap sample of ``_few_ties`` rows: whole rows repeat."""
+    features, labels = _few_ties(seed, n, d)
+    rng = Xoshiro256StarStar(seed)
+    rows = [rng.below(n) for _ in range(n)]
+    return features[rows], labels[rows]
+
+
+@pytest.mark.parametrize("make, seed, n, d", [
+    *(pytest.param(_tie_heavy, seed, 80, d, id=f"{seed}-{d}")
+      for seed in (0, 1, 2) for d in (1, 2, 4, 7, 24)),
+    *(pytest.param(_few_ties, 5, 300, d, id=f"few-ties-{d}") for d in (2, 4, 24)),
+    pytest.param(_repeated_rows, 6, 200, 24, id="repeated-rows-24"),
+])
+def test_decision_tree_documents_equal_reference_grower(make, seed, n, d):
+    features, labels = make(seed, n, d)
     m = tm.default_features_per_split(d)
     for params in (None, tm.TreeParams(max_depth=1), tm.TreeParams(max_depth=3),
                    tm.TreeParams(min_samples_split=9),
@@ -463,21 +551,27 @@ def test_decision_tree_documents_equal_reference_grower(d, seed):
             assert _document(actual) == _document(expected), (params, kwargs)
 
 
-@pytest.mark.parametrize("d", [2, 5, 24])
-def test_random_forest_documents_equal_reference_grower(d, monkeypatch):
-    features, labels = _tie_heavy(d, 60, d)
+@pytest.mark.parametrize("make, n, d, max_depth", [
+    *(pytest.param(_tie_heavy, 60, d, 5, id=f"{d}") for d in (2, 5, 24)),
+    *(pytest.param(_few_ties, 300, d, None, id=f"few-ties-{d}") for d in (2, 4, 24)),
+])
+def test_random_forest_documents_equal_reference_grower(make, n, d, max_depth, monkeypatch):
+    features, labels = make(d, n, d)
     actual = tm.fit_random_forest(features, labels, n_trees=4, seed=d,
-                                  params=tm.TreeParams(max_depth=5))
+                                  params=tm.TreeParams(max_depth=max_depth))
     monkeypatch.setattr(tm, "fit_decision_tree", _reference_decision_tree)
     expected = tm.fit_random_forest(features, labels, n_trees=4, seed=d,
-                                    params=tm.TreeParams(max_depth=5))
+                                    params=tm.TreeParams(max_depth=max_depth))
     assert _document(actual) == _document(expected)
 
 
-@pytest.mark.parametrize("d", [1, 3, 24])
-@pytest.mark.parametrize("max_depth", [1, 2, 3])
-def test_gradient_boost_documents_equal_reference_grower(d, max_depth):
-    features, labels = _tie_heavy(10 * d + max_depth, 70, d)
+@pytest.mark.parametrize("make, seed, n, d, max_depth", [
+    *(pytest.param(_tie_heavy, 10 * d + max_depth, 70, d, max_depth, id=f"{max_depth}-{d}")
+      for max_depth in (1, 2, 3) for d in (1, 3, 24)),
+    *(pytest.param(_few_ties, d, 300, d, 3, id=f"few-ties-{d}") for d in (2, 4, 24)),
+])
+def test_gradient_boost_documents_equal_reference_grower(make, seed, n, d, max_depth):
+    features, labels = make(seed, n, d)
     expected = _reference_gradient_boost(features, labels, 3, 0.1, max_depth)
     actual = tm.fit_gradient_boost(features, labels, 3, 0.1, max_depth)
     assert _document(actual) == _document(expected)
