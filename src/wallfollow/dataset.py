@@ -44,6 +44,27 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
     return (labels[:, None] == np.arange(N_CLASSES)[None, :]).astype(np.float64)
 
 
+def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``features`` is a finite matrix with at least one row and
+    one column and ``labels`` holds one class in ``0..N_CLASSES-1`` per row.  ``Dataset``
+    and every model's fit apply this one training-set contract.
+    """
+    if features.ndim != 2:
+        raise ValueError(f"features must be a 2-D matrix, got {features.ndim} dimensions")
+    if features.shape[0] == 0:
+        raise ValueError("empty training set")
+    if features.shape[1] == 0:
+        raise ValueError("features has no columns")
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite values")
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a vector, got shape {labels.shape}")
+    if labels.shape[0] != features.shape[0]:
+        raise ValueError(f"labels has {labels.shape[0]} rows but features has {features.shape[0]}")
+    if labels.min() < 0 or labels.max() >= N_CLASSES:
+        raise ValueError(f"labels must lie in 0..{N_CLASSES - 1}")
+
+
 class Width(enum.IntEnum):
     """Dataset width tag; the value is the feature count."""
 
@@ -108,19 +129,12 @@ class Dataset:
     width: Width
 
     def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[0] == 0:
-            raise ValueError("features must be a non-empty 2-D matrix")
+        check_training_set(self.features, self.labels)
         if self.features.shape[1] != int(self.width):
             raise ValueError(
                 f"width {self.width.name} expects {int(self.width)} columns, "
                 f"got {self.features.shape[1]}"
             )
-        if not np.isfinite(self.features).all():
-            raise ValueError("features contain non-finite values")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must be one value per row")
-        if self.labels.min() < 0 or self.labels.max() >= N_CLASSES:
-            raise ValueError("labels must lie in 0..3")
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
 

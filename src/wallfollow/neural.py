@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import one_hot
+from .dataset import check_training_set, one_hot
 from .rng import XoshiroLanes
 
 ADADELTA_RHO = 0.95
@@ -326,6 +326,8 @@ def build_preset(name: str, input_width: int, dropout: float = 0.1,
              dense 16 -> 8 -> 4 -> softmax(4), with batch normalization and
              dropout in every block (affine -> norm -> relu -> dropout).
     """
+    if input_width < 1:
+        raise ValueError(f"input_width must be >= 1, got {input_width}")
     key = name.upper()
     d = input_width
     if key == "FNN1":
@@ -362,9 +364,8 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
     trained weights.  Raises ``ValueError`` naming the epoch after which a
     weight is no longer finite.
     """
+    check_training_set(features, labels)
     n = features.shape[0]
-    if n == 0:
-        raise ValueError("empty training set")
     has_bn = any(isinstance(layer, BatchNorm) for layer in model.layers)
     if has_bn and config.batch_size == 1:
         raise ValueError("batch size 1 cannot train a network with batch norm: "

@@ -12,14 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_CLASSES
+from .dataset import N_CLASSES, check_training_set
 from .rng import Xoshiro256StarStar, derive_seed
 
 LDA_RIDGE = 1e-8
 GNB_SMOOTHING = 1e-9
 
 
-def _check_classes_present(labels: np.ndarray, n_classes: int, min_rows: int = 1) -> np.ndarray:
+def _check_classes_present(features: np.ndarray, labels: np.ndarray, n_classes: int,
+                           min_rows: int = 1) -> np.ndarray:
+    """Per-class row counts of a valid training set whose labels are all in ``0..n_classes-1``."""
+    check_training_set(features, labels)
+    if labels.max() >= n_classes:
+        raise ValueError(f"labels must lie in 0..{n_classes - 1}")
     counts = np.bincount(labels, minlength=n_classes)
     for k in range(n_classes):
         if counts[k] == 0:
@@ -49,7 +54,7 @@ def fit_lda(features: np.ndarray, labels: np.ndarray, n_classes: int = N_CLASSES
     with S the pooled within-class covariance over n - K degrees of freedom,
     regularized by (1e-8 * trace(S) / d) I.
     """
-    counts = _check_classes_present(labels, n_classes, min_rows=2)
+    counts = _check_classes_present(features, labels, n_classes, min_rows=2)
     n, d = features.shape
     means = np.stack([features[labels == k].mean(axis=0) for k in range(n_classes)])
     pooled = np.zeros((d, d))
@@ -93,7 +98,7 @@ class GNBModel:
 
 def fit_gnb(features: np.ndarray, labels: np.ndarray, n_classes: int = N_CLASSES) -> GNBModel:
     """Per-class Gaussian fit; variances smoothed by 1e-9 * max feature variance."""
-    counts = _check_classes_present(labels, n_classes)
+    counts = _check_classes_present(features, labels, n_classes)
     n = features.shape[0]
     smoothing = GNB_SMOOTHING * float(features.var(axis=0).max())
     means = np.stack([features[labels == k].mean(axis=0) for k in range(n_classes)])
@@ -178,6 +183,7 @@ class KNNModel:
 
 
 def fit_knn(features: np.ndarray, labels: np.ndarray, k: int = 5) -> KNNModel:
+    check_training_set(features, labels)
     if not 1 <= k <= features.shape[0]:
         raise ValueError("k must be in 1..n_train")
     return KNNModel(train_features=features, train_labels=labels, k=k)
@@ -405,7 +411,7 @@ def fit_svm(
     The Gram matrix is computed once and shared by the four solvers.
     Non-convergence is recorded on the machine, not raised.
     """
-    _check_classes_present(labels, n_classes)
+    _check_classes_present(features, labels, n_classes)
     if gamma is None:
         gamma = scale_gamma(features)
     kernel = rbf_kernel_symmetric(features, gamma)

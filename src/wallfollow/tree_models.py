@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASS_NAMES, N_CLASSES, one_hot
+from .dataset import CLASS_NAMES, N_CLASSES, check_training_set, one_hot
 from .neural import softmax
 from .rng import Xoshiro256StarStar, derive_seed
 
@@ -77,16 +77,6 @@ class BoostModel:
     init_scores: np.ndarray  # per-class log prior, length 4
     stages: list[tuple[TreeNode, ...]]  # one regression tree per class
     learning_rate: float
-
-
-def gini_impurity(counts) -> float:
-    """1 - sum(p_i^2) for a class-count vector; 0 for pure, 0.75 for uniform."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("gini_impurity needs at least one sample")
-    p = counts / total
-    return float(1.0 - (p * p).sum())
 
 
 def _gini_gain(sorted_target: np.ndarray) -> np.ndarray:
@@ -223,18 +213,6 @@ def _grow(order: np.ndarray, values: np.ndarray, target: np.ndarray, params: Tre
     return root
 
 
-def _check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
-    if features.shape[0] == 0:
-        raise ValueError("empty training set")
-    if features.shape[1] == 0:
-        raise ValueError("features has no columns")
-    if not np.isfinite(features).all():
-        raise ValueError("features must be finite")
-    if labels.shape[0] != features.shape[0]:
-        raise ValueError(
-            f"labels has {labels.shape[0]} rows but features has {features.shape[0]}")
-
-
 def fit_decision_tree(
     features: np.ndarray,
     labels: np.ndarray,
@@ -249,7 +227,7 @@ def fit_decision_tree(
     split (random-forest mode, drawn from ``seed``); by default every feature
     is a candidate.  ``allowed_features`` restricts the candidate pool.
     """
-    _check_training_set(features, labels)
+    check_training_set(features, labels)
     d = features.shape[1]
     pool = list(range(d)) if allowed_features is None else sorted(allowed_features)
     if not pool:
@@ -310,7 +288,7 @@ def fit_random_forest(
     """Bagged CART trees with per-split feature resampling (default ceil(sqrt(d)))."""
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    _check_training_set(features, labels)
+    check_training_set(features, labels)
     n, d = features.shape
     m = default_features_per_split(d) if features_per_split is None else features_per_split
     if not 1 <= m <= d:
@@ -363,7 +341,7 @@ def fit_gradient_boost(
         raise ValueError("learning rate must be positive")
     if n_stages < 0:
         raise ValueError("stage count must be >= 0")
-    _check_training_set(features, labels)
+    check_training_set(features, labels)
     n = features.shape[0]
     del seed  # no subsampling; fits are deterministic
     counts = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
@@ -411,14 +389,20 @@ def predict_boost(model: BoostModel, features: np.ndarray) -> np.ndarray:
 
 
 def export_tree_text(root: TreeNode, feature_names: list[str]) -> str:
-    """DOT digraph of a classification tree; node ids follow preorder."""
+    """DOT digraph of a classification tree of any depth; node ids follow preorder."""
     lines = ["digraph tree {", "  node [shape=box];"]
-    counter = 0
-
-    def emit(node: TreeNode) -> int:
-        nonlocal counter
-        node_id = counter
-        counter += 1
+    # A pending entry is a node with its parent's id, or the edge line from
+    # the parent, pushed under the node's children so it follows the subtree.
+    stack = [(root, None)]
+    node_id = -1
+    while stack:
+        node, parent_id = stack.pop()
+        if isinstance(node, str):
+            lines.append(node)
+            continue
+        node_id += 1
+        if parent_id is not None:
+            stack.append((f"  n{parent_id} -> n{node_id};", None))
         if node.is_leaf:
             cls = CLASS_NAMES[int(np.argmax(node.value))]
             counts = ", ".join(str(int(c)) for c in node.value)
@@ -427,12 +411,6 @@ def export_tree_text(root: TreeNode, feature_names: list[str]) -> str:
             lines.append(
                 f'  n{node_id} [label="{feature_names[node.feature]} <= {node.threshold!r}"];'
             )
-            left_id = emit(node.left)
-            lines.append(f"  n{node_id} -> n{left_id};")
-            right_id = emit(node.right)
-            lines.append(f"  n{node_id} -> n{right_id};")
-        return node_id
-
-    emit(root)
+            stack += [(node.right, node_id), (node.left, node_id)]
     lines.append("}")
     return "\n".join(lines) + "\n"

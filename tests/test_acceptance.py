@@ -26,6 +26,7 @@ from wallfollow.dataset import (
     derive_simplified2,
     derive_simplified4,
     load_dataset,
+    one_hot,
 )
 from wallfollow.rng import XoshiroLanes
 
@@ -199,12 +200,13 @@ def test_c12_gini_bounds():
     ok = True
     for _ in range(300):
         counts = (rng.doubles(4) * 20).astype(np.int64)
-        if counts.sum() == 0:
+        if counts.sum() < 2:
             continue
-        value = tm.gini_impurity(counts)
+        # one node, rows sorted by class: the Gini decrease of every cut
+        gains = tm._gini_gain(one_hot(np.repeat(np.arange(4), counts))[None])[0]
         pure = (counts > 0).sum() == 1
-        ok &= 0.0 <= value <= 0.75 and (value == 0.0) == pure
-    assert report_line(12, f"gini bounds and purity-zero over 300 draws", ok)
+        ok &= -1e-12 <= gains.min() and gains.max() <= 0.75 and (gains.max() == 0.0) == pure
+    assert report_line(12, "gini gain bounds and purity-zero over 300 draws", ok)
 
 
 def test_c12_forest_degenerates_to_tree(synth_d4):

@@ -86,6 +86,7 @@ def test_fetch_downloads_three_files(published_like_dir, tmp_path):
             assert (dest / name).read_bytes() == (published_like_dir / name).read_bytes()
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_fetch_reports_failure(tmp_path, capsys):
@@ -135,6 +136,7 @@ def test_fetch_truncated_transfer_reports_failure(tmp_path, capsys):
                      "--base-url", f"http://127.0.0.1:{server.server_port}")
     finally:
         server.shutdown()
+        server.server_close()
     assert rc == cli.EXIT_DATA
     assert "download failed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -14,6 +14,7 @@ from wallfollow.dataset import (
     Dataset,
     Width,
     calibrate_arc_map,
+    check_training_set,
     derive_simplified2,
     derive_simplified4,
     load_dataset,
@@ -78,6 +79,20 @@ def test_load_unknown_label_token(tmp_path):
 def test_dataset_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(np.array([[np.inf, 1.0]]), np.array([0]), Width.SIMPLIFIED2)
+
+
+@pytest.mark.parametrize("features, labels, match", [
+    pytest.param(np.ones(3), np.zeros(3, dtype=np.int64), "2-D matrix", id="features-1d"),
+    pytest.param(np.ones((3, 2)), np.zeros((3, 1), dtype=np.int64), "vector", id="labels-2d"),
+    pytest.param(np.ones((3, 2)), np.array([0, 1, 4]), r"0\.\.3", id="label-above"),
+    pytest.param(np.ones((3, 2)), np.zeros(4, dtype=np.int64),
+                 "labels has 4 rows but features has 3", id="row-mismatch"),
+])
+def test_check_training_set_names_the_fault(features, labels, match):
+    with pytest.raises(ValueError, match=match):
+        check_training_set(features, labels)
+    with pytest.raises(ValueError, match=match):
+        Dataset(features, labels, Width.SIMPLIFIED2)
 
 
 def test_dataset_width_mismatch():

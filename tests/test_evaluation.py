@@ -36,6 +36,49 @@ def test_model_spec_defaults_and_overrides():
         ev.ModelSpec("knn", Width.SIMPLIFIED2, {"neighbours": 3})
 
 
+# Hyperparameters that keep every fit on 32 rows well under a second.
+_SMALL_HP = {"n_trees": 2, "n_stages": 2, "epochs": 1, "max_passes": 20}
+
+
+def _with(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+# Each malformed training set, made from a valid (x, y), with the message the
+# contract gives it.  A network meets a zero-column set in ``build_preset``.
+_MALFORMED = {
+    "nan-feature": (lambda x, y: (_with(x, (3, 1), np.nan), y), "features contain non-finite"),
+    "label-4": (lambda x, y: (x, _with(y, 0, 4)), r"labels must lie in 0\.\.3"),
+    "label-minus-1": (lambda x, y: (x, _with(y, 0, -1)), r"labels must lie in 0\.\.3"),
+    "one-label-too-few": (lambda x, y: (x, y[:-1]), "labels has 31 rows but features has 32"),
+    "zero-rows": (lambda x, y: (x[:0], y[:0]), "empty"),
+    "zero-columns": (lambda x, y: (x[:, :0], y), "no columns|input_width must be >= 1"),
+}
+
+
+def _contract_set(ds):
+    """32 rows of ``ds``, eight of each class, so that every model can fit them."""
+    rows = np.concatenate([np.flatnonzero(ds.labels == k)[:8] for k in range(4)])
+    return ds.features[rows], ds.labels[rows]
+
+
+def _small_hp(tag):
+    defaults = ev.MODELS[tag].defaults
+    return {**defaults, **{k: v for k, v in _SMALL_HP.items() if k in defaults}}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+@pytest.mark.parametrize("tag", ev.ALL_TAGS)
+def test_every_model_rejects_a_malformed_training_set(synth_d4, tag, case):
+    # the one contract, dataset.check_training_set, applies to all ten fits
+    make, match = _MALFORMED[case]
+    x, y = make(*_contract_set(synth_d4))
+    with pytest.raises(ValueError, match=match):
+        ev.MODELS[tag].fit(x, y, _small_hp(tag), 0)
+
+
 def test_cv_config_validation():
     with pytest.raises(ValueError):
         ev.CVConfig(iterations=0)

@@ -467,6 +467,12 @@ def test_train_rejects_empty():
                          nn.TrainConfig())
 
 
+@pytest.mark.parametrize("name", nn.PRESET_NAMES)
+def test_build_preset_rejects_zero_input_width(name):
+    with pytest.raises(ValueError, match="input_width must be >= 1"):
+        nn.build_preset(name, 0, init_seed=0)
+
+
 def test_train_rejects_batch_size_one_with_batch_norm():
     # every batch would be a singleton that batch norm cannot train on
     features, labels = _toy_clusters()

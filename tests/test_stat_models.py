@@ -99,6 +99,17 @@ def test_gnb_symmetric_boundary_at_zero():
     assert sm.predict_gnb(model, np.array([[-0.3], [0.3]])).tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("fit", [sm.fit_lda, sm.fit_gnb, sm.fit_svm])
+def test_fits_reject_a_label_outside_n_classes(fit):
+    # a two-class fit must not count rows of class 2 as a third class
+    # (GNB's priors) or as negatives (the SVM's one-vs-rest machines)
+    features = np.arange(12.0).reshape(6, 2)
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
+        fit(features, labels, n_classes=2)
+    fit(features[:4], labels[:4], n_classes=2)
+
+
 def test_gnb_argmax_invariant_to_constant_shift(synth_full):
     model = sm.fit_gnb(synth_full.features, synth_full.labels)
     scores = sm.gnb_log_posteriors(model, synth_full.features[:60])

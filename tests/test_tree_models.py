@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wallfollow import serialize, tree_models as tm
-from wallfollow.dataset import one_hot
+from wallfollow.dataset import CLASS_NAMES, one_hot
 from wallfollow.rng import XoshiroLanes, Xoshiro256StarStar
 
 
@@ -19,32 +19,55 @@ def tree_depth(node):
 # gini
 # ---------------------------------------------------------------------------
 
+def _gini(counts) -> float:
+    """Reference Gini impurity 1 - sum(p_i^2) of a nonzero class-count vector."""
+    p = np.asarray(counts, dtype=np.float64) / sum(counts)
+    return float(1.0 - (p * p).sum())
+
+
+def _class_sorted_gains(counts) -> np.ndarray:
+    """``_gini_gain`` of one node whose rows are sorted by class, holding ``counts``."""
+    labels = np.repeat(np.arange(4), counts)
+    return tm._gini_gain(one_hot(labels)[None])[0]
+
+
 def test_gini_pure_node():
-    assert tm.gini_impurity([17, 0, 0, 0]) == 0.0
+    assert _gini([17, 0, 0, 0]) == 0.0
+    assert (_class_sorted_gains([0, 0, 17, 0]) == 0.0).all()
 
 
 def test_gini_uniform_maximum():
-    assert tm.gini_impurity([1, 1, 1, 1]) == 0.75
+    assert _gini([1, 1, 1, 1]) == 0.75
+    # every cut of one row per class leaves children of weighted impurity 0.5
+    assert _class_sorted_gains([1, 1, 1, 1]) == pytest.approx([0.25, 0.25, 0.25], abs=1e-15)
 
 
 def test_gini_direct_evaluation():
     # 1 - ((2/4)^2 + (1/4)^2 + (1/4)^2) = 0.625
-    assert tm.gini_impurity([2, 1, 1, 0]) == pytest.approx(0.625, abs=1e-15)
-
-
-def test_gini_rejects_empty():
-    with pytest.raises(ValueError):
-        tm.gini_impurity([0, 0, 0, 0])
+    assert _gini([2, 1, 1, 0]) == pytest.approx(0.625, abs=1e-15)
+    # cutting [0, 0 | 1, 2] leaves a pure left child and a right child of
+    # impurity 0.5: 0.625 - (2 * 0 + 2 * 0.5) / 4 = 0.375
+    assert _class_sorted_gains([2, 1, 1, 0])[1] == pytest.approx(0.375, abs=1e-15)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=4, max_size=4))
 def test_gini_bounds(counts):
-    if sum(counts) == 0:
+    if sum(counts) < 2:
         return
-    value = tm.gini_impurity(counts)
-    assert 0.0 <= value <= 0.75
+    parent = _gini(counts)
+    assert 0.0 <= parent <= 0.75
+    gains = _class_sorted_gains(counts)
+    assert (gains >= -1e-12).all() and (gains <= parent + 1e-12).all()
     pure = sum(c > 0 for c in counts) == 1
-    assert (value == 0.0) == pure
+    assert (gains.max() == 0.0) == pure
+    # each class boundary, and the first and last cut, against the reference
+    labels = np.repeat(np.arange(4), counts)
+    m = labels.size
+    for cut in {0, m - 2, *(np.cumsum(counts)[:-1] - 1)} - {-1, m - 1}:
+        left = np.bincount(labels[:cut + 1], minlength=4)
+        right = np.bincount(labels[cut + 1:], minlength=4)
+        expected = parent - ((cut + 1) * _gini(left) + (m - cut - 1) * _gini(right)) / m
+        assert gains[cut] == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +77,7 @@ def test_gini_bounds(counts):
 def _exhaustive_best_split(features, labels):
     """Independent oracle: enumerate every midpoint of every feature."""
     n = len(labels)
-    parent = tm.gini_impurity(np.bincount(labels, minlength=4))
+    parent = _gini(np.bincount(labels, minlength=4))
     best = None
     for f in range(features.shape[1]):
         values = sorted(set(features[:, f]))
@@ -64,8 +87,8 @@ def _exhaustive_best_split(features, labels):
             left = np.bincount(labels[mask], minlength=4)
             right = np.bincount(labels[~mask], minlength=4)
             weighted = (
-                mask.sum() * tm.gini_impurity(left)
-                + (~mask).sum() * tm.gini_impurity(right)
+                mask.sum() * _gini(left)
+                + (~mask).sum() * _gini(right)
             ) / n
             decrease = parent - weighted
             if best is None or decrease > best[2] + 1e-15:
@@ -596,6 +619,59 @@ def test_export_references_only_existing_features(synth_d2):
     for line in text.splitlines():
         if "<=" in line:
             assert "X_0" in line or "X_1" in line
+
+
+def _recursive_export(root, feature_names):
+    """The recursive DOT writer that ``export_tree_text`` replaced, as a byte oracle."""
+    lines = ["digraph tree {", "  node [shape=box];"]
+    counter = 0
+
+    def emit(node):
+        nonlocal counter
+        node_id = counter
+        counter += 1
+        if node.is_leaf:
+            cls = CLASS_NAMES[int(np.argmax(node.value))]
+            counts = ", ".join(str(int(c)) for c in node.value)
+            lines.append(f'  n{node_id} [label="{cls}\\ncounts=[{counts}]"];')
+        else:
+            lines.append(
+                f'  n{node_id} [label="{feature_names[node.feature]} <= {node.threshold!r}"];'
+            )
+            left_id = emit(node.left)
+            lines.append(f"  n{node_id} -> n{left_id};")
+            right_id = emit(node.right)
+            lines.append(f"  n{node_id} -> n{right_id};")
+        return node_id
+
+    emit(root)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("width", ["d2", "d4", "full"])
+def test_export_bytes_equal_recursive_writer(width, request):
+    ds = request.getfixturevalue(f"synth_{width}")
+    names = [f"X_{i}" for i in range(ds.d)]
+    for root in (tm.fit_decision_tree(ds.features, ds.labels),
+                 tm.fit_decision_tree(ds.features, ds.labels, tm.TreeParams(max_depth=3)),
+                 tm.TreeNode(value=np.array([0, 5, 0, 0]))):
+        assert tm.export_tree_text(root, names) == _recursive_export(root, names)
+
+
+def test_export_tree_deeper_than_the_recursion_limit():
+    # labels alternate along a rising sensor: every split peels off one row,
+    # so the tree is a chain about as deep as there are rows
+    n = 1200
+    features = np.column_stack([np.arange(n, dtype=np.float64), np.ones(n)])
+    labels = np.arange(n) % 2
+    root = tm.fit_decision_tree(features, labels)
+    with pytest.raises(RecursionError):
+        _recursive_export(root, ["X_0", "X_1"])
+    lines = tm.export_tree_text(root, ["X_0", "X_1"]).splitlines()
+    assert sum("[label=" in line for line in lines) == 2 * n - 1
+    assert sum("->" in line for line in lines) == 2 * n - 2
+    assert lines[-1] == "}"
 
 
 def test_export_node_ids_are_preorder():
