@@ -8,6 +8,7 @@ breaking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,23 +272,41 @@ def smo_solve(
     examples until a full sweep changes nothing, i.e. every example meets
     the KKT conditions within ``tol``; the fallback second-choice scans are
     started at positions drawn from the given seed.
+
+    Scalars are Python floats and the non-bound set is cached.  Past its
+    first 8 candidates a fallback scan runs ``take_step``'s rejection tests
+    on growing blocks with numpy; a block may keep a candidate that
+    ``take_step`` rejects but never drops one it would move, so every step,
+    draw and result equals that of trying each candidate in turn.
     """
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and > 0, got {c!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be >= 1, got {max_passes!r}")
     y = np.asarray(y, dtype=np.float64)
     if not ((y == 1).any() and (y == -1).any()):
         raise ValueError("need at least one example of each sign")
     n = y.shape[0]
     rng = Xoshiro256StarStar(seed)
+    diag = kernel.diagonal()
+    y_list, diag_list = y.tolist(), diag.tolist()
     alpha = np.zeros(n)
     bias = 0.0
-    errors = -y.copy()  # f(x) - y with f = 0 initially
+    errors = -y  # f(x) - y with f = 0 initially
+    inside = np.zeros(n, dtype=bool)  # 0 < alpha < c
+    non_bound: np.ndarray | None = None  # flatnonzero(inside), None while stale
+    all_rows = np.arange(n)
+    row1, row2, gaps = np.empty(n), np.empty(n), np.empty(n)
 
     def take_step(i1: int, i2: int) -> bool:
-        nonlocal bias
+        nonlocal bias, non_bound
         if i1 == i2:
             return False
-        a1_old, a2_old = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        e1, e2 = errors[i1], errors[i2]
+        a1_old, a2_old = alpha.item(i1), alpha.item(i2)
+        y1, y2 = y_list[i1], y_list[i2]
+        e1, e2 = errors.item(i1), errors.item(i2)
         s = y1 * y2
         if s > 0:
             low, high = max(0.0, a1_old + a2_old - c), min(c, a1_old + a2_old)
@@ -295,7 +314,7 @@ def smo_solve(
             low, high = max(0.0, a2_old - a1_old), min(c, c + a2_old - a1_old)
         if low == high:
             return False
-        k11, k12, k22 = kernel[i1, i1], kernel[i1, i2], kernel[i2, i2]
+        k11, k12, k22 = diag_list[i1], kernel.item(i1, i2), diag_list[i2]
         eta = k11 + k22 - 2.0 * k12
         if eta > 0:
             a2 = a2_old + y2 * (e1 - e2) / eta
@@ -333,31 +352,67 @@ def smo_solve(
             new_bias = b2
         else:
             new_bias = (b1 + b2) / 2.0
-        errors[:] += d1 * kernel[i1] + d2 * kernel[i2] + (new_bias - bias)
+        # errors += (d1 * kernel[i1] + d2 * kernel[i2]) + (new_bias - bias)
+        np.multiply(kernel[i1], d1, out=row1)
+        np.multiply(kernel[i2], d2, out=row2)
+        np.add(row1, row2, out=row1)
+        np.add(row1, new_bias - bias, out=row1)
+        np.add(errors, row1, out=errors)
         alpha[i1], alpha[i2] = a1, a2
         bias = new_bias
+        if (0.0 < a1 < c) != (0.0 < a1_old < c) or (0.0 < a2 < c) != (0.0 < a2_old < c):
+            inside[i1], inside[i2] = 0.0 < a1 < c, 0.0 < a2 < c
+            non_bound = None
         return True
 
+    def kept(cands: np.ndarray, i2: int) -> np.ndarray:
+        """Mask of the ``cands`` that ``take_step(i1, i2)`` may move: all with
+        ``eta <= 0``, and exactly those it moves among the rest."""
+        a2_old, y2, e2, k22 = alpha.item(i2), y_list[i2], errors.item(i2), diag_list[i2]
+        a1_old = alpha[cands]
+        same_sign = y[cands] * y2 > 0
+        low = np.where(same_sign, np.maximum(a1_old + a2_old - c, 0.0),
+                       np.maximum(a2_old - a1_old, 0.0))
+        high = np.where(same_sign, np.minimum(a1_old + a2_old, c),
+                        np.minimum(c + a2_old - a1_old, c))
+        eta = diag[cands] + k22 - 2.0 * kernel[cands, i2]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a2 = np.minimum(np.maximum(a2_old + y2 * (errors[cands] - e2) / eta, low), high)
+            stuck = np.abs(a2 - a2_old) < 1e-12 * (a2 + a2_old + 1e-12)
+        return (cands != i2) & (low != high) & ~((eta > 0) & stuck)
+
+    def scan(pool: np.ndarray, i2: int) -> bool:
+        """Try ``take_step(pool[(offset + j) % m], i2)`` for j = 0, 1, ... until one moves."""
+        m = pool.size
+        offset = rng.below(m)
+        for j in range(min(m, 8)):
+            if take_step(pool.item((offset + j) % m), i2):
+                return True
+        rotated = np.concatenate((pool[offset:], pool[:offset]))
+        start, width = 8, 32
+        while start < m:
+            block = rotated[start:start + width]
+            for i1 in block[kept(block, i2)].tolist():
+                if take_step(i1, i2):
+                    return True
+            start, width = start + width, 4 * width
+        return False
+
     def examine(i2: int) -> bool:
-        y2, a2, e2 = y[i2], alpha[i2], errors[i2]
+        nonlocal non_bound
+        y2, a2, e2 = y_list[i2], alpha.item(i2), errors.item(i2)
         r2 = e2 * y2
         if not ((r2 < -tol and a2 < c) or (r2 > tol and a2 > 0)):
             return False
-        non_bound = np.nonzero((alpha > 0) & (alpha < c))[0]
-        if non_bound.size > 1:
-            i1 = int(non_bound[np.argmax(np.abs(errors[non_bound] - e2))])
-            if take_step(i1, i2):
+        if non_bound is None:
+            non_bound = np.flatnonzero(inside)
+        m = non_bound.size
+        if m > 1:
+            gap = errors.take(non_bound, out=gaps[:m])
+            np.abs(np.subtract(gap, e2, out=gap), out=gap)
+            if take_step(non_bound.item(gap.argmax()), i2):
                 return True
-        if non_bound.size:
-            offset = rng.below(non_bound.size)
-            for j in range(non_bound.size):
-                if take_step(int(non_bound[(offset + j) % non_bound.size]), i2):
-                    return True
-        offset = rng.below(n)
-        for j in range(n):
-            if take_step((offset + j) % n, i2):
-                return True
-        return False
+        return (m > 0 and scan(non_bound, i2)) or scan(all_rows, i2)
 
     converged = False
     examine_all = True
@@ -368,8 +423,8 @@ def smo_solve(
             for i in range(n):
                 changed += examine(i)
         else:
-            for i in np.nonzero((alpha > 0) & (alpha < c))[0]:
-                changed += examine(int(i))
+            for i in np.flatnonzero(inside).tolist():
+                changed += examine(i)
         passes += 1
         if examine_all:
             if changed == 0:
@@ -412,6 +467,8 @@ def fit_svm(
     Non-convergence is recorded on the machine, not raised.
     """
     _check_classes_present(features, labels, n_classes)
+    if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be None or finite and > 0, got {gamma!r}")
     if gamma is None:
         gamma = scale_gamma(features)
     kernel = rbf_kernel_symmetric(features, gamma)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wallfollow import stat_models as sm
-from wallfollow.rng import XoshiroLanes
+from wallfollow.rng import Xoshiro256StarStar, XoshiroLanes
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +261,226 @@ def test_smo_pass_budget_flags_unconverged():
 def test_smo_requires_both_signs():
     with pytest.raises(ValueError, match="each sign"):
         sm.smo_solve(np.ones(5), np.eye(5), c=1.0)
+
+
+# ---------------------------------------------------------------------------
+# SMO against the plain per-candidate loop, bit for bit
+# ---------------------------------------------------------------------------
+
+# The solver before its fallback scans were block-tested, kept verbatim: the
+# one under test must take the same steps, draw the same offsets and return
+# the same bits.
+def _reference_smo_solve(
+    y: np.ndarray,
+    kernel: np.ndarray,
+    c: float = 1.0,
+    tol: float = 1e-3,
+    max_passes: int = 2000,
+    seed: int = 0,
+) -> sm.SMOResult:
+    """Solve the binary SVM dual by SMO (Platt-style pair selection).
+
+    ``y`` holds labels in {-1, +1} and ``kernel`` the full Gram matrix.
+    The outer loop alternates sweeps over all examples and over non-bound
+    examples until a full sweep changes nothing, i.e. every example meets
+    the KKT conditions within ``tol``; the fallback second-choice scans are
+    started at positions drawn from the given seed.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if not ((y == 1).any() and (y == -1).any()):
+        raise ValueError("need at least one example of each sign")
+    n = y.shape[0]
+    rng = Xoshiro256StarStar(seed)
+    alpha = np.zeros(n)
+    bias = 0.0
+    errors = -y.copy()  # f(x) - y with f = 0 initially
+
+    def take_step(i1: int, i2: int) -> bool:
+        nonlocal bias
+        if i1 == i2:
+            return False
+        a1_old, a2_old = alpha[i1], alpha[i2]
+        y1, y2 = y[i1], y[i2]
+        e1, e2 = errors[i1], errors[i2]
+        s = y1 * y2
+        if s > 0:
+            low, high = max(0.0, a1_old + a2_old - c), min(c, a1_old + a2_old)
+        else:
+            low, high = max(0.0, a2_old - a1_old), min(c, c + a2_old - a1_old)
+        if low == high:
+            return False
+        k11, k12, k22 = kernel[i1, i1], kernel[i1, i2], kernel[i2, i2]
+        eta = k11 + k22 - 2.0 * k12
+        if eta > 0:
+            a2 = a2_old + y2 * (e1 - e2) / eta
+            a2 = min(max(a2, low), high)
+        else:
+            # degenerate curvature: evaluate the dual objective at both ends
+            f1 = y1 * (e1 + bias) - a1_old * k11 - s * a2_old * k12
+            f2 = y2 * (e2 + bias) - s * a1_old * k12 - a2_old * k22
+            l1 = a1_old + s * (a2_old - low)
+            h1 = a1_old + s * (a2_old - high)
+            obj_low = (
+                l1 * f1 + low * f2 + 0.5 * l1 * l1 * k11 + 0.5 * low * low * k22
+                + s * low * l1 * k12
+            )
+            obj_high = (
+                h1 * f1 + high * f2 + 0.5 * h1 * h1 * k11 + 0.5 * high * high * k22
+                + s * high * h1 * k12
+            )
+            if obj_low < obj_high - 1e-12:
+                a2 = low
+            elif obj_low > obj_high + 1e-12:
+                a2 = high
+            else:
+                return False
+        if abs(a2 - a2_old) < 1e-12 * (a2 + a2_old + 1e-12):
+            return False
+        a1 = a1_old + s * (a2_old - a2)
+        a1 = min(max(a1, 0.0), c)
+        d1, d2 = y1 * (a1 - a1_old), y2 * (a2 - a2_old)
+        b1 = bias - e1 - d1 * k11 - d2 * k12
+        b2 = bias - e2 - d1 * k12 - d2 * k22
+        if 0.0 < a1 < c:
+            new_bias = b1
+        elif 0.0 < a2 < c:
+            new_bias = b2
+        else:
+            new_bias = (b1 + b2) / 2.0
+        errors[:] += d1 * kernel[i1] + d2 * kernel[i2] + (new_bias - bias)
+        alpha[i1], alpha[i2] = a1, a2
+        bias = new_bias
+        return True
+
+    def examine(i2: int) -> bool:
+        y2, a2, e2 = y[i2], alpha[i2], errors[i2]
+        r2 = e2 * y2
+        if not ((r2 < -tol and a2 < c) or (r2 > tol and a2 > 0)):
+            return False
+        non_bound = np.nonzero((alpha > 0) & (alpha < c))[0]
+        if non_bound.size > 1:
+            i1 = int(non_bound[np.argmax(np.abs(errors[non_bound] - e2))])
+            if take_step(i1, i2):
+                return True
+        if non_bound.size:
+            offset = rng.below(non_bound.size)
+            for j in range(non_bound.size):
+                if take_step(int(non_bound[(offset + j) % non_bound.size]), i2):
+                    return True
+        offset = rng.below(n)
+        for j in range(n):
+            if take_step((offset + j) % n, i2):
+                return True
+        return False
+
+    converged = False
+    examine_all = True
+    passes = 0
+    while passes < max_passes:
+        changed = 0
+        if examine_all:
+            for i in range(n):
+                changed += examine(i)
+        else:
+            for i in np.nonzero((alpha > 0) & (alpha < c))[0]:
+                changed += examine(int(i))
+        passes += 1
+        if examine_all:
+            if changed == 0:
+                converged = True
+                break
+            examine_all = False
+        elif changed == 0:
+            examine_all = True
+    return sm.SMOResult(alpha=alpha, bias=bias, converged=converged, passes=passes)
+
+
+def _assert_smo_bitwise_equal(y, kernel, c, tol, max_passes, seed):
+    got = sm.smo_solve(y, kernel, c, tol, max_passes, seed)
+    want = _reference_smo_solve(y, kernel, c, tol, max_passes, seed)
+    assert got.alpha.tobytes() == want.alpha.tobytes()
+    assert got.bias == want.bias
+    assert (got.passes, got.converged) == (want.passes, want.converged)
+
+
+@pytest.mark.parametrize("fixture", ("synth_full", "synth_d4", "synth_d2"))
+def test_smo_bitwise_equal_to_reference_one_vs_rest(fixture, request):
+    ds = request.getfixturevalue(fixture)
+    x, labels = ds.features[:200], ds.labels[:200]
+    kernel = sm.rbf_kernel_symmetric(x, sm.scale_gamma(x))
+    for k in range(4):
+        _assert_smo_bitwise_equal(np.where(labels == k, 1.0, -1.0), kernel, 1.0, 1e-3, 2000, 7 + k)
+
+
+@pytest.mark.parametrize("c, tol, max_passes", [
+    (0.1, 1e-3, 2000), (1000.0, 1e-3, 2000), (1.0, 0.0, 2000), (1.0, 1e-2, 2000),
+    (1.0, 1e-3, 1),
+])
+def test_smo_bitwise_equal_to_reference_hyperparameters(synth_d4, c, tol, max_passes):
+    x, labels = synth_d4.features[:120], synth_d4.labels[:120]
+    kernel = sm.rbf_kernel_symmetric(x, sm.scale_gamma(x))
+    _assert_smo_bitwise_equal(np.where(labels == 1, 1.0, -1.0), kernel, c, tol, max_passes, 3)
+
+
+def test_smo_bitwise_equal_to_reference_all_ones_gram():
+    # every pair has eta == 0, so every step goes through the dual-objective branch
+    y = np.where(XoshiroLanes(4).doubles(50) > 0.5, 1.0, -1.0)
+    _assert_smo_bitwise_equal(y, np.ones((50, 50)), 1.0, 1e-3, 2000, 1)
+
+
+@pytest.mark.parametrize("c", (1.0, 100.0))
+def test_smo_bitwise_equal_to_reference_duplicate_rows(c):
+    # 60 rows on a 3 x 3 grid, so duplicate rows give eta == 0 pairs.  At
+    # c = 100 with seeds 1 and 2, some of those pairs move from inside the
+    # block-tested part of a fallback scan.
+    rng = XoshiroLanes(4)
+    features = np.floor(3.0 * rng.doubles((60, 2)))
+    y = np.where(rng.doubles(60) > 0.5, 1.0, -1.0)
+    kernel = sm.rbf_kernel_symmetric(features, 0.1)
+    for seed in range(3):
+        _assert_smo_bitwise_equal(y, kernel, c, 1e-3, 2000, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=120),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([0.01, 0.3, 1.0, 10.0, 1000.0]),
+    st.sampled_from([0.0, 1e-3, 1e-2, 0.5]),
+    st.sampled_from([1, 3, 40]),  # tol 0 can cycle through all 2000 passes
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_smo_bitwise_equal_to_reference_property(n, levels, d, c, tol, max_passes, seed):
+    # integer grids with few levels repeat rows often, so eta == 0 pairs are common
+    rng = XoshiroLanes(seed)
+    features = np.floor(levels * rng.doubles((n, d)))
+    y = np.where(rng.doubles(n) > 0.5, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    kernel = sm.rbf_kernel_symmetric(features, 0.1 + rng.doubles(1)[0])
+    _assert_smo_bitwise_equal(y, kernel, c, tol, max_passes, seed)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"c": 0.0}, "c"), ({"c": -1.0}, "c"), ({"c": math.nan}, "c"), ({"c": math.inf}, "c"),
+    ({"tol": -1e-3}, "tol"), ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
+    ({"max_passes": 0}, "max_passes"),
+])
+def test_smo_rejects_misused_hyperparameters(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        sm.smo_solve(np.array([1.0, -1.0]), np.eye(2), **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"c": 0.0}, "c"), ({"c": -1.0}, "c"), ({"c": math.nan}, "c"),
+    ({"gamma": 0.0}, "gamma"), ({"gamma": -1.0}, "gamma"), ({"gamma": math.nan}, "gamma"),
+    ({"gamma": math.inf}, "gamma"),
+])
+def test_fit_svm_rejects_misused_hyperparameters(synth_d4, kwargs, name):
+    # unchecked, c <= 0 and gamma == 0 fit all-zero machines flagged converged,
+    # and gamma < 0 fits biases of order 1e10
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        sm.fit_svm(synth_d4.features[:160], synth_d4.labels[:160], **kwargs)
 
 
 def test_rbf_kernel_symmetric_unit_diagonal():
