@@ -142,10 +142,6 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class SplitPair:
@@ -160,8 +156,7 @@ class StandardizationStats:
     """Training-fold feature means and (floored) standard deviations."""
 
     mean: np.ndarray
-    std: np.ndarray  # already floored at eps
-    eps: float = STD_FLOOR
+    std: np.ndarray  # already floored at STD_FLOOR
 
 
 def load_dataset(path, width: Width) -> Dataset:

@@ -212,6 +212,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -281,8 +283,6 @@ class AdadeltaState:
     """
 
     shapes: list
-    rho: float = ADADELTA_RHO
-    eps: float = ADADELTA_EPS
 
     def __post_init__(self):
         size = sum(math.prod(s) for s in self.shapes)
@@ -295,10 +295,10 @@ class AdadeltaState:
         Elementwise, so the result is bit-identical to updating each
         parameter on its own.
         """
-        rho = self.rho
+        rho, eps = ADADELTA_RHO, ADADELTA_EPS
         self.grad_sq *= rho
         self.grad_sq += (1 - rho) * g * g
-        delta = -np.sqrt(self.delta_sq + self.eps) / np.sqrt(self.grad_sq + self.eps) * g
+        delta = -np.sqrt(self.delta_sq + eps) / np.sqrt(self.grad_sq + eps) * g
         self.delta_sq *= rho
         self.delta_sq += (1 - rho) * delta * delta
         return delta

@@ -115,23 +115,22 @@ class XoshiroLanes:
     requested; the unread remainder of the final step is discarded.
     """
 
-    def __init__(self, seed: int, lanes: int = LANES):
-        words = splitmix64_stream(seed, 4 * lanes)
-        state = np.array(words, dtype=np.uint64).reshape(lanes, 4).T.copy()
+    def __init__(self, seed: int):
+        words = splitmix64_stream(seed, 4 * LANES)
+        state = np.array(words, dtype=np.uint64).reshape(LANES, 4).T.copy()
         dead = ~state.any(axis=0)
         if dead.any():
             state[0, dead] = np.uint64(GOLDEN)
-        self._s = state  # shape (4, lanes), stepped in place
-        self._w = np.empty((2, lanes), dtype=np.uint64)  # per-step scratch
-        self.lanes = lanes
+        self._s = state  # shape (4, LANES), stepped in place
+        self._w = np.empty((2, LANES), dtype=np.uint64)  # per-step scratch
 
     def u64(self, count: int) -> np.ndarray:
         """The next ``count`` raw outputs, step-major across the lanes.
 
         The unread rest of the last step is discarded.
         """
-        blocks = -(-count // self.lanes)
-        out = np.empty((blocks, self.lanes), dtype=np.uint64)
+        blocks = -(-count // LANES)
+        out = np.empty((blocks, LANES), dtype=np.uint64)
         st, w = self._s, self._w
         s1, s3 = st[1], st[3]
         s01, s23, s10, s13 = st[:2], st[2:], st[1::-1], st[1::2]

@@ -20,14 +20,12 @@ LDA_RIDGE = 1e-8
 GNB_SMOOTHING = 1e-9
 
 
-def _check_classes_present(features: np.ndarray, labels: np.ndarray, n_classes: int,
+def _check_classes_present(features: np.ndarray, labels: np.ndarray,
                            min_rows: int = 1) -> np.ndarray:
-    """Per-class row counts of a valid training set whose labels are all in ``0..n_classes-1``."""
+    """Per-class row counts of a valid training set that holds every class."""
     check_training_set(features, labels)
-    if labels.max() >= n_classes:
-        raise ValueError(f"labels must lie in 0..{n_classes - 1}")
-    counts = np.bincount(labels, minlength=n_classes)
-    for k in range(n_classes):
+    counts = np.bincount(labels, minlength=N_CLASSES)
+    for k in range(N_CLASSES):
         if counts[k] == 0:
             raise ValueError(f"class {k} absent from training data")
         if counts[k] < min_rows:
@@ -48,21 +46,21 @@ class LDAModel:
     intercept: np.ndarray  # (K,)
 
 
-def fit_lda(features: np.ndarray, labels: np.ndarray, n_classes: int = N_CLASSES) -> LDAModel:
+def fit_lda(features: np.ndarray, labels: np.ndarray) -> LDAModel:
     """Pooled-covariance LDA with a small ridge before factorization.
 
     The discriminant is delta_k(x) = x' S^-1 mu_k - mu_k' S^-1 mu_k / 2 + log pi_k
     with S the pooled within-class covariance over n - K degrees of freedom,
     regularized by (1e-8 * trace(S) / d) I.
     """
-    counts = _check_classes_present(features, labels, n_classes, min_rows=2)
+    counts = _check_classes_present(features, labels, min_rows=2)
     n, d = features.shape
-    means = np.stack([features[labels == k].mean(axis=0) for k in range(n_classes)])
+    means = np.stack([features[labels == k].mean(axis=0) for k in range(N_CLASSES)])
     pooled = np.zeros((d, d))
-    for k in range(n_classes):
+    for k in range(N_CLASSES):
         centered = features[labels == k] - means[k]
         pooled += centered.T @ centered
-    pooled /= n - n_classes
+    pooled /= n - N_CLASSES
     ridge = LDA_RIDGE * np.trace(pooled) / d
     pooled = pooled + ridge * np.eye(d)
     try:
@@ -97,14 +95,14 @@ class GNBModel:
     smoothing: float
 
 
-def fit_gnb(features: np.ndarray, labels: np.ndarray, n_classes: int = N_CLASSES) -> GNBModel:
+def fit_gnb(features: np.ndarray, labels: np.ndarray) -> GNBModel:
     """Per-class Gaussian fit; variances smoothed by 1e-9 * max feature variance."""
-    counts = _check_classes_present(features, labels, n_classes)
+    counts = _check_classes_present(features, labels)
     n = features.shape[0]
     smoothing = GNB_SMOOTHING * float(features.var(axis=0).max())
-    means = np.stack([features[labels == k].mean(axis=0) for k in range(n_classes)])
+    means = np.stack([features[labels == k].mean(axis=0) for k in range(N_CLASSES)])
     variances = np.stack(
-        [features[labels == k].var(axis=0) + smoothing for k in range(n_classes)]
+        [features[labels == k].var(axis=0) + smoothing for k in range(N_CLASSES)]
     )
     return GNBModel(priors=counts / n, means=means, variances=variances, smoothing=smoothing)
 
@@ -185,8 +183,8 @@ class KNNModel:
 
 def fit_knn(features: np.ndarray, labels: np.ndarray, k: int = 5) -> KNNModel:
     check_training_set(features, labels)
-    if not 1 <= k <= features.shape[0]:
-        raise ValueError("k must be in 1..n_train")
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= features.shape[0]):
+        raise ValueError(f"k must be an integer in 1..n_train, got {k!r}")
     return KNNModel(train_features=features, train_labels=labels, k=k)
 
 
@@ -459,21 +457,20 @@ def fit_svm(
     tol: float = 1e-3,
     max_passes: int = 2000,
     seed: int = 0,
-    n_classes: int = N_CLASSES,
 ) -> SVMModel:
     """One RBF binary machine per class (one-vs-rest), trained by SMO.
 
     The Gram matrix is computed once and shared by the four solvers.
     Non-convergence is recorded on the machine, not raised.
     """
-    _check_classes_present(features, labels, n_classes)
+    _check_classes_present(features, labels)
     if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be None or finite and > 0, got {gamma!r}")
     if gamma is None:
         gamma = scale_gamma(features)
     kernel = rbf_kernel_symmetric(features, gamma)
     machines = []
-    for k in range(n_classes):
+    for k in range(N_CLASSES):
         yk = np.where(labels == k, 1.0, -1.0)
         result = smo_solve(yk, kernel, c, tol, max_passes, derive_seed(seed, k))
         support = np.nonzero(result.alpha > 0)[0]

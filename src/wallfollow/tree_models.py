@@ -25,6 +25,7 @@ trees are bit-identical to ones grown with a sort at every node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,8 +338,8 @@ def fit_gradient_boost(
     the stage, then sets each leaf by the one-step Newton estimate
     ``(K-1)/K * sum(r) / sum(p (1 - p))``.
     """
-    if learning_rate <= 0:
-        raise ValueError("learning rate must be positive")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
     if n_stages < 0:
         raise ValueError("stage count must be >= 0")
     check_training_set(features, labels)

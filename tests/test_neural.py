@@ -223,12 +223,6 @@ def test_adadelta_first_step_scalar_formula():
     assert delta == pytest.approx(expected, abs=1e-15)
 
 
-def test_adadelta_defaults():
-    state = nn.AdadeltaState(shapes=[(1,)])
-    assert state.rho == 0.95
-    assert state.eps == 1e-6
-
-
 def _reference_adadelta_step(acc_grad, acc_delta, gradients, rho=0.95, eps=1e-6):
     """The original per-parameter Adadelta loop, updating the lists in place."""
     deltas = []
@@ -493,6 +487,10 @@ def test_train_config_validation():
         nn.TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         nn.TrainConfig(dropout=1.0)
+    # a negative count used to train nothing and return the initial weights
+    with pytest.raises(ValueError, match="^epochs must"):
+        nn.TrainConfig(epochs=-3)
+    assert nn.TrainConfig(epochs=0).epochs == 0
 
 
 def _reference_train(model, features, labels, config, log=None):

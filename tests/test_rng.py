@@ -67,10 +67,10 @@ def test_sample_indices_distinct():
 def test_lanes_match_scalar_generators():
     # lane l of the bank must replay a scalar generator seeded with the same
     # splitmix64 quadruple
-    lanes = XoshiroLanes(12345, lanes=8)
-    words = splitmix64_stream(12345, 32)
-    blocks = lanes.u64(5 * 8).reshape(5, 8)
-    for lane in range(8):
+    lanes = XoshiroLanes(12345)
+    words = splitmix64_stream(12345, 4 * LANES)
+    blocks = lanes.u64(5 * LANES).reshape(5, LANES)
+    for lane in range(LANES):
         scalar = Xoshiro256StarStar.__new__(Xoshiro256StarStar)
         scalar._s = words[4 * lane: 4 * lane + 4]
         expected = [scalar.next_u64() for _ in range(5)]
@@ -85,7 +85,12 @@ def test_lanes_doubles_shape_and_range():
 
 
 def test_lanes_default_width_is_frozen():
-    assert XoshiroLanes(0).lanes == LANES == 512
+    # a one-value draw reads step 0 of lane 0 and discards the rest of the
+    # step, so the next draw is step 1 of lane 0, 512 values further on
+    assert LANES == 512
+    a, b = XoshiroLanes(0), XoshiroLanes(0)
+    pair = np.concatenate([a.u64(1), a.u64(1)])
+    assert np.array_equal(pair, b.u64(513)[[0, 512]])
 
 
 def test_lanes_permutation():
@@ -94,11 +99,11 @@ def test_lanes_permutation():
 
 
 def test_lanes_determinism_across_chunking():
-    # consuming 100 then 100 equals consuming 200 when block-aligned
-    a = XoshiroLanes(77, lanes=100)
-    b = XoshiroLanes(77, lanes=100)
-    first = np.concatenate([a.u64(100), a.u64(100)])
-    assert np.array_equal(first, b.u64(200))
+    # consuming LANES then LANES equals consuming 2 * LANES when block-aligned
+    a = XoshiroLanes(77)
+    b = XoshiroLanes(77)
+    first = np.concatenate([a.u64(LANES), a.u64(LANES)])
+    assert np.array_equal(first, b.u64(2 * LANES))
 
 
 def _reference_lane_u64(state: np.ndarray, count: int) -> np.ndarray:

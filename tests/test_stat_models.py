@@ -13,35 +13,48 @@ from wallfollow.rng import Xoshiro256StarStar, XoshiroLanes
 # ---------------------------------------------------------------------------
 
 def test_lda_hand_computed_two_class():
-    # Two classes of three 2-D points each.  Worked with exact fractions:
-    # means (1/3, 1/3) and (7/3, 4/3); pooled covariance
-    # [[1/3, -1/6], [-1/6, 1/3]] whose inverse is [[4, 2], [2, 4]], so the
-    # discriminant coefficients are (2, 2) and (12, 10), with intercepts
-    # -2/3 + log(1/2) and -62/3 + log(1/2).
-    features = np.array([
+    # Two classes of three 2-D points each, and the same six points shifted
+    # by (+10, 0) as classes 2 and 3.  Worked with exact fractions: means
+    # (1/3, 1/3), (7/3, 4/3), (31/3, 1/3) and (37/3, 4/3).  The shift doubles
+    # both the scatter and n - K, so the pooled covariance is
+    # [[1/3, -1/6], [-1/6, 1/3]] whose inverse is [[4, 2], [2, 4]].  The
+    # discriminant coefficients are (2, 2), (12, 10), (42, 22) and (52, 30),
+    # with intercepts -2/3, -62/3, -662/3 and -1022/3, each plus log(1/4).
+    pair = np.array([
         [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
         [2.0, 1.0], [3.0, 1.0], [2.0, 2.0],
     ])
-    labels = np.array([0, 0, 0, 1, 1, 1])
-    model = sm.fit_lda(features, labels, n_classes=2)
+    features = np.vstack([pair, pair + [10.0, 0.0]])
+    labels = np.repeat(np.arange(4), 3)
+    model = sm.fit_lda(features, labels)
     assert model.coef[0] == pytest.approx([2.0, 2.0], abs=1e-6)
     assert model.coef[1] == pytest.approx([12.0, 10.0], abs=1e-6)
-    assert model.intercept[0] == pytest.approx(-2.0 / 3.0 + math.log(0.5), abs=1e-6)
-    assert model.intercept[1] == pytest.approx(-62.0 / 3.0 + math.log(0.5), abs=1e-6)
+    assert model.intercept[0] == pytest.approx(-2.0 / 3.0 + math.log(0.25), abs=1e-6)
+    assert model.intercept[1] == pytest.approx(-62.0 / 3.0 + math.log(0.25), abs=1e-6)
+    # the ridge of trace(S) / d * 1e-8 moves these larger terms by up to ~1e-6
+    assert model.coef[2] == pytest.approx([42.0, 22.0], rel=1e-7)
+    assert model.coef[3] == pytest.approx([52.0, 30.0], rel=1e-7)
+    assert model.intercept[2] == pytest.approx(-662.0 / 3.0 + math.log(0.25), rel=1e-7)
+    assert model.intercept[3] == pytest.approx(-1022.0 / 3.0 + math.log(0.25), rel=1e-7)
 
 
 def test_lda_midpoint_scores_equal_under_symmetry():
     # spherical within-class scatter, means +/- mu, equal priors: the
-    # midpoint must score identically for both classes
+    # midpoint must score identically for both classes; classes 2 and 3 are
+    # the same pair shifted far away by (+10, 0)
     mu = np.array([1.0, 0.5])
+    shift = np.array([10.0, 0.0])
     offsets = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    features = np.vstack([mu + offsets, -mu + offsets])
-    labels = np.array([0] * 4 + [1] * 4)
-    model = sm.fit_lda(features, labels, n_classes=2)
+    pair = np.vstack([mu + offsets, -mu + offsets])
+    features = np.vstack([pair, pair + shift])
+    labels = np.repeat(np.arange(4), 4)
+    model = sm.fit_lda(features, labels)
     scores = sm.lda_decision_scores(model, np.zeros((1, 2)))
     assert scores[0, 0] == pytest.approx(scores[0, 1], abs=1e-9)
-    far = sm.predict_lda(model, np.array([mu * 2.0, -mu * 2.0]))
-    assert far.tolist() == [0, 1]
+    assert scores[0, :2].min() > scores[0, 2:].max()
+    far = sm.predict_lda(model, np.array([mu * 2.0, -mu * 2.0,
+                                          shift + mu * 2.0, shift - mu * 2.0]))
+    assert far.tolist() == [0, 1, 2, 3]
 
 
 def test_lda_incremental_equals_direct(synth_full):
@@ -54,11 +67,12 @@ def test_lda_incremental_equals_direct(synth_full):
             assert abs(direct - batch[i, k]) <= 1e-9 * max(1.0, abs(direct))
 
 
-def test_lda_requires_every_class():
-    features = np.ones((8, 3))
+@pytest.mark.parametrize("fit", [sm.fit_lda, sm.fit_gnb, sm.fit_svm])
+def test_fits_require_every_class(fit):
+    features = np.arange(24.0).reshape(8, 3)
     labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])  # class 3 missing
     with pytest.raises(ValueError, match="class 3 absent"):
-        sm.fit_lda(features, labels)
+        fit(features, labels)
 
 
 def test_lda_requires_two_rows_per_class():
@@ -74,16 +88,19 @@ def test_lda_requires_two_rows_per_class():
 
 def test_gnb_hand_computed_1d():
     # class 0: {-1, -3} -> mean -2, var 1; class 1: {1, 3} -> mean 2, var 1;
-    # smoothing 1e-9 * var({-1,-3,1,3}) = 5e-9 added to both variances
-    features = np.array([[-1.0], [-3.0], [1.0], [3.0]])
-    labels = np.array([0, 0, 1, 1])
-    model = sm.fit_gnb(features, labels, n_classes=2)
-    assert model.smoothing == pytest.approx(5e-9)
-    var = 1.0 + 5e-9
+    # classes 2 and 3 are the same points shifted by +10 (means 8 and 12).
+    # The eight points have mean 5 and squared deviations summing to 240, so
+    # smoothing 1e-9 * 240 / 8 = 3e-8 is added to every variance
+    pair = np.array([[-1.0], [-3.0], [1.0], [3.0]])
+    features = np.vstack([pair, pair + 10.0])
+    labels = np.repeat(np.arange(4), 2)
+    model = sm.fit_gnb(features, labels)
+    assert model.smoothing == pytest.approx(3e-8)
+    var = 1.0 + 3e-8
     query = np.array([[0.5]])
     scores = sm.gnb_log_posteriors(model, query)
-    for k, mean in ((0, -2.0), (1, 2.0)):
-        expected = math.log(0.5) - 0.5 * (
+    for k, mean in ((0, -2.0), (1, 2.0), (2, 8.0), (3, 12.0)):
+        expected = math.log(0.25) - 0.5 * (
             math.log(2 * math.pi * var) + (0.5 - mean) ** 2 / var
         )
         assert scores[0, k] == pytest.approx(expected, abs=1e-12)
@@ -91,23 +108,16 @@ def test_gnb_hand_computed_1d():
 
 
 def test_gnb_symmetric_boundary_at_zero():
-    features = np.array([[-1.0], [-2.0], [1.0], [2.0]])
-    labels = np.array([0, 0, 1, 1])
-    model = sm.fit_gnb(features, labels, n_classes=2)
-    scores = sm.gnb_log_posteriors(model, np.array([[0.0]]))
+    # classes 2 and 3 are the same pair shifted by +10, with its boundary at 10
+    pair = np.array([[-1.0], [-2.0], [1.0], [2.0]])
+    features = np.vstack([pair, pair + 10.0])
+    labels = np.repeat(np.arange(4), 2)
+    model = sm.fit_gnb(features, labels)
+    scores = sm.gnb_log_posteriors(model, np.array([[0.0], [10.0]]))
     assert scores[0, 0] == pytest.approx(scores[0, 1], abs=1e-12)
-    assert sm.predict_gnb(model, np.array([[-0.3], [0.3]])).tolist() == [0, 1]
-
-
-@pytest.mark.parametrize("fit", [sm.fit_lda, sm.fit_gnb, sm.fit_svm])
-def test_fits_reject_a_label_outside_n_classes(fit):
-    # a two-class fit must not count rows of class 2 as a third class
-    # (GNB's priors) or as negatives (the SVM's one-vs-rest machines)
-    features = np.arange(12.0).reshape(6, 2)
-    labels = np.array([0, 0, 1, 1, 2, 2])
-    with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
-        fit(features, labels, n_classes=2)
-    fit(features[:4], labels[:4], n_classes=2)
+    assert scores[1, 2] == pytest.approx(scores[1, 3], abs=1e-12)
+    queries = np.array([[-0.3], [0.3], [9.7], [10.3]])
+    assert sm.predict_gnb(model, queries).tolist() == [0, 1, 2, 3]
 
 
 def test_gnb_argmax_invariant_to_constant_shift(synth_full):
@@ -116,11 +126,6 @@ def test_gnb_argmax_invariant_to_constant_shift(synth_full):
     base = scores.argmax(axis=1)
     shifted = (scores + 123.456).argmax(axis=1)
     assert np.array_equal(base, shifted)
-
-
-def test_gnb_requires_every_class():
-    with pytest.raises(ValueError, match="absent"):
-        sm.fit_gnb(np.ones((4, 2)), np.array([0, 1, 2, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,10 @@ def test_knn_k_bounds():
         sm.fit_knn(np.ones((3, 2)), np.zeros(3, dtype=np.int64), k=4)
     with pytest.raises(ValueError):
         sm.fit_knn(np.ones((3, 2)), np.zeros(3, dtype=np.int64), k=0)
+    # a fractional k used to fit and then fail in predict on a slice index
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        sm.fit_knn(np.ones((3, 2)), np.zeros(3, dtype=np.int64), k=2.5)
+    assert sm.fit_knn(np.ones((3, 2)), np.zeros(3, dtype=np.int64), k=np.int64(2)).k == 2
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +522,12 @@ def test_svm_duplicate_training_point_keeps_its_class():
 
 
 def test_svm_small_gamma_still_separates_linear_toy():
-    features = np.array([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
-    labels = np.array([0, 0, 1, 1])
-    model = sm.fit_svm(features, labels, c=100.0, gamma=1e-4, seed=0, n_classes=2)
+    # classes 2 and 3 are classes 0 and 1 shifted by (0, +10): every class
+    # sits at a corner of a rectangle, so a line separates it from the rest
+    pair = np.array([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
+    features = np.vstack([pair, pair + [0.0, 10.0]])
+    labels = np.repeat(np.arange(4), 2)
+    model = sm.fit_svm(features, labels, c=100.0, gamma=1e-4, seed=0)
     assert np.array_equal(sm.predict_svm(model, features), labels)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -318,8 +319,10 @@ def test_boost_determinism(synth_d4):
 
 
 def test_boost_validates_arguments(synth_d4):
-    with pytest.raises(ValueError):
-        tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, learning_rate=0.0)
+    # a NaN or infinite rate used to fit and then predict one class
+    for rate in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^learning_rate must"):
+            tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, learning_rate=rate)
     with pytest.raises(ValueError):
         tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=-1)
 
@@ -652,7 +655,7 @@ def _recursive_export(root, feature_names):
 @pytest.mark.parametrize("width", ["d2", "d4", "full"])
 def test_export_bytes_equal_recursive_writer(width, request):
     ds = request.getfixturevalue(f"synth_{width}")
-    names = [f"X_{i}" for i in range(ds.d)]
+    names = [f"X_{i}" for i in range(ds.features.shape[1])]
     for root in (tm.fit_decision_tree(ds.features, ds.labels),
                  tm.fit_decision_tree(ds.features, ds.labels, tm.TreeParams(max_depth=3)),
                  tm.TreeNode(value=np.array([0, 5, 0, 0]))):
