@@ -44,6 +44,14 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
     return (labels[:, None] == np.arange(N_CLASSES)[None, :]).astype(np.float64)
 
 
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``features`` is a finite matrix with at least one row and
     one column and ``labels`` holds one class in ``0..N_CLASSES-1`` per row.  ``Dataset``

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import neural, stat_models, tree_models
-from .dataset import Dataset, Width, shuffle_split, standardize
+from .dataset import Dataset, Width, check_count, shuffle_split, standardize
 from .rng import derive_seed
 
 PRESET_BY_TAG = {"dfnn_ws": "DFNN_WS", "dfnn3": "DFNN3", "fnn1": "FNN1"}
@@ -137,8 +137,7 @@ class CVConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        check_count("iterations", self.iterations, 1)
 
 
 @dataclass

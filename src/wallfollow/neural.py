@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_training_set, one_hot
+from .dataset import check_count, check_training_set, one_hot
 from .rng import XoshiroLanes
 
 ADADELTA_RHO = 0.95
@@ -52,16 +52,13 @@ class SharedInputLayer:
     """d neurons, each mapping the whole d-vector with one weight and bias.
 
     Forward of a batch (B, d) is (B, d*d): entry (i, j) of the per-sample
-    map is act(w[i] * x[j] + b[i]), flattened row-major over (i, j).
+    map is w[i] * x[j] + b[i], flattened row-major over (i, j).
     """
 
     PARAMS = ("w", "b")
 
-    def __init__(self, d: int, activation: str = "identity"):
-        if activation not in ("identity", "relu"):
-            raise ValueError(f"unknown activation {activation!r}")
+    def __init__(self, d: int):
         self.d = d
-        self.activation = activation
         self.w = np.zeros(d)
         self.b = np.zeros(d)
         self._cache = None
@@ -73,15 +70,12 @@ class SharedInputLayer:
 
     def forward(self, x: np.ndarray, train: bool, rng) -> np.ndarray:
         z = self.w[None, :, None] * x[:, None, :] + self.b[None, :, None]
-        a = _relu(z) if self.activation == "relu" else z
-        self._cache = (x, z)
-        return a.reshape(x.shape[0], self.d * self.d)
+        self._cache = x
+        return z.reshape(x.shape[0], self.d * self.d)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        x, z = self._cache
+        x = self._cache
         g = grad.reshape(x.shape[0], self.d, self.d)
-        if self.activation == "relu":
-            g = g * (z > 0)
         self.dw = np.einsum("bij,bj->i", g, x)
         self.db = g.sum(axis=(0, 2))
         return np.einsum("bij,i->bj", g, self.w)
@@ -128,16 +122,14 @@ class BatchNorm:
     """Per-unit batch normalization with learned scale and shift.
 
     Train mode normalizes by batch statistics (population variance) and
-    updates the running stats by momentum; inference mode uses the running
-    stats only and caches nothing, so ``backward`` follows a train forward.
+    updates the running stats by ``BN_MOMENTUM``; inference mode uses the
+    running stats only and caches nothing, so ``backward`` follows a train forward.
     """
 
     PARAMS = ("gamma", "beta")
 
-    def __init__(self, units: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
+    def __init__(self, units: int):
         self.units = units
-        self.momentum = momentum
-        self.eps = eps
         self.init_params(None)
         self._cache = None
 
@@ -156,13 +148,13 @@ class BatchNorm:
             # x.var(axis=0) spelled out to reuse the centred batch; numpy
             # computes it with these same operations, so the bits agree
             var = (xmu * xmu).sum(axis=0) / x.shape[0]
-            ivar = 1.0 / np.sqrt(var + self.eps)
+            ivar = 1.0 / np.sqrt(var + BN_EPS)
             xhat = xmu * ivar
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
             self._cache = (xmu, ivar, xhat)
         else:
-            ivar = 1.0 / np.sqrt(self.running_var + self.eps)
+            ivar = 1.0 / np.sqrt(self.running_var + BN_EPS)
             xhat = (x - self.running_mean) * ivar
         return self.gamma * xhat + self.beta
 
@@ -210,20 +202,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
+        check_count("batch_size", self.batch_size, 1)
+        check_count("epochs", self.epochs, 0)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
 
+Layer = SharedInputLayer | Dense | BatchNorm | Relu | Dropout
+
+
+@dataclass(eq=False)
 class Network:
     """Ordered layer stack ending in a 4-unit softmax output."""
 
-    def __init__(self, layers: list, name: str = "custom"):
-        self.layers = layers
-        self.name = name
+    layers: list[Layer]
+    name: str = "custom"
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         for layer in self.layers:
@@ -326,8 +319,7 @@ def build_preset(name: str, input_width: int, dropout: float = 0.1,
              dense 16 -> 8 -> 4 -> softmax(4), with batch normalization and
              dropout in every block (affine -> norm -> relu -> dropout).
     """
-    if input_width < 1:
-        raise ValueError(f"input_width must be >= 1, got {input_width}")
+    check_count("input_width", input_width, 1)
     key = name.upper()
     d = input_width
     if key == "FNN1":

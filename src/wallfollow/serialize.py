@@ -1,12 +1,12 @@
 """Versioned, lossless serialization for every trained model.
 
 Models are stored as a single JSON document: ``{"format": "wallfollow-model",
-"version": 1, "kind": ..., "payload": ...}``.  The model is what a ``fit_*``
-function returns, or a ``neural.Network``.  A fitted-model dataclass is
-encoded field by field, driven by its type annotations: arrays become nested
-lists, nested dataclasses become objects and tree nodes use one compact node
-codec.  Floats survive the round trip bit-for-bit (shortest-repr encoding),
-so reloaded models predict identically to the originals.
+"version": 2, "kind": ..., "payload": ...}``.  The model is what a ``fit_*``
+function returns, or a ``neural.Network``.  One encoder, driven by type
+annotations, handles every kind: dataclasses become objects field by field,
+arrays nested lists, layers objects through ``LAYERS``, and a tree five flat
+preorder lists, so a tree of any depth can be saved.  Floats round-trip
+bit-for-bit (shortest repr), so reloaded models predict identically.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ import numpy as np
 from . import neural, stat_models, tree_models
 
 FORMAT_NAME = "wallfollow-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-# The payload of each kind is its class's fields, except that a decision tree
-# is wrapped as {"root": node} and a network holds its layer list.
 KINDS = {
     "decision_tree": tree_models.TreeNode,
     "random_forest": tree_models.ForestModel,
@@ -38,86 +36,119 @@ KINDS = {
 }
 _KIND_OF = {cls: kind for kind, cls in KINDS.items()}
 
-
-def _node_to_dict(node: tree_models.TreeNode) -> dict:
-    """Internal nodes as {"f", "t", "l", "r"}; leaves as {"counts"} or {"v"}."""
-    if node.is_leaf:
-        if isinstance(node.value, np.ndarray):
-            return {"counts": [int(c) for c in node.value]}
-        return {"v": node.value}
-    return {"f": node.feature, "t": node.threshold,
-            "l": _node_to_dict(node.left), "r": _node_to_dict(node.right)}
-
-
-def _node_from_dict(data: dict) -> tree_models.TreeNode:
-    if "f" in data:
-        return tree_models.TreeNode(data["f"], data["t"], _node_from_dict(data["l"]),
-                                    _node_from_dict(data["r"]))
-    if "counts" in data:
-        return tree_models.TreeNode(value=np.array(data["counts"], dtype=np.int64))
-    return tree_models.TreeNode(value=data["v"])
-
+# A tree is one list per key, indexed by preorder node number.  A leaf has
+# feature, left and right -1; an inner node's value is zero in its leaves' shape.
+TREE_KEYS = ("feature", "threshold", "left", "right", "value")
 
 # Network layers: type -> (class, constructor arguments, arrays stored beyond
 # the class's PARAMS); a layer's object lists "type", then the arguments, then
 # PARAMS, then the extra arrays.
 LAYERS = {
-    "shared": (neural.SharedInputLayer, ("d", "activation"), ()),
+    "shared": (neural.SharedInputLayer, ("d",), ()),
     "dense": (neural.Dense, ("n_in", "n_out"), ()),
-    "batchnorm": (neural.BatchNorm, ("units", "momentum", "eps"),
-                  ("running_mean", "running_var")),
+    "batchnorm": (neural.BatchNorm, ("units",), ("running_mean", "running_var")),
     "relu": (neural.Relu, (), ()),
     "dropout": (neural.Dropout, ("rate",), ()),
 }
 _LAYER_TYPE_OF = {cls: kind for kind, (cls, _, _) in LAYERS.items()}
 
 
-def _layer_to_dict(layer) -> dict:
-    kind = _LAYER_TYPE_OF.get(type(layer))
-    if kind is None:
-        raise TypeError(f"cannot serialize layer {type(layer).__name__}")
-    cls, args, extra = LAYERS[kind]
-    return {"type": kind, **{a: getattr(layer, a) for a in args},
-            **{a: getattr(layer, a).tolist() for a in cls.PARAMS + extra}}
+def _fields(data, keys, what: str) -> dict:
+    """``data`` if it is an object holding every key; otherwise a ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return data
 
 
-def _layer_from_dict(data: dict):
-    kind = data["type"]
-    if kind not in LAYERS:
-        raise ValueError(f"unknown layer type {kind!r}")
-    cls, args, extra = LAYERS[kind]
-    layer = cls(*(data[a] for a in args))
-    for a in cls.PARAMS + extra:
-        setattr(layer, a, np.array(data[a]))
-    return layer
+def _tree_to_lists(root: tree_models.TreeNode) -> dict:
+    nodes = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    index = {id(node): i for i, node in enumerate(nodes)}
+    zero = np.zeros_like(next(n for n in nodes if n.is_leaf).value).tolist()
+    return {
+        "feature": [-1 if n.is_leaf else n.feature for n in nodes],
+        "threshold": [n.threshold for n in nodes],
+        "left": [-1 if n.is_leaf else index[id(n.left)] for n in nodes],
+        "right": [-1 if n.is_leaf else index[id(n.right)] for n in nodes],
+        "value": [_encode(n.value) if n.is_leaf else zero for n in nodes],
+    }
+
+
+def _tree_from_lists(data) -> tree_models.TreeNode:
+    feature, threshold, left, right, value = (_fields(data, TREE_KEYS, "tree")[k]
+                                              for k in TREE_KEYS)
+    n = len(feature)
+    if n == 0 or any(not isinstance(data[k], list) or len(data[k]) != n for k in TREE_KEYS):
+        raise ValueError("a tree's lists must be non-empty and of one length")
+    nodes = [tree_models.TreeNode() for _ in range(n)]
+    for i, node in enumerate(nodes):
+        if feature[i] == -1:
+            leaf = value[i]
+            node.value = np.array(leaf, dtype=np.int64) if isinstance(leaf, list) else leaf
+            continue
+        # children after their parent: every path ends, so routing cannot loop
+        if not (i < left[i] < n and i < right[i] < n):
+            raise ValueError(f"tree node {i} has children {left[i]} and {right[i]}; "
+                             f"both must lie in {i + 1}..{n - 1}")
+        node.feature, node.threshold = feature[i], threshold[i]
+        node.left, node.right = nodes[left[i]], nodes[right[i]]
+    return nodes[0]
 
 
 def _encode(value):
     if isinstance(value, tree_models.TreeNode):
-        return _node_to_dict(value)
-    if isinstance(value, np.ndarray):
+        return _tree_to_lists(value)
+    if type(value) in _LAYER_TYPE_OF:
+        kind = _LAYER_TYPE_OF[type(value)]
+        cls, args, extra = LAYERS[kind]
+        return {"type": kind, **{a: getattr(value, a) for a in args},
+                **{a: getattr(value, a).tolist() for a in cls.PARAMS + extra}}
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if dataclasses.is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    return value
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _decode(hint, data):
     """Rebuild a value of the annotated type ``hint`` from its JSON form."""
     if hint is tree_models.TreeNode:
-        return _node_from_dict(data)
+        return _tree_from_lists(data)
+    if hint is neural.Layer:
+        kind = _fields(data, ("type",), "layer")["type"]
+        if kind not in LAYERS:
+            raise ValueError(f"unknown layer type {kind!r}")
+        cls, args, extra = LAYERS[kind]
+        _fields(data, args + cls.PARAMS + extra, f"{kind} layer")
+        layer = cls(*(data[a] for a in args))
+        for a in cls.PARAMS + extra:
+            setattr(layer, a, np.array(data[a]))
+        return layer
     if hint is np.ndarray:
         return np.array(data)
     origin = typing.get_origin(hint)
     if origin in (list, tuple):
+        if not isinstance(data, list):
+            raise ValueError(f"expected a JSON list, got {type(data).__name__}")
         item = typing.get_args(hint)[0]
         return origin(_decode(item, v) for v in data)
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
-        return hint(**{f.name: _decode(hints[f.name], data[f.name])
-                       for f in dataclasses.fields(hint)})
+        names = [f.name for f in dataclasses.fields(hint)]
+        _fields(data, names, hint.__name__)
+        return hint(**{name: _decode(hints[name], data[name]) for name in names})
     return data
 
 
@@ -125,32 +156,19 @@ def encode_model(model) -> dict:
     kind = _KIND_OF.get(type(model))
     if kind is None:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    if kind == "decision_tree":
-        payload = {"root": _node_to_dict(model)}
-    elif kind == "network":
-        payload = {"name": model.name,
-                   "layers": [_layer_to_dict(layer) for layer in model.layers]}
-    else:
-        payload = _encode(model)
     return {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": kind,
-            "payload": payload}
+            "payload": _encode(model)}
 
 
 def decode_model(document: dict):
-    if document.get("format") != FORMAT_NAME:
+    if not isinstance(document, dict) or document.get("format") != FORMAT_NAME:
         raise ValueError("not a wallfollow model document")
     if document.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {document.get('version')}")
-    kind = document["kind"]
-    payload = document["payload"]
-    if kind not in KINDS:
+    kind = _fields(document, ("kind", "payload"), "model document")["kind"]
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    if kind == "decision_tree":
-        return _node_from_dict(payload["root"])
-    if kind == "network":
-        return neural.Network([_layer_from_dict(d) for d in payload["layers"]],
-                              name=payload["name"])
-    return _decode(KINDS[kind], payload)
+    return _decode(KINDS[kind], document["payload"])
 
 
 def save_model(model, path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_CLASSES, check_training_set
+from .dataset import N_CLASSES, check_count, check_training_set
 from .rng import Xoshiro256StarStar, derive_seed
 
 LDA_RIDGE = 1e-8
@@ -183,8 +183,9 @@ class KNNModel:
 
 def fit_knn(features: np.ndarray, labels: np.ndarray, k: int = 5) -> KNNModel:
     check_training_set(features, labels)
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= features.shape[0]):
-        raise ValueError(f"k must be an integer in 1..n_train, got {k!r}")
+    check_count("k", k, 1)
+    if k > features.shape[0]:
+        raise ValueError(f"k must be <= {features.shape[0]} training rows, got {k!r}")
     return KNNModel(train_features=features, train_labels=labels, k=k)
 
 
@@ -281,8 +282,7 @@ def smo_solve(
         raise ValueError(f"c must be finite and > 0, got {c!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if max_passes < 1:
-        raise ValueError(f"max_passes must be >= 1, got {max_passes!r}")
+    check_count("max_passes", max_passes, 1)
     y = np.asarray(y, dtype=np.float64)
     if not ((y == 1).any() and (y == -1).any()):
         raise ValueError("need at least one example of each sign")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASS_NAMES, N_CLASSES, check_training_set, one_hot
+from .dataset import CLASS_NAMES, N_CLASSES, check_count, check_training_set, one_hot
 from .neural import softmax
 from .rng import Xoshiro256StarStar, derive_seed
 
@@ -60,10 +60,9 @@ class TreeParams:
     min_samples_split: int = 2
 
     def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be None or >= 0")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
+        if self.max_depth is not None:
+            check_count("max_depth", self.max_depth, 0)
+        check_count("min_samples_split", self.min_samples_split, 2)
 
 
 @dataclass
@@ -143,7 +142,9 @@ def best_split(order: np.ndarray, values: np.ndarray, target: np.ndarray,
     ``values[j]`` their values of it (see ``_presort``).  ``gain`` scores the
     node's targets sorted by every candidate at once (see ``_gini_gain``).
     Only cuts between distinct values count; the highest score wins, ties
-    going to the lowest feature, then the lowest threshold.  Returns None
+    going to the lowest feature, then the lowest threshold.  Ties are of the
+    float scores: two cuts of equal exact gain may score a rounding error
+    apart, and then the higher of the two wins.  Returns None
     when no candidate has two distinct values.  Zero-gain splits are
     returned (see module docstring).
     """
@@ -235,8 +236,8 @@ def fit_decision_tree(
         raise ValueError("allowed_features must name at least one feature")
     if not 0 <= pool[0] <= pool[-1] < d:
         raise ValueError(f"allowed_features must lie in 0..{d - 1}, got {pool}")
-    if features_per_split is not None and features_per_split < 1:
-        raise ValueError("features_per_split must be >= 1")
+    if features_per_split is not None:
+        check_count("features_per_split", features_per_split, 1)
     rng = Xoshiro256StarStar(seed)
     if features_per_split is not None and features_per_split < len(pool):
         def candidates():
@@ -287,13 +288,13 @@ def fit_random_forest(
     features_per_split: int | None = None,
 ) -> ForestModel:
     """Bagged CART trees with per-split feature resampling (default ceil(sqrt(d)))."""
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
+    check_count("n_trees", n_trees, 1)
     check_training_set(features, labels)
     n, d = features.shape
     m = default_features_per_split(d) if features_per_split is None else features_per_split
-    if not 1 <= m <= d:
-        raise ValueError("features_per_split must be in 1..d")
+    check_count("features_per_split", m, 1)
+    if m > d:
+        raise ValueError(f"features_per_split must be <= {d} features, got {m}")
     trees = []
     for t in range(n_trees):
         tree_seed = derive_seed(seed, t)
@@ -340,8 +341,7 @@ def fit_gradient_boost(
     """
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
-    if n_stages < 0:
-        raise ValueError("stage count must be >= 0")
+    check_count("n_stages", n_stages, 0)
     check_training_set(features, labels)
     n = features.shape[0]
     del seed  # no subsampling; fits are deterministic

@@ -286,7 +286,7 @@ def test_c12_softmax_properties():
 def test_c12_gradient_check_every_layer_type():
     d = 3
     net = nn.Network([
-        nn.SharedInputLayer(d, activation="relu"), nn.BatchNorm(d * d), nn.Relu(),
+        nn.SharedInputLayer(d), nn.BatchNorm(d * d), nn.Relu(),
         nn.Dropout(0.2), nn.Dense(d * d, 5), nn.BatchNorm(5), nn.Relu(),
         nn.Dropout(0.2), nn.Dense(5, 4),
     ])

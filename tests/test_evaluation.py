@@ -82,6 +82,8 @@ def test_every_model_rejects_a_malformed_training_set(synth_d4, tag, case):
 def test_cv_config_validation():
     with pytest.raises(ValueError):
         ev.CVConfig(iterations=0)
+    with pytest.raises(ValueError, match="^iterations must be an integer, got 2.5$"):
+        ev.CVConfig(iterations=2.5)
 
 
 def _cell(ds, tag, cfg, jobs=1, overrides=None):

@@ -64,43 +64,43 @@ def _document_sha256(model) -> str:
 def test_decision_tree_document_fingerprint(synth_d4):
     model = tm.fit_decision_tree(synth_d4.features, synth_d4.labels)
     assert _document_sha256(model) == (
-        "33dad251700a86afa0997f8297b21f98b3e07dedb50e08d1063944e9c8477508")
+        "d80a840aa7e19a00999cf00f9f726653288c6f7d14fa7e043749c85d0e7a9772")
 
 
 def test_random_forest_document_fingerprint(synth_d4):
     model = tm.fit_random_forest(synth_d4.features, synth_d4.labels, n_trees=4, seed=2)
     assert _document_sha256(model) == (
-        "e46fa4c54e3be8029aaea0f2047851fa453cae3382c717ad7455947992539b20")
+        "168811e83d8e3107661efcd5451abec60221b46d0b33ae839a225c6f010789a9")
 
 
 def test_gradient_boost_document_fingerprint(synth_d4):
     model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=4)
     assert _document_sha256(model) == (
-        "908b9c121cff40ca7a0e6a5fc0f2cb4b4d78fc903237198c4ab55560890f64a3")
+        "8559750698d72fbf303092aa8d25bab5151d83bb6efcac50cf938e5277c3223f")
 
 
 def test_lda_document_fingerprint(synth_full):
     model = sm.fit_lda(synth_full.features, synth_full.labels)
     assert _document_sha256(model) == (
-        "1c99fa14799490b205402f54085bea38385711c32baa8019471b3a0f3170e837")
+        "fba88fb567164a152688026c18f60b687a6f353f9f5f9453549180c167483a42")
 
 
 def test_gnb_document_fingerprint(synth_full):
     model = sm.fit_gnb(synth_full.features, synth_full.labels)
     assert _document_sha256(model) == (
-        "38435e5d7dbee8b6d2223086635dbcffb6ed62bf52a53e6c7d8861d8a7e4aab8")
+        "81f84f1281fccda134a65b0c9cf55dc44a6d67d15a1d2b3914f445ec9eeb9d3d")
 
 
 def test_knn_document_fingerprint(synth_d2):
     model = sm.fit_knn(synth_d2.features, synth_d2.labels, k=5)
     assert _document_sha256(model) == (
-        "694d430cc74ff3e0233db316ef8e850aa914bf11b6c4f4d9d5bc52ad6968cdf8")
+        "091fcd095d5b00f03b941ff90dbc27e835246d3cc20ef5e88824b6efabbedf82")
 
 
 def test_svm_document_fingerprint(synth_d4):
     model = sm.fit_svm(synth_d4.features[:150], synth_d4.labels[:150], seed=1)
     assert _document_sha256(model) == (
-        "249a090f41dccdd2fbb9e89b32f907474c4750e97ad9957403cf0b820a0f13f8")
+        "8a7482fb00a56568aead0802ca67a45864483911d8464615d0f8a9972670428c")
 
 
 def test_network_document_fingerprint(synth_d4):
@@ -109,4 +109,4 @@ def test_network_document_fingerprint(synth_d4):
     nn.train_network(net, features, synth_d4.labels,
                      nn.TrainConfig(batch_size=32, epochs=2, dropout=0.1, seed=3))
     assert _document_sha256(net) == (
-        "543468204aa6443961d41cf5016db85f10d23c21ad959984266cbd092bd5c4ee")
+        "d046695358fa5c47f805c624324930ecd1b452072d0a8f0e7d61fe5cbc390181")

@@ -38,14 +38,14 @@ def test_shared_unit_weights_reproduce_input():
 
 def test_shared_matches_formula_oracle():
     rng = XoshiroLanes(42)
-    layer = nn.SharedInputLayer(6, activation="relu")
+    layer = nn.SharedInputLayer(6)
     layer.w = rng.uniform(-2, 2, 6)
     layer.b = rng.uniform(-1, 1, 6)
     x = rng.uniform(-3, 3, 6)
     out = _forward_one(layer, x)
     for i in range(6):
         for j in range(6):
-            expected = max(layer.w[i] * x[j] + layer.b[i], 0.0)
+            expected = layer.w[i] * x[j] + layer.b[i]
             assert abs(out[i, j] - expected) <= 1e-12
 
 
@@ -151,17 +151,19 @@ def test_batch_norm_infer_deterministic_and_uses_running_stats():
 @pytest.mark.parametrize("rows", [2, 3, 7, 32, 33, 129])
 def test_batch_norm_train_bitwise_equal_to_numpy_moments(units, rows):
     # forward computes the variance from its centred batch; it must equal
-    # x.var(axis=0), and the output the formula on numpy's moments, bit for bit
+    # x.var(axis=0), so the running stats and the output equal the formulas
+    # on numpy's moments, bit for bit
     rng = XoshiroLanes(rows * 1000 + units)
     batch = 50.0 + 1e3 * rng.uniform(-1, 1, (rows, units)) ** 3
-    layer = nn.BatchNorm(units, momentum=0.0)  # running stats = batch stats
+    layer = nn.BatchNorm(units)
     layer.gamma = rng.uniform(-2, 2, units)
     layer.beta = rng.uniform(-1, 1, units)
     out = layer.forward(batch, train=True, rng=None)
     mu, var = batch.mean(axis=0), batch.var(axis=0)
-    assert np.array_equal(layer.running_var, var)
-    assert np.array_equal(layer.running_mean, mu)
-    expected = layer.gamma * ((batch - mu) * (1.0 / np.sqrt(var + layer.eps))) + layer.beta
+    m = nn.BN_MOMENTUM  # from the initial running stats, zeros and ones
+    assert np.array_equal(layer.running_var, m * np.ones(units) + (1 - m) * var)
+    assert np.array_equal(layer.running_mean, m * np.zeros(units) + (1 - m) * mu)
+    expected = layer.gamma * ((batch - mu) * (1.0 / np.sqrt(var + nn.BN_EPS))) + layer.beta
     assert np.array_equal(out, expected)
 
 
@@ -288,14 +290,6 @@ def test_gradients_every_layer_type():
     x = XoshiroLanes(8).uniform(-2, 2, (3, d))
     y = np.eye(4)[np.array([0, 2, 3])]
     _finite_difference_check(net, x, y, seed=11)
-
-
-def test_gradients_relu_shared_layer():
-    net = nn.Network([nn.SharedInputLayer(3, activation="relu"), nn.Dense(9, 4)])
-    net.init_params(5)
-    x = XoshiroLanes(6).uniform(-2, 2, (3, 3))
-    y = np.eye(4)[np.array([1, 0, 2])]
-    _finite_difference_check(net, x, y, seed=7)
 
 
 def test_zero_network_uniform_probs_and_bias_gradient():
@@ -465,6 +459,8 @@ def test_train_rejects_empty():
 def test_build_preset_rejects_zero_input_width(name):
     with pytest.raises(ValueError, match="input_width must be >= 1"):
         nn.build_preset(name, 0, init_seed=0)
+    with pytest.raises(ValueError, match="^input_width must be an integer, got 2.5$"):
+        nn.build_preset(name, 2.5, init_seed=0)
 
 
 def test_train_rejects_batch_size_one_with_batch_norm():
@@ -491,6 +487,10 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="^epochs must"):
         nn.TrainConfig(epochs=-3)
     assert nn.TrainConfig(epochs=0).epochs == 0
+    # a fractional count used to fail in training with a TypeError naming neither
+    for name in ("epochs", "batch_size"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+            nn.TrainConfig(**{name: 2.5})
 
 
 def _reference_train(model, features, labels, config, log=None):

@@ -16,13 +16,22 @@ def _round_trip(model, tmp_path):
     return sz.load_model(path)
 
 
+def _deep_tree_rows():
+    """1200 rows whose labels alternate along one rising sensor: a DT of depth 1199,
+    deeper than the recursion limit."""
+    features = np.zeros((1200, 4))
+    features[:, 0] = np.arange(1200)
+    return features, np.arange(1200) % 2
+
+
 def test_decision_tree_round_trip(tmp_path, synth_d4):
-    model = tm.fit_decision_tree(synth_d4.features, synth_d4.labels)
-    loaded = _round_trip(model, tmp_path)
-    assert np.array_equal(tm.predict_tree(loaded, synth_d4.features),
-                          tm.predict_tree(model, synth_d4.features))
-    names = ["a", "b", "c", "d"]
-    assert tm.export_tree_text(loaded, names) == tm.export_tree_text(model, names)
+    for features, labels in ((synth_d4.features, synth_d4.labels), _deep_tree_rows()):
+        model = tm.fit_decision_tree(features, labels)
+        loaded = _round_trip(model, tmp_path)
+        assert np.array_equal(tm.predict_tree(loaded, features),
+                              tm.predict_tree(model, features))
+        names = ["a", "b", "c", "d"]
+        assert tm.export_tree_text(loaded, names) == tm.export_tree_text(model, names)
 
 
 def test_random_forest_round_trip(tmp_path, synth_d4):
@@ -61,8 +70,10 @@ def test_gnb_round_trip(tmp_path, synth_full):
 
 
 def test_knn_round_trip(tmp_path, synth_d2):
-    model = sm.fit_knn(synth_d2.features, synth_d2.labels, k=5)
+    # fit_knn accepts a numpy integer k; the document stores it as a number
+    model = sm.fit_knn(synth_d2.features, synth_d2.labels, k=np.int64(5))
     loaded = _round_trip(model, tmp_path)
+    assert loaded.k == 5
     queries = synth_d2.features[:60]
     assert np.array_equal(sm.predict_knn_batch(loaded, queries),
                           sm.predict_knn_batch(model, queries))
@@ -95,7 +106,7 @@ def test_network_round_trip(tmp_path):
 # One layer of each serialized type: a factory, its output width on a 5-wide
 # input, and the PARAMS it must declare.
 LAYER_CASES = {
-    "shared": (lambda: nn.SharedInputLayer(5, activation="relu"), 25, ("w", "b")),
+    "shared": (lambda: nn.SharedInputLayer(5), 25, ("w", "b")),
     "dense": (lambda: nn.Dense(5, 6), 6, ("weight", "bias")),
     "batchnorm": (lambda: nn.BatchNorm(5), 5, ("gamma", "beta")),
     "relu": (nn.Relu, 5, ()),
@@ -135,15 +146,48 @@ def test_document_shape(tmp_path, synth_d2):
     sz.save_model(model, path)
     doc = json.loads(path.read_text())
     assert doc["format"] == "wallfollow-model"
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["kind"] == "decision_tree"
+    # five preorder lists; a leaf has feature, left and right -1
+    tree = doc["payload"]
+    assert sorted(tree) == ["feature", "left", "right", "threshold", "value"]
+    assert len({len(column) for column in tree.values()}) == 1
+    for feature, left, right, value in zip(tree["feature"], tree["left"], tree["right"],
+                                           tree["value"]):
+        if feature == -1:
+            assert left == right == -1 and sum(value) > 0
+        else:
+            assert value == [0, 0, 0, 0]
 
 
-def test_rejects_foreign_documents():
+def test_rejects_foreign_documents(synth_d2):
     with pytest.raises(ValueError, match="not a wallfollow model"):
         sz.decode_model({"format": "something-else"})
+    with pytest.raises(ValueError, match="not a wallfollow model"):
+        sz.decode_model(["wallfollow-model", 2])
     with pytest.raises(ValueError, match="version"):
         sz.decode_model({"format": "wallfollow-model", "version": 99})
+    # version 1 nested one object per tree level; no reader for it is kept
+    version1 = {"format": "wallfollow-model", "version": 1, "kind": "decision_tree",
+                "payload": {"root": {"counts": [1, 0, 0, 0]}}}
+    with pytest.raises(ValueError, match="^unsupported model format version 1$"):
+        sz.decode_model(version1)
+    with pytest.raises(ValueError, match="model document lacks 'kind'"):
+        sz.decode_model({"format": "wallfollow-model", "version": 2})
+    with pytest.raises(ValueError, match="LDAModel lacks 'means'"):
+        sz.decode_model({"format": "wallfollow-model", "version": 2, "kind": "lda",
+                         "payload": {}})
+    document = sz.encode_model(tm.fit_decision_tree(synth_d2.features, synth_d2.labels))
+    assert document["payload"]["left"][0] == 1
+    for child in (0, -1, len(document["payload"]["left"])):
+        bad = json.loads(json.dumps(document))
+        bad["payload"]["left"][0] = child
+        with pytest.raises(ValueError, match=f"^tree node 0 has children {child} and "):
+            sz.decode_model(bad)
+    bad = json.loads(json.dumps(document))
+    bad["payload"]["value"].pop()
+    with pytest.raises(ValueError, match="lists must be non-empty and of one length"):
+        sz.decode_model(bad)
 
 
 def test_rejects_unknown_model_type():
@@ -152,7 +196,7 @@ def test_rejects_unknown_model_type():
 
 
 def test_rejects_unknown_layers():
-    with pytest.raises(TypeError, match="cannot serialize layer object"):
+    with pytest.raises(TypeError, match="cannot serialize object"):
         sz.encode_model(nn.Network([nn.Relu(), object()]))
     document = sz.encode_model(nn.Network([nn.Relu()]))
     document["payload"]["layers"][0]["type"] = "conv"

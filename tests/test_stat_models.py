@@ -473,7 +473,7 @@ def test_smo_bitwise_equal_to_reference_property(n, levels, d, c, tol, max_passe
 @pytest.mark.parametrize("kwargs, name", [
     ({"c": 0.0}, "c"), ({"c": -1.0}, "c"), ({"c": math.nan}, "c"), ({"c": math.inf}, "c"),
     ({"tol": -1e-3}, "tol"), ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
-    ({"max_passes": 0}, "max_passes"),
+    ({"max_passes": 0}, "max_passes"), ({"max_passes": 2.5}, "max_passes"),
 ])
 def test_smo_rejects_misused_hyperparameters(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must"):
@@ -483,7 +483,7 @@ def test_smo_rejects_misused_hyperparameters(kwargs, name):
 @pytest.mark.parametrize("kwargs, name", [
     ({"c": 0.0}, "c"), ({"c": -1.0}, "c"), ({"c": math.nan}, "c"),
     ({"gamma": 0.0}, "gamma"), ({"gamma": -1.0}, "gamma"), ({"gamma": math.nan}, "gamma"),
-    ({"gamma": math.inf}, "gamma"),
+    ({"gamma": math.inf}, "gamma"), ({"max_passes": 2.5}, "max_passes"),
 ])
 def test_fit_svm_rejects_misused_hyperparameters(synth_d4, kwargs, name):
     # unchecked, c <= 0 and gamma == 0 fit all-zero machines flagged converged,

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,26 +76,39 @@ def test_gini_bounds(counts):
 # best_split
 # ---------------------------------------------------------------------------
 
-def _exhaustive_best_split(features, labels):
-    """Independent oracle: enumerate every midpoint of every feature."""
+def _exact_split_gains(features, labels):
+    """Independent oracle: the Gini decrease of every midpoint of every feature.
+
+    Maps (feature, threshold), in feature-then-threshold order, to the
+    decrease as an exact fraction, so that cuts of equal gain compare equal
+    however their float scores round.
+    """
     n = len(labels)
-    parent = _gini(np.bincount(labels, minlength=4))
-    best = None
+
+    def weighted_gini(side):  # rows * gini = rows - sum(count^2) / rows
+        counts = np.bincount(side, minlength=4)
+        return side.size - Fraction(int((counts * counts).sum()), side.size)
+
+    parent = weighted_gini(labels) / n
+    gains = {}
     for f in range(features.shape[1]):
         values = sorted(set(features[:, f]))
         for lo, hi in zip(values, values[1:]):
             threshold = (lo + hi) / 2.0
             mask = features[:, f] <= threshold
-            left = np.bincount(labels[mask], minlength=4)
-            right = np.bincount(labels[~mask], minlength=4)
-            weighted = (
-                mask.sum() * _gini(left)
-                + (~mask).sum() * _gini(right)
-            ) / n
-            decrease = parent - weighted
-            if best is None or decrease > best[2] + 1e-15:
-                best = (f, threshold, decrease)
-    return best
+            weighted = (weighted_gini(labels[mask]) + weighted_gini(labels[~mask])) / n
+            gains[(f, threshold)] = parent - weighted
+    return gains
+
+
+def _exhaustive_best_split(features, labels):
+    """The oracle's first (feature, threshold, decrease) of highest decrease."""
+    gains = _exact_split_gains(features, labels)
+    if not gains:
+        return None
+    best = max(gains.values())
+    feature, threshold = next(cut for cut, gain in gains.items() if gain == best)
+    return feature, threshold, float(best)
 
 
 def _gini_split(features, labels, candidates):
@@ -126,13 +140,16 @@ def test_best_split_matches_exhaustive_oracle(seed):
     features = np.round(rng.uniform(0, 4, (25, 3)), 1)
     labels = (rng.doubles(25) * 4).astype(np.int64)
     result = _gini_split(features, labels, range(3))
-    oracle = _exhaustive_best_split(features, labels)
-    if oracle is None or oracle[2] <= 1e-12:
+    gains = _exact_split_gains(features, labels)
+    best = max(gains.values(), default=0)
+    if best <= 1e-12:
         return  # plateau splits: oracle tie-breaking not comparable
     assert result is not None
-    assert result[0] == oracle[0]
-    assert result[1] == pytest.approx(oracle[1], abs=1e-12)
-    assert result[2] == pytest.approx(oracle[2], abs=1e-12)
+    # Cuts of equal exact gain can score a rounding error apart, and then the
+    # higher float wins over the lower feature: each of them is a best split.
+    tied = [cut for cut, gain in gains.items() if gain == best]
+    assert any(result[0] == f and result[1] == pytest.approx(t, abs=1e-12) for f, t in tied)
+    assert result[2] == pytest.approx(float(best), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +367,24 @@ def test_boost_validates_arguments(synth_d4):
                  "labels has 39 rows", id="rfc-row-mismatch"),
     pytest.param(lambda x, y: tm.fit_gradient_boost(x[:-1], y, n_stages=2),
                  "labels has 40 rows but features has 39", id="gbc-row-mismatch"),
+    # a fractional count used to raise a TypeError naming neither parameter
+    # nor model, or to fit without error
+    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, n_stages=2.5),
+                 "^n_stages must be an integer", id="gbc-n_stages-fraction"),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, n_stages=2, max_depth=2.5),
+                 "^max_depth must be an integer", id="gbc-max_depth-fraction"),
+    pytest.param(lambda x, y: tm.fit_random_forest(x, y, n_trees=2.5),
+                 "^n_trees must be an integer", id="rfc-n_trees-fraction"),
+    pytest.param(lambda x, y: tm.fit_random_forest(x, y, n_trees=2, features_per_split=2.5),
+                 "^features_per_split must be an integer", id="rfc-features_per_split-fraction"),
+    pytest.param(lambda x, y: tm.fit_random_forest(x, y, n_trees=2, features_per_split=5),
+                 "^features_per_split must be <= 4", id="rfc-features_per_split-above-d"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, features_per_split=1.5),
+                 "^features_per_split must be an integer", id="dt-features_per_split-fraction"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(max_depth=2.5)),
+                 "^max_depth must be an integer", id="dt-max_depth-fraction"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(min_samples_split=2.5)),
+                 "^min_samples_split must be an integer", id="dt-min_samples_split-fraction"),
 ])
 def test_tree_fits_reject_bad_arguments(synth_d4, fit, match):
     with pytest.raises(ValueError, match=match):
