@@ -171,42 +171,67 @@ def load_dataset(path, width: Width) -> Dataset:
     """Parse one comma-separated sensor file into a Dataset.
 
     Each line must hold ``width`` numeric fields followed by one label token.
-    Row order is preserved.  Malformed lines are reported with their 1-based
-    line number.
+    Blank lines are skipped and row order is preserved.  The file is parsed
+    in one pass: one ``np.loadtxt`` call reads the numerals, giving the
+    values ``float()`` gives, and the field counts, finiteness and tokens are
+    checked for all lines at once.  When a check fails, ``_first_fault``
+    names the first malformed line by its 1-based number.
     """
     d = int(width)
     path = Path(path)
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) != d + 1:
-                raise DataFormatError(
-                    f"{path.name}:{lineno}: expected {d} numeric fields plus a label, "
-                    f"got {len(fields)} fields"
-                )
-            try:
-                values = [float(f) for f in fields[:d]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path.name}:{lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise DataFormatError(f"{path.name}:{lineno}: non-finite sensor value")
-            token = fields[d]
-            if token not in DEFAULT_LABEL_TOKENS:
-                raise DataFormatError(f"{path.name}:{lineno}: unknown label token {token!r}")
-            rows.append(values)
-            labels.append(DEFAULT_LABEL_TOKENS[token])
-    if not rows:
+    text = path.read_text(encoding="utf-8")
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
+    if not lines:
         raise DataFormatError(f"{path.name}: empty dataset")
-    return Dataset(
-        features=np.array(rows, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-        width=width,
-    )
+    try:
+        # "#" is a numeral error, not a comment
+        features = np.loadtxt(lines, delimiter=",", usecols=range(d), comments=None, ndmin=2,
+                              dtype=np.float64)
+    except ValueError:
+        raise _first_fault(path.name, text, d) from None
+    labels = np.array([DEFAULT_LABEL_TOKENS.get(line.rpartition(",")[2].strip(), -1)
+                       for line in lines], dtype=np.int64)
+    commas = np.array([line.count(",") for line in lines])
+    if (commas != d).any() or not np.isfinite(features).all() or labels.min() < 0:
+        raise _first_fault(path.name, text, d)
+    return Dataset(features=features, labels=labels, width=width)
+
+
+def _first_fault(name: str, text: str, d: int) -> DataFormatError:
+    """The error naming the first line of ``text`` that breaks a record rule.
+
+    Within a line the rules are checked in this order: field count, numerals,
+    finiteness, label token.  ``np.loadtxt`` refuses two kinds of numeral
+    that ``float()`` reads, digit-group underscores and non-ASCII digits, so
+    those are faults too.
+    """
+    for lineno, line in enumerate(map(str.strip, text.split("\n")), start=1):
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != d + 1:
+            return DataFormatError(
+                f"{name}:{lineno}: expected {d} numeric fields plus a label, "
+                f"got {len(fields)} fields"
+            )
+        values = []
+        for field in fields[:d]:
+            try:
+                values.append(float(field))
+            except ValueError as exc:
+                return DataFormatError(f"{name}:{lineno}: {exc}")
+            if not field.isascii() or "_" in field:
+                return DataFormatError(
+                    f"{name}:{lineno}: could not convert string to float: {field!r} "
+                    f"(digit-group underscores and non-ASCII digits are not read)"
+                )
+        if not all(math.isfinite(v) for v in values):
+            return DataFormatError(f"{name}:{lineno}: non-finite sensor value")
+        token = fields[d]
+        if token not in DEFAULT_LABEL_TOKENS:
+            return DataFormatError(f"{name}:{lineno}: unknown label token {token!r}")
+    # reached only if np.loadtxt refused a numeral that the rules above accept
+    return DataFormatError(f"{name}: unreadable sensor values")
 
 
 def _candidate_windows() -> list[tuple[int, ...]]:

@@ -94,11 +94,15 @@ def _tree_from_lists(data) -> tree_models.TreeNode:
             leaf = value[i]
             node.value = np.array(leaf, dtype=np.int64) if isinstance(leaf, list) else leaf
             continue
+        f = feature[i]
+        if isinstance(f, bool) or not isinstance(f, int) or f < 0:
+            raise ValueError(f"tree node {i} has feature {f!r}; an inner node's feature "
+                             f"must be an integer >= 0")
         # children after their parent: every path ends, so routing cannot loop
         if not (i < left[i] < n and i < right[i] < n):
             raise ValueError(f"tree node {i} has children {left[i]} and {right[i]}; "
                              f"both must lie in {i + 1}..{n - 1}")
-        node.feature, node.threshold = feature[i], threshold[i]
+        node.feature, node.threshold = f, threshold[i]
         node.left, node.right = nodes[left[i]], nodes[right[i]]
     return nodes[0]
 

@@ -256,6 +256,15 @@ def scale_gamma(features: np.ndarray) -> float:
     return 1.0 / (features.shape[1] * mean_var)
 
 
+def _check_smo_params(c: float, tol: float, max_passes: int) -> None:
+    """Raise ``ValueError`` unless ``c`` > 0, ``tol`` >= 0 (both finite) and ``max_passes`` >= 1."""
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and > 0, got {c!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    check_count("max_passes", max_passes, 1)
+
+
 def smo_solve(
     y: np.ndarray,
     kernel: np.ndarray,
@@ -278,11 +287,7 @@ def smo_solve(
     ``take_step`` rejects but never drops one it would move, so every step,
     draw and result equals that of trying each candidate in turn.
     """
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be finite and > 0, got {c!r}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    check_count("max_passes", max_passes, 1)
+    _check_smo_params(c, tol, max_passes)
     y = np.asarray(y, dtype=np.float64)
     if not ((y == 1).any() and (y == -1).any()):
         raise ValueError("need at least one example of each sign")
@@ -466,6 +471,7 @@ def fit_svm(
     _check_classes_present(features, labels)
     if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be None or finite and > 0, got {gamma!r}")
+    _check_smo_params(c, tol, max_passes)
     if gamma is None:
         gamma = scale_gamma(features)
     kernel = rbf_kernel_symmetric(features, gamma)

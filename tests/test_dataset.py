@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import SYNTH_ARCS, TOKENS, synth_full_dataset, write_dataset_file
 from wallfollow import dataset as dsm
 from wallfollow.dataset import (
+    DEFAULT_LABEL_TOKENS,
     ArcCalibrationError,
     ArcMap,
     DataFormatError,
@@ -73,6 +75,168 @@ def test_load_unknown_label_token(tmp_path):
     path = tmp_path / "tok.data"
     path.write_text("1.0,2.0,Reverse\n")
     with pytest.raises(DataFormatError, match="unknown label token 'Reverse'"):
+        load_dataset(path, Width.SIMPLIFIED2)
+
+
+# The loader before it parsed each file in one numpy pass, kept verbatim as the
+# oracle: every file it reads must load to the same bits, and every file it
+# refuses must raise the same message.
+def _reference_load_dataset(path, width: Width) -> Dataset:
+    """Parse one comma-separated sensor file into a Dataset.
+
+    Each line must hold ``width`` numeric fields followed by one label token.
+    Row order is preserved.  Malformed lines are reported with their 1-based
+    line number.
+    """
+    d = int(width)
+    path = Path(path)
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    with path.open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if len(fields) != d + 1:
+                raise DataFormatError(
+                    f"{path.name}:{lineno}: expected {d} numeric fields plus a label, "
+                    f"got {len(fields)} fields"
+                )
+            try:
+                values = [float(f) for f in fields[:d]]
+            except ValueError as exc:
+                raise DataFormatError(f"{path.name}:{lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise DataFormatError(f"{path.name}:{lineno}: non-finite sensor value")
+            token = fields[d]
+            if token not in DEFAULT_LABEL_TOKENS:
+                raise DataFormatError(f"{path.name}:{lineno}: unknown label token {token!r}")
+            rows.append(values)
+            labels.append(DEFAULT_LABEL_TOKENS[token])
+    if not rows:
+        raise DataFormatError(f"{path.name}: empty dataset")
+    return Dataset(
+        features=np.array(rows, dtype=np.float64),
+        labels=np.array(labels, dtype=np.int64),
+        width=width,
+    )
+
+
+# Numerals the old loader read with float() and np.loadtxt refuses.
+_UNREAD_NUMERALS = ("1_0", "1e1_0", "\u0661\u0662", "\uff11")
+
+_NUMERAL_STYLES = (
+    lambda v: "%.3f" % v,
+    repr,
+    lambda v: "%e" % v,
+    lambda v: "%.17E" % v,
+    lambda v: "%+.4f" % v,
+    lambda v: "%+g" % v,
+)
+
+_PADDING = ("", " ", "  ", "\t", "\xa0")
+
+_BLANK_LINES = ("", " ", "\t \t", "\x0c")
+
+_FAULTS = ("hash", "nan", "inf", "empty-field", "trailing-comma", "too-few", "too-many",
+           "unknown-token")
+
+
+def _apply_fault(draw, fault: str, fields: list[str], d: int) -> list[str]:
+    """``fields`` (``d`` numerals, then a token) with one record fault written in."""
+    k = draw(st.integers(0, d - 1))
+    if fault == "hash":
+        line = ",".join(fields)
+        at = draw(st.integers(0, len(line)))
+        return (line[:at] + "#" + line[at:]).split(",")
+    if fault in ("nan", "inf"):
+        fields[k] = draw(st.sampled_from(("nan", "-nan", "NaN")) if fault == "nan"
+                         else st.sampled_from(("inf", "-inf", "Infinity", "1e999")))
+    elif fault == "empty-field":
+        fields[k] = draw(st.sampled_from(_PADDING))
+    elif fault == "trailing-comma":
+        fields.append("")
+    elif fault == "too-few":
+        del fields[k]
+    elif fault == "too-many":
+        fields.insert(k, "1.0")
+    else:
+        fields[-1] = draw(st.sampled_from(("Reverse", "move-forward", "Move Forward", "0")))
+    return fields
+
+
+@st.composite
+def _sensor_files(draw):
+    """(width, file text): numerals in several styles, blank lines, mixed line endings
+    and, in most files, record faults, up to three and possibly on one line."""
+    d = draw(st.sampled_from((2, 4, 24)))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False) | st.sampled_from(
+        (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308))
+    records = []
+    for _ in range(draw(st.integers(1, 5))):
+        fields = []
+        for v in draw(st.lists(values, min_size=d, max_size=d)):
+            pad = draw(st.sampled_from(_PADDING))
+            fields.append(pad + draw(st.sampled_from(_NUMERAL_STYLES))(v) + pad)
+        fields.append(draw(st.sampled_from(_PADDING)) + draw(st.sampled_from(TOKENS)))
+        records.append(fields)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(records) - 1))
+        records[i] = _apply_fault(draw, draw(st.sampled_from(_FAULTS)), records[i], d)
+    lines = [",".join(fields) for fields in records]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_LINES)))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(("\n", "\r\n", "\r")))
+    if draw(st.booleans()):
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]
+    return d, text
+
+
+def _outcome(load, path, width):
+    """The loaded Dataset, or the text of the DataFormatError that ``load`` raised."""
+    try:
+        return load(path, width)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@given(case=_sensor_files())
+@settings(max_examples=400, deadline=None)
+def test_load_matches_reference_loader(tmp_path_factory, case):
+    d, text = case
+    path = tmp_path_factory.getbasetemp() / "oracle.data"
+    path.write_bytes(text.encode("utf-8"))
+    want = _outcome(_reference_load_dataset, path, Width(d))
+    got = _outcome(load_dataset, path, Width(d))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, Dataset), got
+    assert got.features.dtype == np.float64 and got.features.shape == want.features.shape
+    assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+    assert got.labels.dtype == np.int64
+    assert np.array_equal(got.labels, want.labels)
+
+
+@pytest.mark.parametrize("numeral", _UNREAD_NUMERALS)
+def test_load_refuses_numerals_float_reads(tmp_path, numeral):
+    path = tmp_path / "digits.data"
+    path.write_text(f"1.0,2.0,Move-Forward\n\n2.0,{numeral},Move-Forward\n", encoding="utf-8")
+    assert _reference_load_dataset(path, Width.SIMPLIFIED2).n == 2
+    with pytest.raises(DataFormatError, match=(
+            rf"^digits\.data:3: could not convert string to float: '{numeral}' "
+            r"\(digit-group underscores and non-ASCII digits are not read\)$")):
+        load_dataset(path, Width.SIMPLIFIED2)
+
+
+def test_load_hash_is_not_a_comment(tmp_path):
+    path = tmp_path / "hash.data"
+    path.write_text("1.0,2.0#3,Move-Forward\n", encoding="utf-8")
+    with pytest.raises(DataFormatError,
+                       match=r"^hash\.data:1: could not convert string to float: '2\.0#3'$"):
         load_dataset(path, Width.SIMPLIFIED2)
 
 

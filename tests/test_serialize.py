@@ -184,6 +184,12 @@ def test_rejects_foreign_documents(synth_d2):
         bad["payload"]["left"][0] = child
         with pytest.raises(ValueError, match=f"^tree node 0 has children {child} and "):
             sz.decode_model(bad)
+    # -1 marks a leaf; any other negative index would read columns from the right
+    for feature in (-3, 1.5, True, "0", None):
+        bad = json.loads(json.dumps(document))
+        bad["payload"]["feature"][0] = feature
+        with pytest.raises(ValueError, match=f"^tree node 0 has feature {feature!r}; "):
+            sz.decode_model(bad)
     bad = json.loads(json.dumps(document))
     bad["payload"]["value"].pop()
     with pytest.raises(ValueError, match="lists must be non-empty and of one length"):

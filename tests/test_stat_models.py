@@ -492,6 +492,19 @@ def test_fit_svm_rejects_misused_hyperparameters(synth_d4, kwargs, name):
         sm.fit_svm(synth_d4.features[:160], synth_d4.labels[:160], **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"c": 0.0}, "c"), ({"tol": -1}, "tol"), ({"max_passes": 0}, "max_passes"),
+])
+def test_fit_svm_checks_solver_parameters_before_the_gram(monkeypatch, synth_d4, kwargs, name):
+    # the Gram matrix is the costly part of a fit: 193 MB and about 1 s on 4910 rows
+    def no_gram(*args, **kw):
+        raise AssertionError("rbf_kernel_symmetric called before the hyperparameter check")
+
+    monkeypatch.setattr(sm, "rbf_kernel_symmetric", no_gram)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        sm.fit_svm(synth_d4.features[:160], synth_d4.labels[:160], **kwargs)
+
+
 def test_rbf_kernel_symmetric_unit_diagonal():
     rng = XoshiroLanes(31)
     features = rng.uniform(-3, 3, (25, 6))
