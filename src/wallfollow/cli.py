@@ -244,7 +244,7 @@ def cmd_export_tree(args) -> int:
     split = shuffle_split(ds, args.seed)
     root = tree_models.fit_decision_tree(
         ds.features[split.train_indices], ds.labels[split.train_indices],
-        allowed_features=restrict,
+        tree_models.TreeParams(**evaluation.MODELS["dt"].defaults), allowed_features=restrict,
     )
     predicted = tree_models.predict_tree(root, ds.features[split.test_indices])
     test_accuracy = accuracy(predicted, ds.labels[split.test_indices])

@@ -175,11 +175,15 @@ def load_dataset(path, width: Width) -> Dataset:
     in one pass: one ``np.loadtxt`` call reads the numerals, giving the
     values ``float()`` gives, and the field counts, finiteness and tokens are
     checked for all lines at once.  When a check fails, ``_first_fault``
-    names the first malformed line by its 1-based number.
+    names the first malformed line by its 1-based number.  A file that is
+    not UTF-8 is named with the offset of its first undecodable byte.
     """
     d = int(width)
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path.name}: byte {exc.start} is not UTF-8: {exc.reason}") from None
     lines = [line for line in map(str.strip, text.split("\n")) if line]
     if not lines:
         raise DataFormatError(f"{path.name}: empty dataset")

@@ -133,8 +133,8 @@ class CVConfig:
     4910/546 counts at n=5456).
     """
 
-    iterations: int = 50
-    master_seed: int = 0
+    iterations: int
+    master_seed: int
 
     def __post_init__(self):
         check_count("iterations", self.iterations, 1)
@@ -331,21 +331,17 @@ def render_table1(report: BenchmarkReport) -> str:
         f"Monte-Carlo cross-validation: {report.iterations} iterations, 10:1 split, "
         f"master seed {report.master_seed} (wallfollow {report.version})",
         "",
-        "## Deep learning models",
-        "",
-        header,
-        rule,
     ]
-    for tag in NEURAL_TAGS:
-        cells = [_format_cell(report, tag, w) for w in (24, 4, 2)]
-        lines.append(f"| {MODELS[tag].name} | {cells[0]} | {cells[1]} | {cells[2]} |")
-    for name in OUT_OF_SCOPE_ROWS:
-        lines.append(f"| {name} | out of scope | out of scope | out of scope |")
-    lines += ["", "## Machine learning models", "", header, rule]
-    for tag in CLASSIC_TAGS:
-        cells = [_format_cell(report, tag, w) for w in (24, 4, 2)]
-        lines.append(f"| {MODELS[tag].name} | {cells[0]} | {cells[1]} | {cells[2]} |")
-    lines += ["", "## Configuration echo", ""]
+    for section, tags, out_of_scope in (("Deep learning models", NEURAL_TAGS, OUT_OF_SCOPE_ROWS),
+                                        ("Machine learning models", CLASSIC_TAGS, ())):
+        lines += [f"## {section}", "", header, rule]
+        for tag in tags:
+            cells = [_format_cell(report, tag, w) for w in (24, 4, 2)]
+            lines.append(f"| {MODELS[tag].name} | {cells[0]} | {cells[1]} | {cells[2]} |")
+        for name in out_of_scope:
+            lines.append(f"| {name} | out of scope | out of scope | out of scope |")
+        lines.append("")
+    lines += ["## Configuration echo", ""]
     for (tag, width), cell in report.ordered_cells():
         hp = " ".join(f"{k}={v}" for k, v in sorted(cell.spec.hyperparams.items()))
         lines.append(f"- {tag}/{width}: {hp if hp else '(no hyperparameters)'}")

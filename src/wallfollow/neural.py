@@ -196,9 +196,9 @@ class Dropout:
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 32
-    epochs: int = 200
-    dropout: float = 0.1
+    batch_size: int
+    epochs: int
+    dropout: float
     seed: int = 0
 
     def __post_init__(self):
@@ -309,8 +309,7 @@ def adadelta_step(state: AdadeltaState, gradients: list) -> list:
 PRESET_NAMES = ("FNN1", "DFNN3", "DFNN_WS")
 
 
-def build_preset(name: str, input_width: int, dropout: float = 0.1,
-                 init_seed: int = 0) -> Network:
+def build_preset(name: str, input_width: int, dropout: float, init_seed: int = 0) -> Network:
     """One of the three benchmarked feedforward architectures.
 
     FNN1:    dense 16 -> softmax(4)

@@ -39,9 +39,6 @@ def _check_classes_present(features: np.ndarray, labels: np.ndarray,
 
 @dataclass
 class LDAModel:
-    means: np.ndarray  # (K, d)
-    priors: np.ndarray  # (K,)
-    covariance: np.ndarray  # pooled, ridge-regularized (d, d)
     coef: np.ndarray  # (K, d) rows = Sigma^-1 mu_k
     intercept: np.ndarray  # (K,)
 
@@ -67,12 +64,10 @@ def fit_lda(features: np.ndarray, labels: np.ndarray) -> LDAModel:
         np.linalg.cholesky(pooled)
     except np.linalg.LinAlgError as exc:
         raise ValueError("pooled covariance not positive definite after ridge") from exc
-    priors = counts / n
     # C-contiguous so predictions match a serialization round trip bitwise
     coef = np.ascontiguousarray(np.linalg.solve(pooled, means.T).T)
-    intercept = -0.5 * (means * coef).sum(axis=1) + np.log(priors)
-    return LDAModel(means=means, priors=priors, covariance=pooled, coef=coef,
-                    intercept=intercept)
+    intercept = -0.5 * (means * coef).sum(axis=1) + np.log(counts / n)
+    return LDAModel(coef=coef, intercept=intercept)
 
 
 def lda_decision_scores(model: LDAModel, features: np.ndarray) -> np.ndarray:
@@ -92,7 +87,6 @@ class GNBModel:
     priors: np.ndarray  # (K,)
     means: np.ndarray  # (K, d)
     variances: np.ndarray  # (K, d), already smoothed
-    smoothing: float
 
 
 def fit_gnb(features: np.ndarray, labels: np.ndarray) -> GNBModel:
@@ -104,7 +98,7 @@ def fit_gnb(features: np.ndarray, labels: np.ndarray) -> GNBModel:
     variances = np.stack(
         [features[labels == k].var(axis=0) + smoothing for k in range(N_CLASSES)]
     )
-    return GNBModel(priors=counts / n, means=means, variances=variances, smoothing=smoothing)
+    return GNBModel(priors=counts / n, means=means, variances=variances)
 
 
 def gnb_log_posteriors(model: GNBModel, features: np.ndarray) -> np.ndarray:
@@ -181,7 +175,7 @@ class KNNModel:
     k: int
 
 
-def fit_knn(features: np.ndarray, labels: np.ndarray, k: int = 5) -> KNNModel:
+def fit_knn(features: np.ndarray, labels: np.ndarray, k: int) -> KNNModel:
     check_training_set(features, labels)
     check_count("k", k, 1)
     if k > features.shape[0]:
@@ -268,9 +262,9 @@ def _check_smo_params(c: float, tol: float, max_passes: int) -> None:
 def smo_solve(
     y: np.ndarray,
     kernel: np.ndarray,
-    c: float = 1.0,
-    tol: float = 1e-3,
-    max_passes: int = 2000,
+    c: float,
+    tol: float,
+    max_passes: int,
     seed: int = 0,
 ) -> SMOResult:
     """Solve the binary SVM dual by SMO (Platt-style pair selection).
@@ -457,16 +451,17 @@ class SVMModel:
 def fit_svm(
     features: np.ndarray,
     labels: np.ndarray,
-    c: float = 1.0,
-    gamma: float | None = None,
-    tol: float = 1e-3,
-    max_passes: int = 2000,
+    c: float,
+    gamma: float | None,
+    tol: float,
+    max_passes: int,
     seed: int = 0,
 ) -> SVMModel:
     """One RBF binary machine per class (one-vs-rest), trained by SMO.
 
-    The Gram matrix is computed once and shared by the four solvers.
-    Non-convergence is recorded on the machine, not raised.
+    ``gamma`` None takes ``scale_gamma(features)``.  The Gram matrix is
+    computed once and shared by the four solvers.  Non-convergence is
+    recorded on the machine, not raised.
     """
     _check_classes_present(features, labels)
     if gamma is not None and not (math.isfinite(gamma) and gamma > 0):

@@ -56,8 +56,8 @@ class TreeNode:
 
 @dataclass
 class TreeParams:
-    max_depth: int | None = None
-    min_samples_split: int = 2
+    max_depth: int | None  # None grows until the other stopping rules hold
+    min_samples_split: int
 
     def __post_init__(self):
         if self.max_depth is not None:
@@ -68,8 +68,6 @@ class TreeParams:
 @dataclass
 class ForestModel:
     trees: list[TreeNode]
-    seed: int
-    features_per_split: int
 
 
 @dataclass
@@ -218,7 +216,7 @@ def _grow(order: np.ndarray, values: np.ndarray, target: np.ndarray, params: Tre
 def fit_decision_tree(
     features: np.ndarray,
     labels: np.ndarray,
-    params: TreeParams | None = None,
+    params: TreeParams,
     seed: int = 0,
     features_per_split: int | None = None,
     allowed_features=None,
@@ -245,7 +243,7 @@ def fit_decision_tree(
     else:
         def candidates():
             return pool
-    return _grow(*_presort(features), one_hot(labels), params or TreeParams(), _gini_gain,
+    return _grow(*_presort(features), one_hot(labels), params, _gini_gain,
                  lambda t: t.sum(axis=0).astype(np.int64), candidates)
 
 
@@ -253,6 +251,7 @@ def _route(root: TreeNode, features: np.ndarray):
     """Yield (leaf, row indices) for every leaf that rows of ``features`` reach.
 
     Rows keep their order, so the training rows recover each leaf's members.
+    A node that splits on a feature the rows lack raises ``ValueError``.
     """
     stack = [(root, np.arange(features.shape[0]))]
     while stack:
@@ -262,6 +261,9 @@ def _route(root: TreeNode, features: np.ndarray):
         if node.is_leaf:
             yield node, rows
             continue
+        if node.feature >= features.shape[1]:
+            raise ValueError(f"a tree node splits on feature {node.feature}, but the input "
+                             f"rows have {features.shape[1]} features")
         mask = features[rows, node.feature] <= node.threshold
         stack += [(node.right, rows[~mask]), (node.left, rows[mask])]
 
@@ -281,8 +283,8 @@ def default_features_per_split(d: int) -> int:
 def fit_random_forest(
     features: np.ndarray,
     labels: np.ndarray,
-    n_trees: int = 100,
-    params: TreeParams | None = None,
+    n_trees: int,
+    params: TreeParams,
     seed: int = 0,
     bootstrap: bool = True,
     features_per_split: int | None = None,
@@ -312,7 +314,7 @@ def fit_random_forest(
                 features_per_split=m if m < d else None,
             )
         )
-    return ForestModel(trees=trees, seed=seed, features_per_split=m)
+    return ForestModel(trees=trees)
 
 
 def predict_forest(model: ForestModel, features: np.ndarray) -> np.ndarray:
@@ -327,9 +329,9 @@ def predict_forest(model: ForestModel, features: np.ndarray) -> np.ndarray:
 def fit_gradient_boost(
     features: np.ndarray,
     labels: np.ndarray,
-    n_stages: int = 100,
-    learning_rate: float = 0.1,
-    max_depth: int = 3,
+    n_stages: int,
+    learning_rate: float,
+    max_depth: int,
     seed: int = 0,
 ) -> BoostModel:
     """Multiclass gradient boosting with softmax (multinomial deviance) loss.
@@ -350,7 +352,7 @@ def fit_gradient_boost(
     init_scores = np.log(priors)
     onehot = one_hot(labels)
     scores = np.tile(init_scores, (n, 1))
-    params = TreeParams(max_depth)
+    params = TreeParams(max_depth, min_samples_split=2)
     order, values = _presort(features)
     every_feature = range(features.shape[1])
     stages: list[tuple[TreeNode, ...]] = []

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from wallfollow import dataset as dsm
+from wallfollow import evaluation as ev
+from wallfollow import tree_models as tm
 from wallfollow.rng import XoshiroLanes
+
+# The benchmarked hyperparameters, which the fit functions require: a test
+# that fits a model as the benchmark does passes these.
+DT_PARAMS = tm.TreeParams(**ev.MODELS["dt"].defaults)
+GBC_HP = ev.MODELS["gbc"].defaults
+SVM_HP = ev.MODELS["svm"].defaults
+NET_HP = ev.MODELS["dfnn_ws"].defaults
 
 # Planted arc geometry for synthetic data: the calibration search must
 # recover exactly these windows.

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import real_data_dir, synth_full_dataset, write_trio
+from conftest import DT_PARAMS, GBC_HP, real_data_dir, synth_full_dataset, write_trio
 from wallfollow import cli
 from wallfollow import evaluation as ev
 from wallfollow import neural as nn
@@ -210,9 +210,9 @@ def test_c12_gini_bounds():
 
 
 def test_c12_forest_degenerates_to_tree(synth_d4):
-    forest = tm.fit_random_forest(synth_d4.features, synth_d4.labels, n_trees=1,
+    forest = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 1, DT_PARAMS,
                                   bootstrap=False, features_per_split=4, seed=0)
-    tree = tm.fit_decision_tree(synth_d4.features, synth_d4.labels)
+    tree = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, DT_PARAMS)
     same = np.array_equal(tm.predict_forest(forest, synth_d4.features),
                           tm.predict_tree(tree, synth_d4.features))
     assert report_line(12, "forest(1 tree, no bootstrap, m=d) equals the single tree",
@@ -220,7 +220,8 @@ def test_c12_forest_degenerates_to_tree(synth_d4):
 
 
 def test_c12_gbc_probability_normalization(synth_d4):
-    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=15)
+    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels,
+                                  **(GBC_HP | {"n_stages": 15}))
     probs = tm.predict_boost_proba(model, synth_d4.features)
     worst = float(np.abs(probs.sum(axis=1) - 1.0).max())
     assert report_line(12, f"GBC probabilities sum to 1 (worst {worst:.1e})",
@@ -255,7 +256,7 @@ def test_c12_smo_kkt_and_dual_feasibility():
         if not ((y == 1).any() and (y == -1).any()):
             continue
         kernel = sm.rbf_kernel_symmetric(features, sm.scale_gamma(features))
-        result = sm.smo_solve(y, kernel, c=1.0, tol=1e-3, seed=seed)
+        result = sm.smo_solve(y, kernel, c=1.0, tol=1e-3, max_passes=2000, seed=seed)
         decision = (result.alpha * y) @ kernel + result.bias
         margin = y * decision
         viol = max(

@@ -35,6 +35,17 @@ def test_verify_truncated_file(published_like_dir, tmp_path, capsys):
     assert "sensor_readings_4.data" in err
 
 
+def test_verify_file_that_is_not_utf8(published_like_dir, tmp_path, capsys):
+    for name in DATA_FILES:
+        (tmp_path / name).write_bytes((published_like_dir / name).read_bytes())
+    two = tmp_path / "sensor_readings_2.data"
+    two.write_bytes(b"\xff\xfe" + two.read_bytes())
+    assert run_cli("data", "verify", "--data-dir", str(tmp_path)) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert "error: sensor_readings_2.data: byte 0 is not UTF-8" in captured.err
+    assert "sensor_readings_24.data: 5456 rows" in captured.out
+
+
 def test_verify_missing_file(tmp_path, capsys):
     assert run_cli("data", "verify", "--data-dir", str(tmp_path)) == cli.EXIT_DATA
     assert "missing data file" in capsys.readouterr().err

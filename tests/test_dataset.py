@@ -240,6 +240,14 @@ def test_load_hash_is_not_a_comment(tmp_path):
         load_dataset(path, Width.SIMPLIFIED2)
 
 
+def test_load_names_the_first_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bom.data"
+    path.write_bytes(b"1.0,2.0,Move-Forward\n\xff\xfe3.0,4.0,Move-Forward\n")
+    with pytest.raises(DataFormatError,
+                       match=r"^bom\.data: byte 21 is not UTF-8: invalid start byte$"):
+        load_dataset(path, Width.SIMPLIFIED2)
+
+
 def test_dataset_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(np.array([[np.inf, 1.0]]), np.array([0]), Width.SIMPLIFIED2)

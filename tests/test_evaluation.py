@@ -1,3 +1,4 @@
+import inspect
 import multiprocessing
 import os
 import re
@@ -8,6 +9,8 @@ import pytest
 
 from wallfollow import evaluation as ev
 from wallfollow import neural as nn
+from wallfollow import stat_models as sm
+from wallfollow import tree_models as tm
 from wallfollow.dataset import Dataset, Width, shuffle_split
 from wallfollow.rng import derive_seed
 
@@ -34,6 +37,32 @@ def test_model_spec_defaults_and_overrides():
         ev.ModelSpec("mlp", Width.SIMPLIFIED2)
     with pytest.raises(ValueError, match="unknown hyperparameters"):
         ev.ModelSpec("knn", Width.SIMPLIFIED2, {"neighbours": 3})
+
+
+# The package callables that each model's fit hands its hyperparameters to.
+_NETWORK_FIT = (nn.build_preset, nn.TrainConfig, nn.train_network)
+_FIT_PATHS = {
+    "dfnn_ws": _NETWORK_FIT, "dfnn3": _NETWORK_FIT, "fnn1": _NETWORK_FIT,
+    "dt": (tm.fit_decision_tree, tm.TreeParams),
+    "gbc": (tm.fit_gradient_boost, tm.TreeParams),
+    "rfc": (tm.fit_random_forest, tm.fit_decision_tree, tm.TreeParams),
+    "lda": (sm.fit_lda,),
+    "svm": (sm.fit_svm, sm.smo_solve),
+    "knn": (sm.fit_knn,),
+    "gnb": (sm.fit_gnb,),
+}
+
+
+@pytest.mark.parametrize("tag", ev.ALL_TAGS)
+def test_hyperparameter_defaults_live_only_in_models(tag):
+    # a default written again on the fit path would not follow an edit to MODELS
+    names = set(ev.MODELS[tag].defaults)
+    if tm.TreeParams in _FIT_PATHS[tag]:
+        names.add("params")
+    for fn in _FIT_PATHS[tag]:
+        defaulted = {name for name, p in inspect.signature(fn).parameters.items()
+                     if p.default is not p.empty}
+        assert not defaulted & names, fn.__qualname__
 
 
 # Hyperparameters that keep every fit on 32 rows well under a second.
@@ -81,9 +110,9 @@ def test_every_model_rejects_a_malformed_training_set(synth_d4, tag, case):
 
 def test_cv_config_validation():
     with pytest.raises(ValueError):
-        ev.CVConfig(iterations=0)
+        ev.CVConfig(iterations=0, master_seed=0)
     with pytest.raises(ValueError, match="^iterations must be an integer, got 2.5$"):
-        ev.CVConfig(iterations=2.5)
+        ev.CVConfig(iterations=2.5, master_seed=0)
 
 
 def _cell(ds, tag, cfg, jobs=1, overrides=None):
@@ -149,7 +178,7 @@ def test_run_table1_starts_one_pool_of_at_most_one_worker_per_task(synth_d2, mon
     parallel = ev.run_table1(datasets, cfg, ["dt", "gnb"], jobs=2)
     assert workers == [2]
     assert ev.report_csv(parallel) == ev.report_csv(serial)
-    ev.run_table1(datasets, ev.CVConfig(iterations=1), ["dt"], jobs=2)
+    ev.run_table1(datasets, ev.CVConfig(iterations=1, master_seed=0), ["dt"], jobs=2)
     assert workers == [2, 1]
 
 
@@ -220,7 +249,8 @@ def test_monte_carlo_summary_stats(synth_d4):
 
 def test_monte_carlo_width_mismatch(synth_d2):
     with pytest.raises(ValueError, match="width"):
-        ev.run_table1({Width.SIMPLIFIED4: synth_d2}, ev.CVConfig(iterations=1), ["dt"])
+        ev.run_table1({Width.SIMPLIFIED4: synth_d2}, ev.CVConfig(iterations=1, master_seed=0),
+                      ["dt"])
 
 
 def test_different_master_seeds_use_different_splits(synth_d2):
@@ -253,7 +283,8 @@ def test_run_table1_restricted_model_list(synth_full, synth_d4, synth_d2):
 
 def test_run_table1_rejects_unknown_tag(synth_d2):
     with pytest.raises(ValueError, match="unknown algorithm"):
-        ev.run_table1({Width.SIMPLIFIED2: synth_d2}, ev.CVConfig(iterations=1), ["xgb"])
+        ev.run_table1({Width.SIMPLIFIED2: synth_d2}, ev.CVConfig(iterations=1, master_seed=0),
+                      ["xgb"])
 
 
 def test_run_table1_marks_failed_cells(synth_d2):
@@ -269,7 +300,8 @@ def test_run_table1_marks_failed_cells(synth_d2):
 
 
 def test_run_table1_fails_batch_norm_cell_with_batch_size_one(synth_d2):
-    report = ev.run_table1({Width.SIMPLIFIED2: synth_d2}, ev.CVConfig(iterations=1),
+    report = ev.run_table1({Width.SIMPLIFIED2: synth_d2},
+                           ev.CVConfig(iterations=1, master_seed=0),
                            ["dfnn_ws"], overrides={"dfnn_ws": {"batch_size": 1, "epochs": 1}})
     error = report.cells[("dfnn_ws", 2)].error
     assert error is not None and "batch size 1" in error
@@ -322,7 +354,7 @@ def test_render_table2_contents(synth_full, synth_d4, synth_d2):
 
 def test_render_table2_requires_cells(synth_d2):
     report = ev.run_table1({Width.SIMPLIFIED2: synth_d2},
-                           ev.CVConfig(iterations=1), ["dt"],
+                           ev.CVConfig(iterations=1, master_seed=0), ["dt"],
                            widths=[Width.SIMPLIFIED2])
     with pytest.raises(ValueError, match="needs a successful"):
         ev.render_table2(report)

@@ -19,7 +19,7 @@ from wallfollow import serialize as sz
 from wallfollow import stat_models as sm
 from wallfollow import tree_models as tm
 
-from conftest import SYNTH_ARCS, synth_full_dataset
+from conftest import DT_PARAMS, GBC_HP, NET_HP, SVM_HP, SYNTH_ARCS, synth_full_dataset
 
 GRID_OVERRIDES = {
     "rfc": {"n_trees": 3},
@@ -62,19 +62,19 @@ def _document_sha256(model) -> str:
 
 
 def test_decision_tree_document_fingerprint(synth_d4):
-    model = tm.fit_decision_tree(synth_d4.features, synth_d4.labels)
+    model = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, DT_PARAMS)
     assert _document_sha256(model) == (
         "d80a840aa7e19a00999cf00f9f726653288c6f7d14fa7e043749c85d0e7a9772")
 
 
 def test_random_forest_document_fingerprint(synth_d4):
-    model = tm.fit_random_forest(synth_d4.features, synth_d4.labels, n_trees=4, seed=2)
+    model = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 4, DT_PARAMS, seed=2)
     assert _document_sha256(model) == (
-        "168811e83d8e3107661efcd5451abec60221b46d0b33ae839a225c6f010789a9")
+        "58d94e10d6428c574f2f41acab285afb16795880783be65bb1834e78019832b3")
 
 
 def test_gradient_boost_document_fingerprint(synth_d4):
-    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=4)
+    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, **(GBC_HP | {"n_stages": 4}))
     assert _document_sha256(model) == (
         "8559750698d72fbf303092aa8d25bab5151d83bb6efcac50cf938e5277c3223f")
 
@@ -82,13 +82,13 @@ def test_gradient_boost_document_fingerprint(synth_d4):
 def test_lda_document_fingerprint(synth_full):
     model = sm.fit_lda(synth_full.features, synth_full.labels)
     assert _document_sha256(model) == (
-        "fba88fb567164a152688026c18f60b687a6f353f9f5f9453549180c167483a42")
+        "d68e9cf98f2c6466e49a650486591181a36a8a0c6163f47abc538cab0478d534")
 
 
 def test_gnb_document_fingerprint(synth_full):
     model = sm.fit_gnb(synth_full.features, synth_full.labels)
     assert _document_sha256(model) == (
-        "81f84f1281fccda134a65b0c9cf55dc44a6d67d15a1d2b3914f445ec9eeb9d3d")
+        "e93edaf3738db4c707f437a5307452cb6ee7152b036ba1c582bce0040d885f20")
 
 
 def test_knn_document_fingerprint(synth_d2):
@@ -98,14 +98,14 @@ def test_knn_document_fingerprint(synth_d2):
 
 
 def test_svm_document_fingerprint(synth_d4):
-    model = sm.fit_svm(synth_d4.features[:150], synth_d4.labels[:150], seed=1)
+    model = sm.fit_svm(synth_d4.features[:150], synth_d4.labels[:150], **SVM_HP, seed=1)
     assert _document_sha256(model) == (
         "8a7482fb00a56568aead0802ca67a45864483911d8464615d0f8a9972670428c")
 
 
 def test_network_document_fingerprint(synth_d4):
     features, _, _ = dsm.standardize(synth_d4.features)
-    net = nn.build_preset("DFNN_WS", 4, init_seed=9)
+    net = nn.build_preset("DFNN_WS", 4, NET_HP["dropout"], init_seed=9)
     nn.train_network(net, features, synth_d4.labels,
                      nn.TrainConfig(batch_size=32, epochs=2, dropout=0.1, seed=3))
     assert _document_sha256(net) == (

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import NET_HP
 from wallfollow import neural as nn
 from wallfollow.rng import XoshiroLanes
 
@@ -293,7 +294,7 @@ def test_gradients_every_layer_type():
 
 
 def test_zero_network_uniform_probs_and_bias_gradient():
-    net = nn.build_preset("FNN1", 4, init_seed=1)
+    net = nn.build_preset("FNN1", 4, dropout=0.1, init_seed=1)
     for p in net.parameters():
         p[:] = 0.0
     x = XoshiroLanes(4).uniform(-1, 1, (6, 4))
@@ -307,7 +308,7 @@ def test_zero_network_uniform_probs_and_bias_gradient():
 
 
 def test_duplicated_batch_leaves_mean_gradients_unchanged():
-    net = nn.build_preset("DFNN3", 4, init_seed=2)
+    net = nn.build_preset("DFNN3", 4, dropout=0.1, init_seed=2)
     x = XoshiroLanes(9).uniform(-1, 1, (5, 4))
     y = np.eye(4)[np.array([0, 1, 2, 3, 1])]
     _, grads_single = nn.backprop(net, x, y)
@@ -317,7 +318,7 @@ def test_duplicated_batch_leaves_mean_gradients_unchanged():
 
 
 def test_preset_dfnn_ws_shapes():
-    net = nn.build_preset("DFNN_WS", 24, init_seed=7)
+    net = nn.build_preset("DFNN_WS", 24, dropout=0.1, init_seed=7)
     shared = net.layers[0]
     assert isinstance(shared, nn.SharedInputLayer)
     assert shared.w.size + shared.b.size == 48
@@ -330,27 +331,27 @@ def test_preset_dfnn_ws_shapes():
 
 
 def test_preset_dfnn_ws_generalizes_to_narrow_widths():
-    net = nn.build_preset("DFNN_WS", 4, init_seed=7)
+    net = nn.build_preset("DFNN_WS", 4, dropout=0.1, init_seed=7)
     assert net.layers[0].d == 4
     first_dense = next(l for l in net.layers if isinstance(l, nn.Dense))
     assert first_dense.n_in == 16
 
 
 def test_preset_fnn1_width2():
-    net = nn.build_preset("FNN1", 2, init_seed=0)
+    net = nn.build_preset("FNN1", 2, dropout=0.1, init_seed=0)
     dense = [l for l in net.layers if isinstance(l, nn.Dense)]
     assert [(d.n_in, d.n_out) for d in dense] == [(2, 16), (16, 4)]
 
 
 def test_preset_dfnn3_hidden_sizes():
-    net = nn.build_preset("DFNN3", 24, init_seed=0)
+    net = nn.build_preset("DFNN3", 24, dropout=0.1, init_seed=0)
     dense = [l for l in net.layers if isinstance(l, nn.Dense)]
     assert [d.n_out for d in dense] == [16, 8, 4, 4]
 
 
 def test_preset_unknown_name():
     with pytest.raises(ValueError, match="unknown preset"):
-        nn.build_preset("CNN", 24)
+        nn.build_preset("CNN", 24, dropout=0.1)
 
 
 # float64 softmax rounds a confident row to exactly 1.0: the DFNN_WS/4 nets of
@@ -363,7 +364,7 @@ def test_preset_unknown_name():
 def test_forward_produces_probability_vector(seed):
     rng = XoshiroLanes(seed)
     for preset, width in (("FNN1", 2), ("DFNN3", 4), ("DFNN_WS", 4)):
-        net = nn.build_preset(preset, width, init_seed=seed)
+        net = nn.build_preset(preset, width, dropout=0.1, init_seed=seed)
         x = rng.uniform(-5, 5, (3, width))
         probs = net.forward(x)
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
@@ -389,7 +390,7 @@ def _toy_clusters(n_per_class=6, seed=21):
 def test_memorizes_ten_samples_in_200_epochs():
     features, labels = _toy_clusters(n_per_class=6)
     keep = np.arange(0, 24, 3)[:10]
-    net = nn.build_preset("FNN1", 2, init_seed=4)
+    net = nn.build_preset("FNN1", 2, dropout=0.1, init_seed=4)
     config = nn.TrainConfig(batch_size=32, epochs=200, dropout=0.0, seed=5)
     nn.train_network(net, features[keep], labels[keep], config)
     assert (net.predict(features[keep]) == labels[keep]).all()
@@ -399,7 +400,7 @@ def test_training_is_bit_deterministic():
     features, labels = _toy_clusters()
     nets = []
     for _ in range(2):
-        net = nn.build_preset("DFNN_WS", 2, init_seed=10)
+        net = nn.build_preset("DFNN_WS", 2, dropout=0.1, init_seed=10)
         config = nn.TrainConfig(batch_size=8, epochs=3, dropout=0.1, seed=77)
         nn.train_network(net, features, labels, config)
         nets.append(net)
@@ -415,7 +416,7 @@ def test_training_is_bit_deterministic():
 def test_loss_non_increasing_first_five_steps_on_fixed_batch():
     features, labels = _toy_clusters()
     onehot = np.eye(4)[labels]
-    net = nn.build_preset("FNN1", 2, init_seed=3)
+    net = nn.build_preset("FNN1", 2, dropout=0.1, init_seed=3)
     state = nn.AdadeltaState(shapes=[p.shape for p in net.parameters()])
     losses = [nn.cross_entropy(net.forward(features), onehot)]
     for _ in range(5):
@@ -428,7 +429,7 @@ def test_loss_non_increasing_first_five_steps_on_fixed_batch():
 
 def test_inference_is_stateless():
     features, labels = _toy_clusters()
-    net = nn.build_preset("DFNN_WS", 2, init_seed=1)
+    net = nn.build_preset("DFNN_WS", 2, dropout=0.1, init_seed=1)
     nn.train_network(net, features, labels,
                      nn.TrainConfig(batch_size=8, epochs=2, dropout=0.1, seed=3))
     a = net.forward(features[:5])
@@ -438,7 +439,7 @@ def test_inference_is_stateless():
 
 def test_training_log_lines():
     features, labels = _toy_clusters()
-    net = nn.build_preset("FNN1", 2, init_seed=0)
+    net = nn.build_preset("FNN1", 2, dropout=0.1, init_seed=0)
     log = io.StringIO()
     nn.train_network(net, features, labels,
                      nn.TrainConfig(batch_size=8, epochs=3, dropout=0.0, seed=1), log=log)
@@ -449,30 +450,30 @@ def test_training_log_lines():
 
 
 def test_train_rejects_empty():
-    net = nn.build_preset("FNN1", 2, init_seed=0)
+    net = nn.build_preset("FNN1", 2, dropout=0.1, init_seed=0)
     with pytest.raises(ValueError, match="empty"):
         nn.train_network(net, np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
-                         nn.TrainConfig())
+                         nn.TrainConfig(**NET_HP))
 
 
 @pytest.mark.parametrize("name", nn.PRESET_NAMES)
 def test_build_preset_rejects_zero_input_width(name):
     with pytest.raises(ValueError, match="input_width must be >= 1"):
-        nn.build_preset(name, 0, init_seed=0)
+        nn.build_preset(name, 0, dropout=0.1, init_seed=0)
     with pytest.raises(ValueError, match="^input_width must be an integer, got 2.5$"):
-        nn.build_preset(name, 2.5, init_seed=0)
+        nn.build_preset(name, 2.5, dropout=0.1, init_seed=0)
 
 
 def test_train_rejects_batch_size_one_with_batch_norm():
     # every batch would be a singleton that batch norm cannot train on
     features, labels = _toy_clusters()
-    net = nn.build_preset("DFNN_WS", 2, init_seed=0)
+    net = nn.build_preset("DFNN_WS", 2, dropout=0.1, init_seed=0)
     config = nn.TrainConfig(batch_size=1, epochs=1, dropout=0.1, seed=1)
     for log in (None, io.StringIO()):
         with pytest.raises(ValueError, match="batch size 1.*batch norm"):
             nn.train_network(net, features, labels, config, log=log)
     # without batch norm, single-row batches still train
-    plain = nn.build_preset("FNN1", 2, init_seed=0)
+    plain = nn.build_preset("FNN1", 2, dropout=0.1, init_seed=0)
     before = [p.copy() for p in plain.parameters()]
     nn.train_network(plain, features, labels, config)
     assert any(not np.array_equal(a, b) for a, b in zip(before, plain.parameters()))
@@ -480,17 +481,17 @@ def test_train_rejects_batch_size_one_with_batch_norm():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        nn.TrainConfig(batch_size=0)
+        nn.TrainConfig(**(NET_HP | {"batch_size": 0}))
     with pytest.raises(ValueError):
-        nn.TrainConfig(dropout=1.0)
+        nn.TrainConfig(**(NET_HP | {"dropout": 1.0}))
     # a negative count used to train nothing and return the initial weights
     with pytest.raises(ValueError, match="^epochs must"):
-        nn.TrainConfig(epochs=-3)
-    assert nn.TrainConfig(epochs=0).epochs == 0
+        nn.TrainConfig(**(NET_HP | {"epochs": -3}))
+    assert nn.TrainConfig(**(NET_HP | {"epochs": 0})).epochs == 0
     # a fractional count used to fail in training with a TypeError naming neither
     for name in ("epochs", "batch_size"):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
-            nn.TrainConfig(**{name: 2.5})
+            nn.TrainConfig(**(NET_HP | {name: 2.5}))
 
 
 def _reference_train(model, features, labels, config, log=None):
@@ -545,8 +546,8 @@ def test_training_bitwise_equal_to_per_parameter_loop(preset, width, with_log):
     labels = (rng.doubles(75) * 4).astype(np.int64)
     config = nn.TrainConfig(batch_size=32, epochs=3, dropout=0.1, seed=17)
     logs = [io.StringIO() if with_log else None for _ in range(2)]
-    net = nn.build_preset(preset, width, init_seed=6)
-    reference = _reference_train(nn.build_preset(preset, width, init_seed=6),
+    net = nn.build_preset(preset, width, dropout=0.1, init_seed=6)
+    reference = _reference_train(nn.build_preset(preset, width, dropout=0.1, init_seed=6),
                                  features, labels, config, log=logs[0])
     assert nn.train_network(net, features, labels, config, log=logs[1]) is net
     for a, b in zip(_network_state(reference), _network_state(net), strict=True):
@@ -559,7 +560,7 @@ def test_training_bitwise_equal_to_per_parameter_loop(preset, width, with_log):
 
 def test_training_rebinds_parameters_to_one_buffer():
     features, labels = _toy_clusters()
-    net = nn.build_preset("DFNN3", 2, init_seed=3)
+    net = nn.build_preset("DFNN3", 2, dropout=0.1, init_seed=3)
     before = net.parameters()
     copies = [p.copy() for p in before]
     nn.train_network(net, features, labels,
@@ -583,7 +584,7 @@ def test_train_raises_naming_epoch_when_weights_diverge(monkeypatch):
     monkeypatch.setattr(nn.Dense, "init_params", _overflowing_dense_init)
     config = nn.TrainConfig(batch_size=8, epochs=3, dropout=0.0, seed=1)
     for log in (None, io.StringIO()):
-        net = nn.build_preset("DFNN3", 2, init_seed=0)
+        net = nn.build_preset("DFNN3", 2, dropout=0.1, init_seed=0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="non-finite weights after epoch 1$"):
             nn.train_network(net, features, labels, config, log=log)

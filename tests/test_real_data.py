@@ -6,7 +6,7 @@ Skipped when the files are absent; see README for how to fetch them.
 import numpy as np
 import pytest
 
-from conftest import real_data_dir
+from conftest import DT_PARAMS, real_data_dir
 from wallfollow import tree_models as tm
 from wallfollow.dataset import Width, load_dataset, shuffle_split
 from wallfollow.evaluation import CVConfig, accuracy
@@ -47,7 +47,7 @@ def test_dt_restricted_to_front_left_is_still_perfect():
     for i in range(50):
         pair = shuffle_split(ds, derive_seed(1, i))
         root = tm.fit_decision_tree(
-            ds.features[pair.train_indices], ds.labels[pair.train_indices],
+            ds.features[pair.train_indices], ds.labels[pair.train_indices], DT_PARAMS,
             allowed_features=[0, 1],
         )
         predicted = tm.predict_tree(root, ds.features[pair.test_indices])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import DT_PARAMS, GBC_HP, NET_HP, SVM_HP
 from wallfollow import neural as nn
 from wallfollow import serialize as sz
 from wallfollow import stat_models as sm
@@ -26,7 +27,7 @@ def _deep_tree_rows():
 
 def test_decision_tree_round_trip(tmp_path, synth_d4):
     for features, labels in ((synth_d4.features, synth_d4.labels), _deep_tree_rows()):
-        model = tm.fit_decision_tree(features, labels)
+        model = tm.fit_decision_tree(features, labels, DT_PARAMS)
         loaded = _round_trip(model, tmp_path)
         assert np.array_equal(tm.predict_tree(loaded, features),
                               tm.predict_tree(model, features))
@@ -35,15 +36,14 @@ def test_decision_tree_round_trip(tmp_path, synth_d4):
 
 
 def test_random_forest_round_trip(tmp_path, synth_d4):
-    model = tm.fit_random_forest(synth_d4.features, synth_d4.labels, n_trees=5, seed=2)
+    model = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 5, DT_PARAMS, seed=2)
     loaded = _round_trip(model, tmp_path)
     assert np.array_equal(tm.predict_forest(loaded, synth_d4.features),
                           tm.predict_forest(model, synth_d4.features))
-    assert loaded.features_per_split == model.features_per_split
 
 
 def test_gradient_boost_round_trip(tmp_path, synth_d4):
-    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=6)
+    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, **(GBC_HP | {"n_stages": 6}))
     loaded = _round_trip(model, tmp_path)
     assert np.array_equal(
         tm.boost_raw_scores(loaded, synth_d4.features),
@@ -81,7 +81,7 @@ def test_knn_round_trip(tmp_path, synth_d2):
 
 def test_svm_round_trip(tmp_path, synth_d4):
     rows = np.arange(150)
-    model = sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows], seed=1)
+    model = sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows], **SVM_HP, seed=1)
     loaded = _round_trip(model, tmp_path)
     queries = synth_d4.features[150:200]
     assert np.array_equal(
@@ -95,7 +95,7 @@ def test_network_round_trip(tmp_path):
     rng = XoshiroLanes(4)
     features = rng.uniform(-1, 1, (40, 4))
     labels = (rng.doubles(40) * 4).astype(np.int64)
-    net = nn.build_preset("DFNN_WS", 4, init_seed=9)
+    net = nn.build_preset("DFNN_WS", 4, NET_HP["dropout"], init_seed=9)
     nn.train_network(net, features, labels,
                      nn.TrainConfig(batch_size=8, epochs=2, dropout=0.1, seed=3))
     loaded = _round_trip(net, tmp_path)
@@ -141,7 +141,7 @@ def test_layer_params_match_gradients_and_survive_round_trip(tmp_path, kind):
 
 
 def test_document_shape(tmp_path, synth_d2):
-    model = tm.fit_decision_tree(synth_d2.features, synth_d2.labels)
+    model = tm.fit_decision_tree(synth_d2.features, synth_d2.labels, DT_PARAMS)
     path = tmp_path / "m.json"
     sz.save_model(model, path)
     doc = json.loads(path.read_text())
@@ -174,10 +174,10 @@ def test_rejects_foreign_documents(synth_d2):
         sz.decode_model(version1)
     with pytest.raises(ValueError, match="model document lacks 'kind'"):
         sz.decode_model({"format": "wallfollow-model", "version": 2})
-    with pytest.raises(ValueError, match="LDAModel lacks 'means'"):
+    with pytest.raises(ValueError, match="LDAModel lacks 'coef'"):
         sz.decode_model({"format": "wallfollow-model", "version": 2, "kind": "lda",
                          "payload": {}})
-    document = sz.encode_model(tm.fit_decision_tree(synth_d2.features, synth_d2.labels))
+    document = sz.encode_model(tm.fit_decision_tree(synth_d2.features, synth_d2.labels, DT_PARAMS))
     assert document["payload"]["left"][0] == 1
     for child in (0, -1, len(document["payload"]["left"])):
         bad = json.loads(json.dumps(document))
@@ -194,6 +194,27 @@ def test_rejects_foreign_documents(synth_d2):
     bad["payload"]["value"].pop()
     with pytest.raises(ValueError, match="lists must be non-empty and of one length"):
         sz.decode_model(bad)
+
+
+@pytest.mark.parametrize("fit, predict, first_tree", [
+    (lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS), tm.predict_tree,
+     lambda payload: payload),
+    (lambda x, y: tm.fit_random_forest(x, y, 2, DT_PARAMS, seed=1), tm.predict_forest,
+     lambda payload: payload["trees"][0]),
+    (lambda x, y: tm.fit_gradient_boost(x, y, **(GBC_HP | {"n_stages": 2})), tm.predict_boost,
+     lambda payload: payload["stages"][0][0]),
+], ids=["dt", "rfc", "gbc"])
+def test_tree_feature_beyond_the_input_width_fails_by_name(synth_d4, fit, predict, first_tree):
+    # the decoder does not know the input width, so prediction checks it
+    document = sz.encode_model(fit(synth_d4.features, synth_d4.labels))
+    tree = first_tree(document["payload"])
+    assert tree["feature"][0] >= 0
+    tree["feature"][0] = 7
+    model = sz.decode_model(document)
+    with pytest.raises(ValueError, match="^a tree node splits on feature 7, but the input "
+                                         "rows have 4 features$"):
+        predict(model, synth_d4.features)
+    assert predict(model, np.hstack([synth_d4.features] * 2)).shape == (synth_d4.n,)
 
 
 def test_rejects_unknown_model_type():

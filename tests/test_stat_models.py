@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import SVM_HP
 from wallfollow import stat_models as sm
 from wallfollow.rng import Xoshiro256StarStar, XoshiroLanes
 
@@ -67,7 +68,10 @@ def test_lda_incremental_equals_direct(synth_full):
             assert abs(direct - batch[i, k]) <= 1e-9 * max(1.0, abs(direct))
 
 
-@pytest.mark.parametrize("fit", [sm.fit_lda, sm.fit_gnb, sm.fit_svm])
+@pytest.mark.parametrize("fit", [
+    sm.fit_lda, sm.fit_gnb,
+    pytest.param(lambda x, y: sm.fit_svm(x, y, **SVM_HP), id="fit_svm"),
+])
 def test_fits_require_every_class(fit):
     features = np.arange(24.0).reshape(8, 3)
     labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])  # class 3 missing
@@ -95,7 +99,8 @@ def test_gnb_hand_computed_1d():
     features = np.vstack([pair, pair + 10.0])
     labels = np.repeat(np.arange(4), 2)
     model = sm.fit_gnb(features, labels)
-    assert model.smoothing == pytest.approx(3e-8)
+    # each class's own variance is 1
+    assert (model.variances - 1.0).ravel().tolist() == pytest.approx([3e-8] * 4)
     var = 1.0 + 3e-8
     query = np.array([[0.5]])
     scores = sm.gnb_log_posteriors(model, query)
@@ -203,7 +208,7 @@ def test_smo_two_point_hand_solution():
     y = np.array([1.0, -1.0])
     gamma = 0.5
     kernel = sm.rbf_kernel_symmetric(features, gamma)
-    result = sm.smo_solve(y, kernel, c=100.0, seed=1)
+    result = sm.smo_solve(y, kernel, c=100.0, tol=1e-3, max_passes=2000, seed=1)
     expected = 1.0 / (1.0 - math.exp(-0.5))
     assert result.converged
     assert result.alpha == pytest.approx([expected, expected], abs=5e-3)
@@ -217,8 +222,8 @@ def test_smo_label_flip_negates_decision():
     features = rng.uniform(-1, 1, (30, 4))
     y = np.where(features[:, 0] > 0, 1.0, -1.0)
     kernel = sm.rbf_kernel_symmetric(features, 0.7)
-    a = sm.smo_solve(y, kernel, c=2.0, seed=9)
-    b = sm.smo_solve(-y, kernel, c=2.0, seed=9)
+    a = sm.smo_solve(y, kernel, c=2.0, tol=1e-3, max_passes=2000, seed=9)
+    b = sm.smo_solve(-y, kernel, c=2.0, tol=1e-3, max_passes=2000, seed=9)
     assert np.array_equal(a.alpha, b.alpha)
     assert a.bias == -b.bias
 
@@ -238,7 +243,7 @@ def test_smo_kkt_conditions_on_toy_problem():
     features = rng.uniform(-1, 1, (120, 5))
     y = np.where(features[:, 0] + 0.5 * features[:, 1] > 0, 1.0, -1.0)
     kernel = sm.rbf_kernel_symmetric(features, sm.scale_gamma(features))
-    result = sm.smo_solve(y, kernel, c=1.0, tol=1e-3, seed=5)
+    result = sm.smo_solve(y, kernel, c=1.0, tol=1e-3, max_passes=2000, seed=5)
     assert result.converged
     assert _kkt_violations(result.alpha, y, kernel, result.bias, 1.0) <= 1e-3
     assert abs((result.alpha * y).sum()) <= 1e-6
@@ -251,7 +256,7 @@ def test_smo_zero_alpha_margin_property():
     features = rng.uniform(-2, 2, (60, 3))
     y = np.where(features[:, 0] > 0.2, 1.0, -1.0)
     kernel = sm.rbf_kernel_symmetric(features, 1.0)
-    result = sm.smo_solve(y, kernel, c=5.0, tol=1e-3, seed=2)
+    result = sm.smo_solve(y, kernel, c=5.0, tol=1e-3, max_passes=2000, seed=2)
     decision = (result.alpha * y) @ kernel + result.bias
     zero = result.alpha <= 0
     assert (y[zero] * decision[zero] >= 1.0 - 1e-3).all()
@@ -262,14 +267,14 @@ def test_smo_pass_budget_flags_unconverged():
     features = rng.uniform(-1, 1, (40, 3))
     y = np.where(rng.doubles(40) > 0.5, 1.0, -1.0)  # noisy labels: needs work
     kernel = sm.rbf_kernel_symmetric(features, 1.0)
-    result = sm.smo_solve(y, kernel, c=1.0, max_passes=1, seed=0)
+    result = sm.smo_solve(y, kernel, c=1.0, tol=1e-3, max_passes=1, seed=0)
     assert not result.converged
     assert result.passes == 1
 
 
 def test_smo_requires_both_signs():
     with pytest.raises(ValueError, match="each sign"):
-        sm.smo_solve(np.ones(5), np.eye(5), c=1.0)
+        sm.smo_solve(np.ones(5), np.eye(5), c=1.0, tol=1e-3, max_passes=2000)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +482,8 @@ def test_smo_bitwise_equal_to_reference_property(n, levels, d, c, tol, max_passe
 ])
 def test_smo_rejects_misused_hyperparameters(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must"):
-        sm.smo_solve(np.array([1.0, -1.0]), np.eye(2), **kwargs)
+        sm.smo_solve(np.array([1.0, -1.0]), np.eye(2),
+                     **({"c": 1.0, "tol": 1e-3, "max_passes": 2000} | kwargs))
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -489,7 +495,7 @@ def test_fit_svm_rejects_misused_hyperparameters(synth_d4, kwargs, name):
     # unchecked, c <= 0 and gamma == 0 fit all-zero machines flagged converged,
     # and gamma < 0 fits biases of order 1e10
     with pytest.raises(ValueError, match=f"^{name} must"):
-        sm.fit_svm(synth_d4.features[:160], synth_d4.labels[:160], **kwargs)
+        sm.fit_svm(synth_d4.features[:160], synth_d4.labels[:160], **(SVM_HP | kwargs))
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -502,7 +508,7 @@ def test_fit_svm_checks_solver_parameters_before_the_gram(monkeypatch, synth_d4,
 
     monkeypatch.setattr(sm, "rbf_kernel_symmetric", no_gram)
     with pytest.raises(ValueError, match=f"^{name} must"):
-        sm.fit_svm(synth_d4.features[:160], synth_d4.labels[:160], **kwargs)
+        sm.fit_svm(synth_d4.features[:160], synth_d4.labels[:160], **(SVM_HP | kwargs))
 
 
 def test_rbf_kernel_symmetric_unit_diagonal():
@@ -516,7 +522,8 @@ def test_rbf_kernel_symmetric_unit_diagonal():
 
 def test_svm_separable_four_class(synth_d4):
     rows = np.arange(160)
-    model = sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows], c=10.0, seed=3)
+    model = sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows], c=10.0, gamma=None,
+                       tol=1e-3, max_passes=2000, seed=3)
     predicted = sm.predict_svm(model, synth_d4.features[rows])
     assert (predicted == synth_d4.labels[rows]).mean() > 0.95
     assert all(m.converged for m in model.machines)
@@ -529,7 +536,7 @@ def test_svm_duplicate_training_point_keeps_its_class():
     centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0], [6.0, 6.0]])
     features = np.vstack([c + 0.3 * rng.uniform(-1, 1, (8, 2)) for c in centers])
     labels = np.repeat(np.arange(4), 8)
-    model = sm.fit_svm(features, labels, c=1000.0, gamma=0.5, seed=1)
+    model = sm.fit_svm(features, labels, c=1000.0, gamma=0.5, tol=1e-3, max_passes=2000, seed=1)
     predicted = sm.predict_svm(model, features)
     assert np.array_equal(predicted, labels)
 
@@ -540,7 +547,7 @@ def test_svm_small_gamma_still_separates_linear_toy():
     pair = np.array([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
     features = np.vstack([pair, pair + [0.0, 10.0]])
     labels = np.repeat(np.arange(4), 2)
-    model = sm.fit_svm(features, labels, c=100.0, gamma=1e-4, seed=0)
+    model = sm.fit_svm(features, labels, c=100.0, gamma=1e-4, tol=1e-3, max_passes=2000, seed=0)
     assert np.array_equal(sm.predict_svm(model, features), labels)
 
 
@@ -552,8 +559,8 @@ def test_scale_gamma_matches_definition(synth_full):
 
 def test_svm_determinism(synth_d4):
     rows = np.arange(120)
-    a = sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows], seed=4)
-    b = sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows], seed=4)
+    a = sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows], **SVM_HP, seed=4)
+    b = sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows], **SVM_HP, seed=4)
     queries = synth_d4.features[120:180]
     assert np.array_equal(
         sm.svm_decision_values(a, queries), sm.svm_decision_values(b, queries)
@@ -621,11 +628,11 @@ def test_rbf_kernel_symmetric_bitwise_equal_to_rbf_kernel(d):
 def test_fit_svm_bitwise_equal_with_reference_kernel(synth_full, monkeypatch):
     x, y = synth_full.features, synth_full.labels
     queries = x[::3] + 0.01
-    blocked = sm.fit_svm(x, y, seed=6)
+    blocked = sm.fit_svm(x, y, **SVM_HP, seed=6)
     blocked_values = sm.svm_decision_values(blocked, queries)
     monkeypatch.setattr(sm, "rbf_kernel", _reference_rbf_kernel)
     monkeypatch.setattr(sm, "rbf_kernel_symmetric", _reference_rbf_kernel_symmetric)
-    reference = sm.fit_svm(x, y, seed=6)
+    reference = sm.fit_svm(x, y, **SVM_HP, seed=6)
     for got, want in zip(blocked.machines, reference.machines):
         assert np.array_equal(got.support_vectors, want.support_vectors)
         assert np.array_equal(got.dual_coef, want.dual_coef)

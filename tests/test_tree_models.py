@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import DT_PARAMS
 from wallfollow import serialize, tree_models as tm
 from wallfollow.dataset import CLASS_NAMES, one_hot
 from wallfollow.rng import XoshiroLanes, Xoshiro256StarStar
@@ -158,7 +159,7 @@ def test_best_split_matches_exhaustive_oracle(seed):
 
 def test_single_class_training_gives_single_leaf():
     features = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    root = tm.fit_decision_tree(features, np.array([3, 3, 3]))
+    root = tm.fit_decision_tree(features, np.array([3, 3, 3]), DT_PARAMS)
     assert root.is_leaf
     assert tm.predict_tree(root, features).tolist() == [3, 3, 3]
 
@@ -166,7 +167,7 @@ def test_single_class_training_gives_single_leaf():
 def test_xor_layout_needs_zero_gain_splits():
     features = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     labels = np.array([0, 0, 1, 1])
-    root = tm.fit_decision_tree(features, labels)
+    root = tm.fit_decision_tree(features, labels, DT_PARAMS)
     assert tree_depth(root) == 2
     assert (tm.predict_tree(root, features) == labels).all()
 
@@ -182,18 +183,18 @@ def test_split_whose_midpoint_is_not_below_the_largest_value(a, b):
     assert not (a + b) / 2.0 < b
     features = np.array([[a], [b], [a], [b]])
     labels = np.array([0, 1, 0, 1])
-    root = tm.fit_decision_tree(features, labels)
+    root = tm.fit_decision_tree(features, labels, DT_PARAMS)
     assert root.threshold == a
     assert (tm.predict_tree(root, features) == labels).all()
 
 
 def test_empty_training_set_rejected():
     with pytest.raises(ValueError, match="empty"):
-        tm.fit_decision_tree(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        tm.fit_decision_tree(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), DT_PARAMS)
 
 
 def test_perfect_training_fit_on_consistent_data(synth_d2):
-    root = tm.fit_decision_tree(synth_d2.features, synth_d2.labels)
+    root = tm.fit_decision_tree(synth_d2.features, synth_d2.labels, DT_PARAMS)
     predicted = tm.predict_tree(root, synth_d2.features)
     assert (predicted == synth_d2.labels).all()
 
@@ -204,12 +205,12 @@ def test_full_depth_tree_memorizes_distinct_rows(seed):
     rng = XoshiroLanes(seed)
     features = rng.uniform(0, 1, (60, 3))  # continuous draws: rows distinct
     labels = (rng.doubles(60) * 4).astype(np.int64)
-    root = tm.fit_decision_tree(features, labels)
+    root = tm.fit_decision_tree(features, labels, DT_PARAMS)
     assert (tm.predict_tree(root, features) == labels).all()
 
 
 def test_paths_have_consistent_halfspaces(synth_full):
-    root = tm.fit_decision_tree(synth_full.features, synth_full.labels)
+    root = tm.fit_decision_tree(synth_full.features, synth_full.labels, DT_PARAMS)
 
     def walk(node, lower, upper):
         if node.is_leaf:
@@ -223,22 +224,22 @@ def test_paths_have_consistent_halfspaces(synth_full):
 
 
 def test_tree_depth_cap_and_min_samples(synth_d4):
-    params = tm.TreeParams(max_depth=2)
+    params = tm.TreeParams(max_depth=2, min_samples_split=2)
     root = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, params)
     assert tree_depth(root) <= 2
     with pytest.raises(ValueError):
-        tm.TreeParams(min_samples_split=1)
+        tm.TreeParams(max_depth=None, min_samples_split=1)
 
 
 def test_tree_determinism(synth_d4):
-    a = tm.fit_decision_tree(synth_d4.features, synth_d4.labels)
-    b = tm.fit_decision_tree(synth_d4.features, synth_d4.labels)
+    a = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, DT_PARAMS)
+    b = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, DT_PARAMS)
     names = [f"X_{i}" for i in range(4)]
     assert tm.export_tree_text(a, names) == tm.export_tree_text(b, names)
 
 
 def test_allowed_features_restriction(synth_d4):
-    root = tm.fit_decision_tree(synth_d4.features, synth_d4.labels,
+    root = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, DT_PARAMS,
                                 allowed_features=[0, 1])
 
     def features_used(node):
@@ -255,34 +256,37 @@ def test_allowed_features_restriction(synth_d4):
 
 def test_degenerate_forest_equals_single_tree(synth_d4):
     forest = tm.fit_random_forest(
-        synth_d4.features, synth_d4.labels, n_trees=1, seed=5,
+        synth_d4.features, synth_d4.labels, 1, DT_PARAMS, seed=5,
         bootstrap=False, features_per_split=4,
     )
-    tree = tm.fit_decision_tree(synth_d4.features, synth_d4.labels)
+    tree = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, DT_PARAMS)
     queries = synth_d4.features
     assert np.array_equal(tm.predict_forest(forest, queries), tm.predict_tree(tree, queries))
 
 
 def test_stub_tree_majority_vote():
     leaf = lambda k: tm.TreeNode(value=np.eye(4, dtype=np.int64)[k])
-    model = tm.ForestModel(trees=[leaf(0), leaf(0), leaf(1)], seed=0, features_per_split=1)
+    model = tm.ForestModel(trees=[leaf(0), leaf(0), leaf(1)])
     assert tm.predict_forest(model, np.zeros((3, 2))).tolist() == [0, 0, 0]
 
 
 def test_vote_tie_breaks_to_lowest_class():
     leaf = lambda k: tm.TreeNode(value=np.eye(4, dtype=np.int64)[k])
-    model = tm.ForestModel(trees=[leaf(2), leaf(1)], seed=0, features_per_split=1)
+    model = tm.ForestModel(trees=[leaf(2), leaf(1)])
     assert tm.predict_forest(model, np.zeros((1, 2)))[0] == 1
 
 
 def test_forest_determinism_and_params(synth_d4):
-    a = tm.fit_random_forest(synth_d4.features, synth_d4.labels, n_trees=7, seed=3)
-    b = tm.fit_random_forest(synth_d4.features, synth_d4.labels, n_trees=7, seed=3)
-    assert a.features_per_split == 2  # ceil(sqrt(4))
+    a = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 7, DT_PARAMS, seed=3)
+    b = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 7, DT_PARAMS, seed=3)
+    # ceil(sqrt(4)) candidate features per split
+    two = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 7, DT_PARAMS, seed=3,
+                               features_per_split=2)
+    assert _document(a) == _document(two)
     queries = synth_d4.features[:50]
     assert np.array_equal(tm.predict_forest(a, queries), tm.predict_forest(b, queries))
     with pytest.raises(ValueError):
-        tm.fit_random_forest(synth_d4.features, synth_d4.labels, n_trees=0)
+        tm.fit_random_forest(synth_d4.features, synth_d4.labels, 0, DT_PARAMS)
 
 
 def test_default_features_per_split():
@@ -301,35 +305,35 @@ def _multinomial_deviance(model, features, labels):
 
 
 def test_boost_zero_stages_predicts_majority(synth_d4):
-    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=0)
+    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 0, 0.1, 3)
     majority = int(np.bincount(synth_d4.labels).argmax())
     assert (tm.predict_boost(model, synth_d4.features[:20]) == majority).all()
 
 
 def test_boost_one_stage_reduces_training_deviance(synth_d4):
-    base = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=0)
-    one = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=1)
+    base = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 0, 0.1, 3)
+    one = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 1, 0.1, 3)
     d0 = _multinomial_deviance(base, synth_d4.features, synth_d4.labels)
     d1 = _multinomial_deviance(one, synth_d4.features, synth_d4.labels)
     assert d1 < d0
 
 
 def test_boost_probabilities_normalized(synth_d4):
-    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=12)
+    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 12, 0.1, 3)
     probs = tm.predict_boost_proba(model, synth_d4.features)
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
     assert (probs > 0).all()
 
 
 def test_boost_learns_the_synthetic_rule(synth_d4):
-    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=30)
+    model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 30, 0.1, 3)
     predicted = tm.predict_boost(model, synth_d4.features)
     assert (predicted == synth_d4.labels).mean() > 0.98
 
 
 def test_boost_determinism(synth_d4):
-    a = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=5)
-    b = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=5)
+    a = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 5, 0.1, 3)
+    b = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 5, 0.1, 3)
     assert np.array_equal(
         tm.boost_raw_scores(a, synth_d4.features), tm.boost_raw_scores(b, synth_d4.features)
     )
@@ -339,51 +343,51 @@ def test_boost_validates_arguments(synth_d4):
     # a NaN or infinite rate used to fit and then predict one class
     for rate in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="^learning_rate must"):
-            tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, learning_rate=rate)
+            tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 100, rate, 3)
     with pytest.raises(ValueError):
-        tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, n_stages=-1)
+        tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, -1, 0.1, 3)
 
 
 @pytest.mark.parametrize("fit, match", [
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, features_per_split=0),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, features_per_split=0),
                  "features_per_split", id="dt-features_per_split-0"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, allowed_features=[]),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[]),
                  "allowed_features", id="dt-allowed_features-empty"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, allowed_features=[0, 4]),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[0, 4]),
                  "allowed_features", id="dt-allowed_features-above-range"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, allowed_features=[-1, 2]),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[-1, 2]),
                  "allowed_features", id="dt-allowed_features-negative"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(max_depth=-2)),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(-2, 2)),
                  "max_depth", id="dt-max_depth-negative"),
-    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, max_depth=-1),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, 100, 0.1, -1),
                  "max_depth", id="gbc-max_depth-negative"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x[:, :0], y),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x[:, :0], y, DT_PARAMS),
                  "no columns", id="dt-no-columns"),
-    pytest.param(lambda x, y: tm.fit_gradient_boost(np.where(x > 2.0, np.nan, x), y),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(np.where(x > 2.0, np.nan, x), y, 100, 0.1, 3),
                  "finite", id="gbc-nan-feature"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y[:-1]),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y[:-1], DT_PARAMS),
                  "labels has 39 rows", id="dt-row-mismatch"),
-    pytest.param(lambda x, y: tm.fit_random_forest(x, y[:-1], n_trees=2),
+    pytest.param(lambda x, y: tm.fit_random_forest(x, y[:-1], 2, DT_PARAMS),
                  "labels has 39 rows", id="rfc-row-mismatch"),
-    pytest.param(lambda x, y: tm.fit_gradient_boost(x[:-1], y, n_stages=2),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(x[:-1], y, 2, 0.1, 3),
                  "labels has 40 rows but features has 39", id="gbc-row-mismatch"),
     # a fractional count used to raise a TypeError naming neither parameter
     # nor model, or to fit without error
-    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, n_stages=2.5),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, 2.5, 0.1, 3),
                  "^n_stages must be an integer", id="gbc-n_stages-fraction"),
-    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, n_stages=2, max_depth=2.5),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, 2, 0.1, 2.5),
                  "^max_depth must be an integer", id="gbc-max_depth-fraction"),
-    pytest.param(lambda x, y: tm.fit_random_forest(x, y, n_trees=2.5),
+    pytest.param(lambda x, y: tm.fit_random_forest(x, y, 2.5, DT_PARAMS),
                  "^n_trees must be an integer", id="rfc-n_trees-fraction"),
-    pytest.param(lambda x, y: tm.fit_random_forest(x, y, n_trees=2, features_per_split=2.5),
+    pytest.param(lambda x, y: tm.fit_random_forest(x, y, 2, DT_PARAMS, features_per_split=2.5),
                  "^features_per_split must be an integer", id="rfc-features_per_split-fraction"),
-    pytest.param(lambda x, y: tm.fit_random_forest(x, y, n_trees=2, features_per_split=5),
+    pytest.param(lambda x, y: tm.fit_random_forest(x, y, 2, DT_PARAMS, features_per_split=5),
                  "^features_per_split must be <= 4", id="rfc-features_per_split-above-d"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, features_per_split=1.5),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, features_per_split=1.5),
                  "^features_per_split must be an integer", id="dt-features_per_split-fraction"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(max_depth=2.5)),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(2.5, 2)),
                  "^max_depth must be an integer", id="dt-max_depth-fraction"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(min_samples_split=2.5)),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(None, 2.5)),
                  "^min_samples_split must be an integer", id="dt-min_samples_split-fraction"),
 ])
 def test_tree_fits_reject_bad_arguments(synth_d4, fit, match):
@@ -406,9 +410,9 @@ class _CountingNumpy:
 
 
 @pytest.mark.parametrize("fit, sorts", [
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y), 1, id="dt"),
-    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, n_stages=3), 1, id="gbc"),
-    pytest.param(lambda x, y: tm.fit_random_forest(x, y, n_trees=5, seed=2), 5, id="rfc"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS), 1, id="dt"),
+    pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, 3, 0.1, 3), 1, id="gbc"),
+    pytest.param(lambda x, y: tm.fit_random_forest(x, y, 5, DT_PARAMS, seed=2), 5, id="rfc"),
 ])
 def test_each_fit_sorts_its_columns_once(synth_d4, monkeypatch, fit, sorts):
     counting = _CountingNumpy()
@@ -456,11 +460,10 @@ def _reference_best_split(features, labels, candidate_features):
     return best[1], best[2], best[0]
 
 
-def _reference_decision_tree(features, labels, params=None, seed=0,
+def _reference_decision_tree(features, labels, params, seed=0,
                              features_per_split=None, allowed_features=None):
     if features.shape[0] == 0:
         raise ValueError("empty training set")
-    params = params or tm.TreeParams()
     d = features.shape[1]
     pool = list(range(d)) if allowed_features is None else sorted(allowed_features)
     rng = Xoshiro256StarStar(seed)
@@ -599,9 +602,8 @@ def _repeated_rows(seed, n, d):
 def test_decision_tree_documents_equal_reference_grower(make, seed, n, d):
     features, labels = make(seed, n, d)
     m = tm.default_features_per_split(d)
-    for params in (None, tm.TreeParams(max_depth=1), tm.TreeParams(max_depth=3),
-                   tm.TreeParams(min_samples_split=9),
-                   tm.TreeParams(max_depth=4, min_samples_split=5)):
+    for params in (DT_PARAMS, tm.TreeParams(1, 2), tm.TreeParams(3, 2), tm.TreeParams(None, 9),
+                   tm.TreeParams(4, 5)):
         for kwargs in ({}, {"features_per_split": m, "seed": seed + 7},
                        {"features_per_split": 1, "seed": seed},
                        {"allowed_features": list(range(0, d, 2))},
@@ -618,11 +620,10 @@ def test_decision_tree_documents_equal_reference_grower(make, seed, n, d):
 ])
 def test_random_forest_documents_equal_reference_grower(make, n, d, max_depth, monkeypatch):
     features, labels = make(d, n, d)
-    actual = tm.fit_random_forest(features, labels, n_trees=4, seed=d,
-                                  params=tm.TreeParams(max_depth=max_depth))
+    params = tm.TreeParams(max_depth=max_depth, min_samples_split=2)
+    actual = tm.fit_random_forest(features, labels, 4, params, seed=d)
     monkeypatch.setattr(tm, "fit_decision_tree", _reference_decision_tree)
-    expected = tm.fit_random_forest(features, labels, n_trees=4, seed=d,
-                                    params=tm.TreeParams(max_depth=max_depth))
+    expected = tm.fit_random_forest(features, labels, 4, params, seed=d)
     assert _document(actual) == _document(expected)
 
 
@@ -651,7 +652,7 @@ def test_export_single_leaf():
 
 
 def test_export_references_only_existing_features(synth_d2):
-    root = tm.fit_decision_tree(synth_d2.features, synth_d2.labels)
+    root = tm.fit_decision_tree(synth_d2.features, synth_d2.labels, DT_PARAMS)
     text = tm.export_tree_text(root, ["X_0", "X_1"])
     assert "X_0" in text
     for line in text.splitlines():
@@ -691,8 +692,8 @@ def _recursive_export(root, feature_names):
 def test_export_bytes_equal_recursive_writer(width, request):
     ds = request.getfixturevalue(f"synth_{width}")
     names = [f"X_{i}" for i in range(ds.features.shape[1])]
-    for root in (tm.fit_decision_tree(ds.features, ds.labels),
-                 tm.fit_decision_tree(ds.features, ds.labels, tm.TreeParams(max_depth=3)),
+    for root in (tm.fit_decision_tree(ds.features, ds.labels, DT_PARAMS),
+                 tm.fit_decision_tree(ds.features, ds.labels, tm.TreeParams(3, 2)),
                  tm.TreeNode(value=np.array([0, 5, 0, 0]))):
         assert tm.export_tree_text(root, names) == _recursive_export(root, names)
 
@@ -703,7 +704,7 @@ def test_export_tree_deeper_than_the_recursion_limit():
     n = 1200
     features = np.column_stack([np.arange(n, dtype=np.float64), np.ones(n)])
     labels = np.arange(n) % 2
-    root = tm.fit_decision_tree(features, labels)
+    root = tm.fit_decision_tree(features, labels, DT_PARAMS)
     with pytest.raises(RecursionError):
         _recursive_export(root, ["X_0", "X_1"])
     lines = tm.export_tree_text(root, ["X_0", "X_1"]).splitlines()
@@ -714,7 +715,7 @@ def test_export_tree_deeper_than_the_recursion_limit():
 
 def test_export_node_ids_are_preorder():
     root = tm.fit_decision_tree(
-        np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 0, 1, 2])
+        np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 0, 1, 2]), DT_PARAMS
     )
     text = tm.export_tree_text(root, ["X_0"])
     ids = [int(line.strip().split()[0][1:]) for line in text.splitlines()
