@@ -229,7 +229,7 @@ def _parse_restrict(text: str, width: Width) -> list[int]:
         token = token.strip().lower()
         if token in names:
             out.append(names.index(token))
-        elif token.isdigit() and int(token) < int(width):
+        elif token.isascii() and token.isdigit() and int(token) < int(width):
             out.append(int(token))
         else:
             raise UsageError(f"cannot restrict to feature {token!r} at width {int(width)}")

@@ -287,8 +287,9 @@ def run_table1(datasets: dict, cfg: CVConfig, algorithms=None, widths=None,
     for width in widths:
         if width not in datasets:
             raise ValueError(f"no dataset loaded for width {int(width)}")
-        if datasets[width].width is not width:
-            raise ValueError(f"dataset width {datasets[width].width.name} is not {width.name}")
+        if datasets[width].width != width:
+            raise ValueError(f"dataset width {Width(datasets[width].width).name} is not "
+                             f"{Width(width).name}")
     specs = [ModelSpec(t, w, dict(overrides.get(t, {}))) for t in algorithms for w in widths]
     seeds = [derive_seed(cfg.master_seed, i) for i in range(cfg.iterations)]
     tasks = [[(spec, i, seed) for i, seed in enumerate(seeds)] for spec in specs]

@@ -138,7 +138,11 @@ def _decode(hint, data):
         _fields(data, args + cls.PARAMS + extra, f"{kind} layer")
         layer = cls(*(data[a] for a in args))
         for a in cls.PARAMS + extra:
-            setattr(layer, a, np.array(data[a]))
+            array, allocated = np.array(data[a]), getattr(layer, a)
+            if array.shape != allocated.shape:
+                raise ValueError(f"{kind} layer's {a!r} has shape {array.shape}, "
+                                 f"expected {allocated.shape}")
+            setattr(layer, a, array)
         return layer
     if hint is np.ndarray:
         return np.array(data)

@@ -173,9 +173,9 @@ def _grow(order: np.ndarray, values: np.ndarray, target: np.ndarray, params: Tre
     A node's rows are those of its ``order`` (see ``best_split``).  Each
     child keeps its parent's arrays filtered by the split, a stable
     partition, so they stay sorted without another sort.  A node becomes a
-    leaf with value ``leaf_value(node targets)`` when its targets are all
-    equal, it has fewer than ``params.min_samples_split`` rows, it is at
-    ``params.max_depth`` or no candidate feature separates its rows.
+    leaf with value ``leaf_value(node targets, node rows)`` when its targets
+    are all equal, it has fewer than ``params.min_samples_split`` rows, it is
+    at ``params.max_depth`` or no candidate feature separates its rows.
     ``candidates()`` is called only after the first three checks, so a node
     that stops draws nothing.  Nodes are grown in preorder from a stack of
     pending nodes, whose row sets are disjoint, so the sorted arrays alive at
@@ -186,16 +186,12 @@ def _grow(order: np.ndarray, values: np.ndarray, target: np.ndarray, params: Tre
     while stack:
         node, order, values, depth = stack.pop()
         node_target = target.take(order[0], axis=0)
-        if (
-            (node_target == node_target[0]).all()
-            or node_target.shape[0] < params.min_samples_split
-            or (params.max_depth is not None and depth >= params.max_depth)
-        ):
-            node.value = leaf_value(node_target)
-            continue
-        found = best_split(order, values, target, candidates(), gain)
+        stop = ((node_target == node_target[0]).all()
+                or node_target.shape[0] < params.min_samples_split
+                or (params.max_depth is not None and depth >= params.max_depth))
+        found = None if stop else best_split(order, values, target, candidates(), gain)
         if found is None:
-            node.value = leaf_value(node_target)
+            node.value = leaf_value(node_target, order[0])
             continue
         f, threshold, _ = found
         goes_left = np.zeros(target.shape[0], dtype=bool)
@@ -244,13 +240,12 @@ def fit_decision_tree(
         def candidates():
             return pool
     return _grow(*_presort(features), one_hot(labels), params, _gini_gain,
-                 lambda t: t.sum(axis=0).astype(np.int64), candidates)
+                 lambda t, rows: t.sum(axis=0).astype(np.int64), candidates)
 
 
 def _route(root: TreeNode, features: np.ndarray):
     """Yield (leaf, row indices) for every leaf that rows of ``features`` reach.
 
-    Rows keep their order, so the training rows recover each leaf's members.
     A node that splits on a feature the rows lack raises ``ValueError``.
     """
     stack = [(root, np.arange(features.shape[0]))]
@@ -338,8 +333,8 @@ def fit_gradient_boost(
 
     Stage m fits one depth-limited regression tree per class to the
     pseudo-residuals ``one_hot - softmax(F)`` evaluated at the scores before
-    the stage, then sets each leaf by the one-step Newton estimate
-    ``(K-1)/K * sum(r) / sum(p (1 - p))``.
+    the stage; the grower sets each leaf to the one-step Newton estimate
+    ``(K-1)/K * sum(r) / sum(p (1 - p))`` over the leaf's rows.
     """
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
@@ -348,28 +343,27 @@ def fit_gradient_boost(
     n = features.shape[0]
     del seed  # no subsampling; fits are deterministic
     counts = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
-    priors = np.maximum(counts / n, 1e-12)
-    init_scores = np.log(priors)
+    init_scores = np.log(np.maximum(counts / n, 1e-12))  # log priors
     onehot = one_hot(labels)
     scores = np.tile(init_scores, (n, 1))
     params = TreeParams(max_depth, min_samples_split=2)
     order, values = _presort(features)
-    every_feature = range(features.shape[1])
     stages: list[tuple[TreeNode, ...]] = []
     for _ in range(n_stages):
         probs = softmax(scores)
         residual = onehot - probs
         stage = []
         for k in range(N_CLASSES):
-            tree = _grow(order, values, residual[:, k], params, _sse_gain,
-                         lambda t: 0.0, lambda: every_feature)
-            for leaf, rows in _route(tree, features):
+            def newton_leaf(_, rows):
+                rows = np.sort(rows)  # the sums below add in training order
                 numerator = residual[rows, k].sum() * (N_CLASSES - 1) / N_CLASSES
                 p = probs[rows, k]
                 denominator = (p * (1.0 - p)).sum()
-                leaf.value = 0.0 if abs(denominator) < 1e-150 else float(numerator / denominator)
-                scores[rows, k] += learning_rate * leaf.value
-            stage.append(tree)
+                value = 0.0 if abs(denominator) < 1e-150 else float(numerator / denominator)
+                scores[rows, k] += learning_rate * value
+                return value
+            stage.append(_grow(order, values, residual[:, k], params, _sse_gain,
+                               newton_leaf, lambda: range(features.shape[1])))
         stages.append(tuple(stage))
     return BoostModel(init_scores=init_scores, stages=stages, learning_rate=learning_rate)
 

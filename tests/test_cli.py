@@ -327,6 +327,14 @@ def test_export_tree_bad_restrict(published_like_dir, tmp_path, capsys):
     rc = run_cli("export-tree", "--data-dir", str(published_like_dir), "--width", "2",
                  "--restrict", "back", "--out", str(tmp_path / "t.dot"))
     assert rc == cli.EXIT_USAGE
+    # digits that are not ASCII, which int() rejects ('²') or reads ('١', Arabic-Indic one)
+    for token in ("\u00b2", "\u0661"):
+        capsys.readouterr()
+        rc = run_cli("export-tree", "--data-dir", str(published_like_dir), "--width", "4",
+                     "--restrict", token, "--out", str(tmp_path / "t.dot"))
+        assert rc == cli.EXIT_USAGE
+        assert f"cannot restrict to feature {token!r} at width 4" in capsys.readouterr().err
+    assert not (tmp_path / "t.dot").exists()
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

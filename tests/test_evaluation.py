@@ -253,6 +253,17 @@ def test_monte_carlo_width_mismatch(synth_d2):
                       ["dt"])
 
 
+def test_run_table1_takes_plain_int_widths(synth_d2):
+    cfg = ev.CVConfig(iterations=1, master_seed=0)
+    expected = ev.run_table1({Width.SIMPLIFIED2: synth_d2}, cfg, ["dt"])
+    for datasets, widths in (({Width.SIMPLIFIED2: synth_d2}, [2]), ({2: synth_d2}, None)):
+        report = ev.run_table1(datasets, cfg, ["dt"], widths)
+        assert np.array_equal(report.cells[("dt", 2)].accuracies,
+                              expected.cells[("dt", 2)].accuracies)
+    with pytest.raises(ValueError, match="^dataset width SIMPLIFIED2 is not SIMPLIFIED4$"):
+        ev.run_table1({4: synth_d2}, cfg, ["dt"])
+
+
 def test_different_master_seeds_use_different_splits(synth_d2):
     first = shuffle_split(synth_d2, derive_seed(1, 0))
     second = shuffle_split(synth_d2, derive_seed(2, 0))

@@ -229,3 +229,24 @@ def test_rejects_unknown_layers():
     document["payload"]["layers"][0]["type"] = "conv"
     with pytest.raises(ValueError, match="unknown layer type 'conv'"):
         sz.decode_model(document)
+
+
+def _dense_document():
+    return sz.encode_model(nn.Network([nn.Dense(4, 16), nn.BatchNorm(16), nn.Dense(16, 4)]))
+
+
+@pytest.mark.parametrize("layer, key, value, shapes", [
+    # n_in disagrees with a well-formed 16x4 weight
+    (0, "n_in", 5, r"'weight' has shape \(16, 4\), expected \(16, 5\)"),
+    # a 16x3 weight would otherwise fail only later, in predict's matmul
+    (0, "weight", [[0.0] * 3] * 16, r"'weight' has shape \(16, 3\), expected \(16, 4\)"),
+    (0, "bias", [0.0] * 15, r"'bias' has shape \(15,\), expected \(16,\)"),
+    (1, "running_var", [1.0] * 4, r"'running_var' has shape \(4,\), expected \(16,\)"),
+], ids=["dense-n_in", "dense-weight", "dense-bias", "batchnorm-running_var"])
+def test_layer_arrays_must_have_the_constructed_shapes(layer, key, value, shapes):
+    document = _dense_document()
+    assert sz.decode_model(document).predict(np.zeros((3, 4))).shape == (3,)
+    document["payload"]["layers"][layer][key] = value
+    kind = document["payload"]["layers"][layer]["type"]
+    with pytest.raises(ValueError, match=f"^{kind} layer's {shapes}$"):
+        sz.decode_model(document)

@@ -339,6 +339,17 @@ def test_boost_determinism(synth_d4):
     )
 
 
+def test_boost_sets_leaves_in_the_grower_without_routing(synth_d4, monkeypatch):
+    expected = _document(tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 10, 0.1, 3))
+
+    def no_route(*args):
+        raise AssertionError("fitting routed rows through a finished tree")
+
+    monkeypatch.setattr(tm, "_route", no_route)
+    actual = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 10, 0.1, 3)
+    assert _document(actual) == expected
+
+
 def test_boost_validates_arguments(synth_d4):
     # a NaN or infinite rate used to fit and then predict one class
     for rate in (0.0, -0.1, math.nan, math.inf):
