@@ -138,6 +138,7 @@ class Dataset:
 
     def __post_init__(self):
         check_training_set(self.features, self.labels)
+        object.__setattr__(self, "width", Width(self.width))
         if self.features.shape[1] != int(self.width):
             raise ValueError(
                 f"width {self.width.name} expects {int(self.width)} columns, "

@@ -288,7 +288,7 @@ def run_table1(datasets: dict, cfg: CVConfig, algorithms=None, widths=None,
         if width not in datasets:
             raise ValueError(f"no dataset loaded for width {int(width)}")
         if datasets[width].width != width:
-            raise ValueError(f"dataset width {Width(datasets[width].width).name} is not "
+            raise ValueError(f"dataset width {datasets[width].width.name} is not "
                              f"{Width(width).name}")
     specs = [ModelSpec(t, w, dict(overrides.get(t, {}))) for t in algorithms for w in widths]
     seeds = [derive_seed(cfg.master_seed, i) for i in range(cfg.iterations)]

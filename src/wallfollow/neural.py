@@ -216,7 +216,6 @@ class Network:
     """Ordered layer stack ending in a 4-unit softmax output."""
 
     layers: list[Layer]
-    name: str = "custom"
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         for layer in self.layers:
@@ -335,7 +334,7 @@ def build_preset(name: str, input_width: int, dropout: float, init_seed: int = 0
         layers.append(Dense(4, 4))
     else:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    net = Network(layers, name=key)
+    net = Network(layers)
     net.init_params(init_seed)
     return net
 

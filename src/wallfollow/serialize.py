@@ -1,7 +1,7 @@
 """Versioned, lossless serialization for every trained model.
 
 Models are stored as a single JSON document: ``{"format": "wallfollow-model",
-"version": 2, "kind": ..., "payload": ...}``.  The model is what a ``fit_*``
+"version": 3, "kind": ..., "payload": ...}``.  The model is what a ``fit_*``
 function returns, or a ``neural.Network``.  One encoder, driven by type
 annotations, handles every kind: dataclasses become objects field by field,
 arrays nested lists, layers objects through ``LAYERS``, and a tree five flat
@@ -21,7 +21,7 @@ import numpy as np
 from . import neural, stat_models, tree_models
 
 FORMAT_NAME = "wallfollow-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 KINDS = {

@@ -52,10 +52,11 @@ def fit_lda(features: np.ndarray, labels: np.ndarray) -> LDAModel:
     """
     counts = _check_classes_present(features, labels, min_rows=2)
     n, d = features.shape
-    means = np.stack([features[labels == k].mean(axis=0) for k in range(N_CLASSES)])
+    classes = [features[labels == k] for k in range(N_CLASSES)]
+    means = np.stack([rows.mean(axis=0) for rows in classes])
     pooled = np.zeros((d, d))
-    for k in range(N_CLASSES):
-        centered = features[labels == k] - means[k]
+    for rows, mean in zip(classes, means):
+        centered = rows - mean
         pooled += centered.T @ centered
     pooled /= n - N_CLASSES
     ridge = LDA_RIDGE * np.trace(pooled) / d
@@ -94,10 +95,9 @@ def fit_gnb(features: np.ndarray, labels: np.ndarray) -> GNBModel:
     counts = _check_classes_present(features, labels)
     n = features.shape[0]
     smoothing = GNB_SMOOTHING * float(features.var(axis=0).max())
-    means = np.stack([features[labels == k].mean(axis=0) for k in range(N_CLASSES)])
-    variances = np.stack(
-        [features[labels == k].var(axis=0) + smoothing for k in range(N_CLASSES)]
-    )
+    classes = [features[labels == k] for k in range(N_CLASSES)]
+    means = np.stack([rows.mean(axis=0) for rows in classes])
+    variances = np.stack([rows.var(axis=0) + smoothing for rows in classes])
     return GNBModel(priors=counts / n, means=means, variances=variances)
 
 
@@ -174,12 +174,15 @@ class KNNModel:
     train_labels: np.ndarray
     k: int
 
+    def __post_init__(self):
+        check_training_set(self.train_features, self.train_labels)
+        check_count("k", self.k, 1)
+        if self.k > self.train_features.shape[0]:
+            raise ValueError(f"k must be <= {self.train_features.shape[0]} training rows, "
+                             f"got {self.k!r}")
+
 
 def fit_knn(features: np.ndarray, labels: np.ndarray, k: int) -> KNNModel:
-    check_training_set(features, labels)
-    check_count("k", k, 1)
-    if k > features.shape[0]:
-        raise ValueError(f"k must be <= {features.shape[0]} training rows, got {k!r}")
     return KNNModel(train_features=features, train_labels=labels, k=k)
 
 

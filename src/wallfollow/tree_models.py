@@ -73,8 +73,15 @@ class ForestModel:
 @dataclass
 class BoostModel:
     init_scores: np.ndarray  # per-class log prior, length 4
-    stages: list[tuple[TreeNode, ...]]  # one regression tree per class
-    learning_rate: float
+    stages: list[tuple[TreeNode, ...]]  # one regression tree per class; leaves hold shrunk steps
+
+    def __post_init__(self):
+        if np.shape(self.init_scores) != (N_CLASSES,):
+            raise ValueError(f"init_scores must hold {N_CLASSES} values, "
+                             f"got shape {np.shape(self.init_scores)}")
+        for m, stage in enumerate(self.stages):
+            if len(stage) != N_CLASSES:
+                raise ValueError(f"stage {m} must hold {N_CLASSES} trees, got {len(stage)}")
 
 
 def _gini_gain(sorted_target: np.ndarray) -> np.ndarray:
@@ -333,8 +340,8 @@ def fit_gradient_boost(
 
     Stage m fits one depth-limited regression tree per class to the
     pseudo-residuals ``one_hot - softmax(F)`` evaluated at the scores before
-    the stage; the grower sets each leaf to the one-step Newton estimate
-    ``(K-1)/K * sum(r) / sum(p (1 - p))`` over the leaf's rows.
+    the stage; the grower sets each leaf to the shrunk one-step Newton step
+    ``learning_rate * (K-1)/K * sum(r) / sum(p (1 - p))`` over the leaf's rows.
     """
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
@@ -359,13 +366,14 @@ def fit_gradient_boost(
                 numerator = residual[rows, k].sum() * (N_CLASSES - 1) / N_CLASSES
                 p = probs[rows, k]
                 denominator = (p * (1.0 - p)).sum()
-                value = 0.0 if abs(denominator) < 1e-150 else float(numerator / denominator)
-                scores[rows, k] += learning_rate * value
+                value = learning_rate * (0.0 if abs(denominator) < 1e-150
+                                         else float(numerator / denominator))
+                scores[rows, k] += value
                 return value
             stage.append(_grow(order, values, residual[:, k], params, _sse_gain,
                                newton_leaf, lambda: range(features.shape[1])))
         stages.append(tuple(stage))
-    return BoostModel(init_scores=init_scores, stages=stages, learning_rate=learning_rate)
+    return BoostModel(init_scores=init_scores, stages=stages)
 
 
 def boost_raw_scores(model: BoostModel, features: np.ndarray) -> np.ndarray:
@@ -373,7 +381,7 @@ def boost_raw_scores(model: BoostModel, features: np.ndarray) -> np.ndarray:
     for stage in model.stages:
         for k, tree in enumerate(stage):
             for leaf, rows in _route(tree, features):
-                scores[rows, k] += model.learning_rate * leaf.value
+                scores[rows, k] += leaf.value
     return scores
 
 

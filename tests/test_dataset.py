@@ -272,6 +272,22 @@ def test_dataset_width_mismatch():
         Dataset(np.ones((3, 2)), np.zeros(3, dtype=np.int64), Width.SIMPLIFIED4)
 
 
+def test_dataset_plain_int_width_mismatch_is_named():
+    with pytest.raises(ValueError, match="^width SIMPLIFIED2 expects 2 columns, got 3$"):
+        Dataset(np.zeros((4, 3)), np.arange(4), 2)
+
+
+def test_dataset_stores_plain_int_width_as_width():
+    ds = Dataset(np.zeros((4, 2)), np.arange(4), 2)
+    assert ds.width is Width.SIMPLIFIED2
+    assert derive_simplified2(Dataset(np.zeros((4, 4)), np.arange(4), 4)).n == 4
+
+
+def test_dataset_rejects_width_that_is_not_a_width():
+    with pytest.raises(ValueError, match="3 is not a valid Width"):
+        Dataset(np.zeros((4, 3)), np.arange(4), 3)
+
+
 # ---------------------------------------------------------------------------
 # arc calibration and derivation
 # ---------------------------------------------------------------------------

@@ -64,43 +64,43 @@ def _document_sha256(model) -> str:
 def test_decision_tree_document_fingerprint(synth_d4):
     model = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, DT_PARAMS)
     assert _document_sha256(model) == (
-        "d80a840aa7e19a00999cf00f9f726653288c6f7d14fa7e043749c85d0e7a9772")
+        "d1afd426d0429e462d4d81b731eda78c9163e0da88c1313c82f75dbdacfd430b")
 
 
 def test_random_forest_document_fingerprint(synth_d4):
     model = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 4, DT_PARAMS, seed=2)
     assert _document_sha256(model) == (
-        "58d94e10d6428c574f2f41acab285afb16795880783be65bb1834e78019832b3")
+        "fe286dc4da78a6700f0dfba8dbbdb63bf54954985ef8c6bab4ef38ce330c6068")
 
 
 def test_gradient_boost_document_fingerprint(synth_d4):
     model = tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, **(GBC_HP | {"n_stages": 4}))
     assert _document_sha256(model) == (
-        "8559750698d72fbf303092aa8d25bab5151d83bb6efcac50cf938e5277c3223f")
+        "a6406e9cdca03f4f466f19ef76d1565452937c2837556ebb74bc781c781f2f0c")
 
 
 def test_lda_document_fingerprint(synth_full):
     model = sm.fit_lda(synth_full.features, synth_full.labels)
     assert _document_sha256(model) == (
-        "d68e9cf98f2c6466e49a650486591181a36a8a0c6163f47abc538cab0478d534")
+        "4c8ee06de9f9bbda9c0ff0d2e375bbb6fb3f14a388dc5040643607388caa8c01")
 
 
 def test_gnb_document_fingerprint(synth_full):
     model = sm.fit_gnb(synth_full.features, synth_full.labels)
     assert _document_sha256(model) == (
-        "e93edaf3738db4c707f437a5307452cb6ee7152b036ba1c582bce0040d885f20")
+        "9f0c9c655314201c3e7f69669f92b8913d37c4349dfafceaa2fd101468b24af9")
 
 
 def test_knn_document_fingerprint(synth_d2):
     model = sm.fit_knn(synth_d2.features, synth_d2.labels, k=5)
     assert _document_sha256(model) == (
-        "091fcd095d5b00f03b941ff90dbc27e835246d3cc20ef5e88824b6efabbedf82")
+        "0e1b0be7f7a01875a6137d2f672c1ba659ad5629eda77f5c3b4676b1f079447d")
 
 
 def test_svm_document_fingerprint(synth_d4):
     model = sm.fit_svm(synth_d4.features[:150], synth_d4.labels[:150], **SVM_HP, seed=1)
     assert _document_sha256(model) == (
-        "8a7482fb00a56568aead0802ca67a45864483911d8464615d0f8a9972670428c")
+        "14be9121c061e6704eee07ab04644d91fae9b2620b860a20c14fce6a55c9ad17")
 
 
 def test_network_document_fingerprint(synth_d4):
@@ -109,4 +109,4 @@ def test_network_document_fingerprint(synth_d4):
     nn.train_network(net, features, synth_d4.labels,
                      nn.TrainConfig(batch_size=32, epochs=2, dropout=0.1, seed=3))
     assert _document_sha256(net) == (
-        "d046695358fa5c47f805c624324930ecd1b452072d0a8f0e7d61fe5cbc390181")
+        "3fc4f714e478227c3929dd87c80a029a7bdc676fba5f8a6d057f8afd5cd1f706")

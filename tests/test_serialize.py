@@ -100,7 +100,6 @@ def test_network_round_trip(tmp_path):
                      nn.TrainConfig(batch_size=8, epochs=2, dropout=0.1, seed=3))
     loaded = _round_trip(net, tmp_path)
     assert np.array_equal(loaded.forward(features), net.forward(features))
-    assert loaded.name == "DFNN_WS"
 
 
 # One layer of each serialized type: a factory, its output width on a 5-wide
@@ -146,7 +145,7 @@ def test_document_shape(tmp_path, synth_d2):
     sz.save_model(model, path)
     doc = json.loads(path.read_text())
     assert doc["format"] == "wallfollow-model"
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["kind"] == "decision_tree"
     # five preorder lists; a leaf has feature, left and right -1
     tree = doc["payload"]
@@ -167,16 +166,18 @@ def test_rejects_foreign_documents(synth_d2):
         sz.decode_model(["wallfollow-model", 2])
     with pytest.raises(ValueError, match="version"):
         sz.decode_model({"format": "wallfollow-model", "version": 99})
-    # version 1 nested one object per tree level; no reader for it is kept
-    version1 = {"format": "wallfollow-model", "version": 1, "kind": "decision_tree",
-                "payload": {"root": {"counts": [1, 0, 0, 0]}}}
-    with pytest.raises(ValueError, match="^unsupported model format version 1$"):
-        sz.decode_model(version1)
+    # version 1 nested one object per tree level; version 2 stored unshrunk boosting
+    # leaves and would predict wrongly; no reader for either is kept
+    for version in (1, 2):
+        old = {"format": "wallfollow-model", "version": version, "kind": "decision_tree",
+               "payload": {"root": {"counts": [1, 0, 0, 0]}}}
+        with pytest.raises(ValueError, match=f"^unsupported model format version {version}$"):
+            sz.decode_model(old)
     with pytest.raises(ValueError, match="model document lacks 'kind'"):
-        sz.decode_model({"format": "wallfollow-model", "version": 2})
+        sz.decode_model({"format": "wallfollow-model", "version": sz.FORMAT_VERSION})
     with pytest.raises(ValueError, match="LDAModel lacks 'coef'"):
-        sz.decode_model({"format": "wallfollow-model", "version": 2, "kind": "lda",
-                         "payload": {}})
+        sz.decode_model({"format": "wallfollow-model", "version": sz.FORMAT_VERSION,
+                         "kind": "lda", "payload": {}})
     document = sz.encode_model(tm.fit_decision_tree(synth_d2.features, synth_d2.labels, DT_PARAMS))
     assert document["payload"]["left"][0] == 1
     for child in (0, -1, len(document["payload"]["left"])):
@@ -249,4 +250,30 @@ def test_layer_arrays_must_have_the_constructed_shapes(layer, key, value, shapes
     document["payload"]["layers"][layer][key] = value
     kind = document["payload"]["layers"][layer]["type"]
     with pytest.raises(ValueError, match=f"^{kind} layer's {shapes}$"):
+        sz.decode_model(document)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload["init_scores"].pop(),
+     r"^init_scores must hold 4 values, got shape \(3,\)$"),
+    (lambda payload: payload["stages"][0].pop(), "^stage 0 must hold 4 trees, got 3$"),
+], ids=["init_scores", "stage"])
+def test_boost_document_with_three_classes_fails_at_load(synth_d4, edit, message):
+    document = sz.encode_model(tm.fit_gradient_boost(synth_d4.features, synth_d4.labels,
+                                                      **(GBC_HP | {"n_stages": 2})))
+    edit(document["payload"])
+    with pytest.raises(ValueError, match=message):
+        sz.decode_model(document)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload.update(k=0), "^k must be >= 1, got 0$"),
+    (lambda payload: payload.update(k=2.5), "^k must be an integer, got 2.5$"),
+    (lambda payload: payload["train_labels"].__setitem__(0, 7), r"^labels must lie in 0\.\.3$"),
+    (lambda payload: payload["train_labels"].pop(), "^labels has 59 rows but features has 60$"),
+], ids=["k0", "k-fraction", "label7", "label-missing"])
+def test_knn_document_is_checked_as_a_fit(synth_d2, edit, message):
+    document = sz.encode_model(sm.fit_knn(synth_d2.features[:60], synth_d2.labels[:60], 5))
+    edit(document["payload"])
+    with pytest.raises(ValueError, match=message):
         sz.decode_model(document)

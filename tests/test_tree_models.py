@@ -570,11 +570,12 @@ def _reference_gradient_boost(features, labels, n_stages, learning_rate, max_dep
                 numerator = residual[rows, k].sum() * (tm.N_CLASSES - 1) / tm.N_CLASSES
                 p = probs[rows, k]
                 denominator = (p * (1.0 - p)).sum()
-                leaf.value = 0.0 if abs(denominator) < 1e-150 else float(numerator / denominator)
-                scores[rows, k] += learning_rate * leaf.value
+                value = 0.0 if abs(denominator) < 1e-150 else float(numerator / denominator)
+                scores[rows, k] += learning_rate * value
+                leaf.value = learning_rate * value
             stage.append(tree)
         stages.append(tuple(stage))
-    return tm.BoostModel(init_scores=init_scores, stages=stages, learning_rate=learning_rate)
+    return tm.BoostModel(init_scores=init_scores, stages=stages)
 
 
 def _document(model):
