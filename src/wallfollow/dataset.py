@@ -67,6 +67,8 @@ def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
         raise ValueError("features contain non-finite values")
     if labels.ndim != 1:
         raise ValueError(f"labels must be a vector, got shape {labels.shape}")
+    if labels.dtype.kind not in ("i", "u"):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.shape[0] != features.shape[0]:
         raise ValueError(f"labels has {labels.shape[0]} rows but features has {features.shape[0]}")
     if labels.min() < 0 or labels.max() >= N_CLASSES:
@@ -91,6 +93,11 @@ class ArcCalibrationError(ValueError):
 
 ARC_DIRECTIONS = ("front", "left", "right", "back")
 
+# The windows an arc may cover: every circular run of 4, then of 5,
+# consecutive sensors in ascending order (60 degrees at 15-degree spacing).
+ARC_WINDOWS = tuple(tuple((start + k) % N_SENSORS for k in range(length))
+                    for length in (4, 5) for start in range(N_SENSORS))
+
 
 @dataclass(frozen=True)
 class ArcMap:
@@ -104,48 +111,35 @@ class ArcMap:
     def __post_init__(self):
         for name in ARC_DIRECTIONS:
             window = getattr(self, name)
-            if not window:
-                raise ValueError(f"arc '{name}' is empty")
-            if any(not 0 <= i < N_SENSORS for i in window):
-                raise ValueError(f"arc '{name}' has an index outside 0..{N_SENSORS - 1}")
-            if not _is_circular_run(window) or len(window) > 5:
+            if window not in ARC_WINDOWS:
                 raise ValueError(
-                    f"arc '{name}' must be at most 5 consecutive sensors (60 degrees "
-                    f"at 15-degree spacing), got {window}"
+                    f"arc '{name}' must be 4 or 5 consecutive sensors in ascending "
+                    f"circular order, got {window}"
                 )
 
     def windows(self) -> tuple[tuple[int, ...], ...]:
         return (self.front, self.left, self.right, self.back)
 
 
-def _is_circular_run(window: tuple[int, ...]) -> bool:
-    need = set(window)
-    if len(need) != len(window):
-        return False
-    for start in range(N_SENSORS):
-        if need == {(start + k) % N_SENSORS for k in range(len(window))}:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature matrix plus direction labels for one width."""
+    """Immutable feature matrix plus direction labels; the column count is the width."""
 
-    features: np.ndarray  # (n, d) float64
+    features: np.ndarray  # (n, d) float64, d one of 24, 4, 2
     labels: np.ndarray  # (n,) int64, values in 0..3
-    width: Width
 
     def __post_init__(self):
         check_training_set(self.features, self.labels)
-        object.__setattr__(self, "width", Width(self.width))
-        if self.features.shape[1] != int(self.width):
+        if self.features.shape[1] not in tuple(Width):
             raise ValueError(
-                f"width {self.width.name} expects {int(self.width)} columns, "
-                f"got {self.features.shape[1]}"
+                f"a dataset has 24, 4 or 2 feature columns, got {self.features.shape[1]}"
             )
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
+
+    @property
+    def width(self) -> Width:
+        return Width(self.features.shape[1])
 
     @property
     def n(self) -> int:
@@ -199,7 +193,7 @@ def load_dataset(path, width: Width) -> Dataset:
     commas = np.array([line.count(",") for line in lines])
     if (commas != d).any() or not np.isfinite(features).all() or labels.min() < 0:
         raise _first_fault(path.name, text, d)
-    return Dataset(features=features, labels=labels, width=width)
+    return Dataset(features=features, labels=labels)
 
 
 def _first_fault(name: str, text: str, d: int) -> DataFormatError:
@@ -239,19 +233,11 @@ def _first_fault(name: str, text: str, d: int) -> DataFormatError:
     return DataFormatError(f"{name}: unreadable sensor values")
 
 
-def _candidate_windows() -> list[tuple[int, ...]]:
-    windows = []
-    for length in (4, 5):
-        for start in range(N_SENSORS):
-            windows.append(tuple((start + k) % N_SENSORS for k in range(length)))
-    return windows
-
-
 def calibrate_arc_map(full: Dataset, published4: Dataset) -> ArcMap:
     """Recover which sensor windows produce the published 4-sensor file.
 
-    For every direction the search covers contiguous windows of 4 or 5
-    sensors (circular).  A window matches when its per-row minimum equals the
+    For every direction the search covers ``ARC_WINDOWS``, the circular runs
+    of 4 or 5 sensors.  A window matches when its per-row minimum equals the
     published column exactly; each direction must match exactly one window.
     """
     if full.width is not Width.FULL24 or published4.width is not Width.SIMPLIFIED4:
@@ -261,12 +247,11 @@ def calibrate_arc_map(full: Dataset, published4: Dataset) -> ArcMap:
     if not np.array_equal(full.labels, published4.labels):
         raise ArcCalibrationError("label sequences differ between the full and 4-sensor files")
 
-    windows = _candidate_windows()
-    mins = np.stack([full.features[:, w].min(axis=1) for w in windows])
+    mins = np.stack([full.features[:, w].min(axis=1) for w in ARC_WINDOWS])
     assigned = []
     for j, direction in enumerate(ARC_DIRECTIONS):
         column = published4.features[:, j]
-        matches = [windows[i] for i in range(len(windows)) if np.array_equal(mins[i], column)]
+        matches = [w for w, m in zip(ARC_WINDOWS, mins) if np.array_equal(m, column)]
         if not matches:
             raise ArcCalibrationError(
                 f"no 4- or 5-sensor window reproduces the '{direction}' column"
@@ -284,22 +269,14 @@ def derive_simplified4(full: Dataset, arc_map: ArcMap) -> Dataset:
     if full.width is not Width.FULL24:
         raise ValueError("derive_simplified4 needs a FULL24 dataset")
     columns = [full.features[:, w].min(axis=1) for w in arc_map.windows()]
-    return Dataset(
-        features=np.column_stack(columns),
-        labels=full.labels.copy(),
-        width=Width.SIMPLIFIED4,
-    )
+    return Dataset(features=np.column_stack(columns), labels=full.labels.copy())
 
 
 def derive_simplified2(four: Dataset) -> Dataset:
     """Keep only (front, left) from the 4-sensor dataset."""
     if four.width is not Width.SIMPLIFIED4:
         raise ValueError("derive_simplified2 needs a SIMPLIFIED4 dataset")
-    return Dataset(
-        features=four.features[:, :2].copy(),
-        labels=four.labels.copy(),
-        width=Width.SIMPLIFIED2,
-    )
+    return Dataset(features=four.features[:, :2].copy(), labels=four.labels.copy())
 
 
 def train_size_for(n: int) -> int:

@@ -130,14 +130,11 @@ class BatchNorm:
 
     def __init__(self, units: int):
         self.units = units
-        self.init_params(None)
+        self.gamma = np.ones(units)
+        self.beta = np.zeros(units)
+        self.running_mean = np.zeros(units)
+        self.running_var = np.ones(units)
         self._cache = None
-
-    def init_params(self, rng) -> None:
-        self.gamma = np.ones(self.units)
-        self.beta = np.zeros(self.units)
-        self.running_mean = np.zeros(self.units)
-        self.running_var = np.ones(self.units)
 
     def forward(self, x: np.ndarray, train: bool, rng) -> np.ndarray:
         if train:

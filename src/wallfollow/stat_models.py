@@ -89,6 +89,19 @@ class GNBModel:
     means: np.ndarray  # (K, d)
     variances: np.ndarray  # (K, d), already smoothed
 
+    def __post_init__(self):
+        if np.shape(self.priors) != (N_CLASSES,):
+            raise ValueError(f"priors must hold {N_CLASSES} values, "
+                             f"got shape {np.shape(self.priors)}")
+        shape = np.shape(self.means)
+        if len(shape) != 2 or shape[0] != N_CLASSES:
+            raise ValueError(f"means must have shape ({N_CLASSES}, d), got {shape}")
+        if np.shape(self.variances) != shape:
+            raise ValueError(f"variances must have the means' shape {shape}, "
+                             f"got {np.shape(self.variances)}")
+        if not (np.isfinite(self.variances) & (self.variances > 0)).all():
+            raise ValueError("variances must be finite and > 0")
+
 
 def fit_gnb(features: np.ndarray, labels: np.ndarray) -> GNBModel:
     """Per-class Gaussian fit; variances smoothed by 1e-9 * max feature variance."""

@@ -41,7 +41,7 @@ def synth_full_dataset(n: int, seed: int = 1234) -> dsm.Dataset:
         np.where(left < 1.0, 2, 1),
         np.where(left < 2.2, 0, 3),
     ).astype(np.int64)
-    return dsm.Dataset(features, labels, dsm.Width.FULL24)
+    return dsm.Dataset(features, labels)
 
 
 def write_dataset_file(ds: dsm.Dataset, path: Path) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -119,7 +120,6 @@ def _reference_load_dataset(path, width: Width) -> Dataset:
     return Dataset(
         features=np.array(rows, dtype=np.float64),
         labels=np.array(labels, dtype=np.int64),
-        width=width,
     )
 
 
@@ -250,7 +250,7 @@ def test_load_names_the_first_byte_that_is_not_utf8(tmp_path):
 
 def test_dataset_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
-        Dataset(np.array([[np.inf, 1.0]]), np.array([0]), Width.SIMPLIFIED2)
+        Dataset(np.array([[np.inf, 1.0]]), np.array([0]))
 
 
 @pytest.mark.parametrize("features, labels, match", [
@@ -259,33 +259,26 @@ def test_dataset_rejects_nonfinite():
     pytest.param(np.ones((3, 2)), np.array([0, 1, 4]), r"0\.\.3", id="label-above"),
     pytest.param(np.ones((3, 2)), np.zeros(4, dtype=np.int64),
                  "labels has 4 rows but features has 3", id="row-mismatch"),
+    pytest.param(np.ones((3, 2)), np.array([0.0, 1.5, 2.0]),
+                 "^labels must be integers, got dtype float64$", id="labels-float"),
 ])
 def test_check_training_set_names_the_fault(features, labels, match):
     with pytest.raises(ValueError, match=match):
         check_training_set(features, labels)
     with pytest.raises(ValueError, match=match):
-        Dataset(features, labels, Width.SIMPLIFIED2)
+        Dataset(features, labels)
 
 
-def test_dataset_width_mismatch():
-    with pytest.raises(ValueError, match="expects 4 columns"):
-        Dataset(np.ones((3, 2)), np.zeros(3, dtype=np.int64), Width.SIMPLIFIED4)
-
-
-def test_dataset_plain_int_width_mismatch_is_named():
-    with pytest.raises(ValueError, match="^width SIMPLIFIED2 expects 2 columns, got 3$"):
-        Dataset(np.zeros((4, 3)), np.arange(4), 2)
-
-
-def test_dataset_stores_plain_int_width_as_width():
-    ds = Dataset(np.zeros((4, 2)), np.arange(4), 2)
-    assert ds.width is Width.SIMPLIFIED2
-    assert derive_simplified2(Dataset(np.zeros((4, 4)), np.arange(4), 4)).n == 4
+def test_dataset_width_is_read_from_the_columns():
+    assert [f.name for f in dataclasses.fields(Dataset)] == ["features", "labels"]
+    for width in Width:
+        assert Dataset(np.zeros((4, int(width))), np.arange(4)).width is width
+    assert derive_simplified2(Dataset(np.zeros((4, 4)), np.arange(4))).width is Width.SIMPLIFIED2
 
 
 def test_dataset_rejects_width_that_is_not_a_width():
-    with pytest.raises(ValueError, match="3 is not a valid Width"):
-        Dataset(np.zeros((4, 3)), np.arange(4), 3)
+    with pytest.raises(ValueError, match="^a dataset has 24, 4 or 2 feature columns, got 3$"):
+        Dataset(np.zeros((4, 3)), np.arange(4))
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +292,20 @@ def test_calibrate_recovers_planted_arcs(synth_full, synth_d4):
 def test_calibrate_constant_dataset_is_ambiguous():
     features = np.full((30, 24), 1.7)
     labels = np.zeros(30, dtype=np.int64)
-    full = Dataset(features, labels, Width.FULL24)
-    d4 = Dataset(np.full((30, 4), 1.7), labels, Width.SIMPLIFIED4)
+    full = Dataset(features, labels)
+    d4 = Dataset(np.full((30, 4), 1.7), labels)
     with pytest.raises(ArcCalibrationError, match="ambiguous"):
         calibrate_arc_map(full, d4)
 
 
 def test_calibrate_mismatched_labels(synth_full, synth_d4):
-    rolled = Dataset(synth_d4.features, np.roll(synth_d4.labels, 1), Width.SIMPLIFIED4)
+    rolled = Dataset(synth_d4.features, np.roll(synth_d4.labels, 1))
     with pytest.raises(ValueError, match="label sequences differ"):
         calibrate_arc_map(synth_full, rolled)
 
 
 def test_calibrate_unreproducible_column(synth_full, synth_d4):
-    shifted = Dataset(synth_d4.features + 0.5, synth_d4.labels, Width.SIMPLIFIED4)
+    shifted = Dataset(synth_d4.features + 0.5, synth_d4.labels)
     with pytest.raises(ArcCalibrationError, match="front"):
         calibrate_arc_map(synth_full, shifted)
 
@@ -322,6 +315,16 @@ def test_arcmap_rejects_non_contiguous():
         ArcMap(front=(0, 2, 4), left=(4, 5), right=(8, 9), back=(12, 13))
 
 
+def test_arcmap_rejects_three_sensor_window():
+    with pytest.raises(ValueError, match="consecutive"):
+        dataclasses.replace(SYNTH_ARCS, right=(16, 17, 18))
+
+
+def test_arcmap_rejects_reordered_window():
+    with pytest.raises(ValueError, match="consecutive"):
+        dataclasses.replace(SYNTH_ARCS, front=(2, 1, 0, 23, 22))
+
+
 def test_arcmap_rejects_wide_window():
     with pytest.raises(ValueError, match="consecutive"):
         ArcMap(front=(0, 1, 2, 3, 4, 5), left=(6, 7), right=(8, 9), back=(12, 13))
@@ -329,7 +332,7 @@ def test_arcmap_rejects_wide_window():
 
 def test_derive4_constant_row():
     features = np.full((1, 24), 1.7)
-    ds = Dataset(features, np.array([0]), Width.FULL24)
+    ds = Dataset(features, np.array([0]))
     out = derive_simplified4(ds, SYNTH_ARCS)
     assert np.array_equal(out.features, np.full((1, 4), 1.7))
 
@@ -337,7 +340,7 @@ def test_derive4_constant_row():
 def test_derive4_takes_arc_minimum():
     features = np.full((1, 24), 9.0)
     features[0, list(SYNTH_ARCS.left)] = [0.5, 1.2, 0.8, 2.0, 3.0]
-    ds = Dataset(features, np.array([1]), Width.FULL24)
+    ds = Dataset(features, np.array([1]))
     out = derive_simplified4(ds, SYNTH_ARCS)
     assert out.features[0, 1] == 0.5  # column order (front, left, right, back)
 
@@ -368,7 +371,7 @@ def test_round_trip_matches_published_files(published_like_dir):
 def test_split_sizes_at_published_count():
     assert train_size_for(5456) == 4910
     features = np.arange(5456 * 2, dtype=float).reshape(5456, 2)
-    ds = Dataset(features, np.zeros(5456, dtype=np.int64), Width.SIMPLIFIED2)
+    ds = Dataset(features, np.zeros(5456, dtype=np.int64))
     pair = shuffle_split(ds, 42)
     assert pair.train_indices.size == 4910
     assert pair.test_indices.size == 546
@@ -382,7 +385,7 @@ def test_split_deterministic(synth_d2):
 
 
 def test_split_too_small():
-    ds = Dataset(np.ones((10, 2)), np.zeros(10, dtype=np.int64), Width.SIMPLIFIED2)
+    ds = Dataset(np.ones((10, 2)), np.zeros(10, dtype=np.int64))
     with pytest.raises(ValueError, match="too small for 10:1"):
         shuffle_split(ds, 0)
 
@@ -391,7 +394,7 @@ def test_split_too_small():
 @given(st.integers(min_value=11, max_value=300), st.integers(min_value=0, max_value=2**64 - 1))
 def test_split_is_bijection(n, seed):
     features = np.zeros((n, 2))
-    ds = Dataset(features, np.zeros(n, dtype=np.int64), Width.SIMPLIFIED2)
+    ds = Dataset(features, np.zeros(n, dtype=np.int64))
     pair = shuffle_split(ds, seed)
     merged = np.concatenate([pair.train_indices, pair.test_indices])
     assert np.array_equal(np.sort(merged), np.arange(n))

@@ -141,7 +141,7 @@ def test_parallel_failure_names_cell_iteration_and_seed(synth_d2):
     # class 3 keeps two rows, so LDA fails on every split that holds one out
     rows = np.sort(np.concatenate([np.flatnonzero(synth_d2.labels != 3),
                                    np.flatnonzero(synth_d2.labels == 3)[:2]]))
-    ds = Dataset(synth_d2.features[rows], synth_d2.labels[rows], Width.SIMPLIFIED2)
+    ds = Dataset(synth_d2.features[rows], synth_d2.labels[rows])
     rare = np.flatnonzero(ds.labels == 3)
 
     def first_failure(master_seed):

@@ -271,9 +271,28 @@ def test_boost_document_with_three_classes_fails_at_load(synth_d4, edit, message
     (lambda payload: payload.update(k=2.5), "^k must be an integer, got 2.5$"),
     (lambda payload: payload["train_labels"].__setitem__(0, 7), r"^labels must lie in 0\.\.3$"),
     (lambda payload: payload["train_labels"].pop(), "^labels has 59 rows but features has 60$"),
-], ids=["k0", "k-fraction", "label7", "label-missing"])
+    (lambda payload: payload["train_labels"].__setitem__(0, 1.5),
+     "^labels must be integers, got dtype float64$"),
+], ids=["k0", "k-fraction", "label7", "label-missing", "label-fraction"])
 def test_knn_document_is_checked_as_a_fit(synth_d2, edit, message):
     document = sz.encode_model(sm.fit_knn(synth_d2.features[:60], synth_d2.labels[:60], 5))
+    edit(document["payload"])
+    with pytest.raises(ValueError, match=message):
+        sz.decode_model(document)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload["priors"].pop(), r"^priors must hold 4 values, got shape \(3,\)$"),
+    (lambda payload: payload["means"].pop(), r"^means must have shape \(4, d\), got \(3, 2\)$"),
+    (lambda payload: payload.update(variances=[row[:1] for row in payload["variances"]]),
+     r"^variances must have the means' shape \(4, 2\), got \(4, 1\)$"),
+    (lambda payload: payload["variances"][0].__setitem__(0, 0.0),
+     "^variances must be finite and > 0$"),
+    (lambda payload: payload["variances"][3].__setitem__(1, -1.0),
+     "^variances must be finite and > 0$"),
+], ids=["priors", "means", "variances", "variance0", "variance-negative"])
+def test_gnb_document_is_checked_at_load(synth_d2, edit, message):
+    document = sz.encode_model(sm.fit_gnb(synth_d2.features, synth_d2.labels))
     edit(document["payload"])
     with pytest.raises(ValueError, match=message):
         sz.decode_model(document)

@@ -112,6 +112,19 @@ def test_gnb_hand_computed_1d():
     assert sm.predict_gnb(model, query)[0] == 1
 
 
+def test_gnb_fit_names_float_labels():
+    features = np.arange(8.0).reshape(8, 1)
+    labels = np.array([0, 1, 2, 3, 0, 1, 2, 1.5])
+    with pytest.raises(ValueError, match="^labels must be integers, got dtype float64$"):
+        sm.fit_gnb(features, labels)
+
+
+def test_gnb_fit_on_constant_features_fails_by_name():
+    # every variance is zero, and so is the smoothing scaled by the largest one
+    with pytest.raises(ValueError, match="^variances must be finite and > 0$"):
+        sm.fit_gnb(np.ones((8, 2)), np.repeat(np.arange(4), 2))
+
+
 def test_gnb_symmetric_boundary_at_zero():
     # classes 2 and 3 are the same pair shifted by +10, with its boundary at 10
     pair = np.array([[-1.0], [-2.0], [1.0], [2.0]])

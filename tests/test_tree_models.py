@@ -193,6 +193,13 @@ def test_empty_training_set_rejected():
         tm.fit_decision_tree(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), DT_PARAMS)
 
 
+def test_tree_fit_names_float_labels():
+    features = np.arange(8.0).reshape(8, 1)
+    labels = np.array([0, 1, 2, 3, 0, 1, 2, 1.5])
+    with pytest.raises(ValueError, match="^labels must be integers, got dtype float64$"):
+        tm.fit_decision_tree(features, labels, DT_PARAMS)
+
+
 def test_perfect_training_fit_on_consistent_data(synth_d2):
     root = tm.fit_decision_tree(synth_d2.features, synth_d2.labels, DT_PARAMS)
     predicted = tm.predict_tree(root, synth_d2.features)
