@@ -65,8 +65,7 @@ MODELS = {
     "fnn1": Model("FNN (1 Hidden Layer)", _NETWORK,
                   partial(_fit_network, "fnn1"), neural.Network.predict),
     "dt": Model("Decision Tree (DT)", _TREE,
-                lambda x, y, hp, seed: tree_models.fit_decision_tree(
-                    x, y, _tree_params(hp), seed),
+                lambda x, y, hp, seed: tree_models.fit_decision_tree(x, y, _tree_params(hp)),
                 tree_models.predict_tree),
     "gbc": Model("Gradient Boost Classifier (GBC)",
                  {"n_stages": 100, "learning_rate": 0.1, "max_depth": 3},

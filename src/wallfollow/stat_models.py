@@ -93,6 +93,8 @@ class GNBModel:
         if np.shape(self.priors) != (N_CLASSES,):
             raise ValueError(f"priors must hold {N_CLASSES} values, "
                              f"got shape {np.shape(self.priors)}")
+        if not ((self.priors > 0) & (self.priors <= 1)).all():  # NaN fails both
+            raise ValueError("priors must be finite and in (0, 1]")
         shape = np.shape(self.means)
         if len(shape) != 2 or shape[0] != N_CLASSES:
             raise ValueError(f"means must have shape ({N_CLASSES}, d), got {shape}")

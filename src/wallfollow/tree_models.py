@@ -216,38 +216,31 @@ def _grow(order: np.ndarray, values: np.ndarray, target: np.ndarray, params: Tre
     return root
 
 
+def _class_counts(node_target: np.ndarray, _rows: np.ndarray) -> np.ndarray:
+    """Leaf value of a classification tree: the class counts of its one-hot rows."""
+    return node_target.sum(axis=0).astype(np.int64)
+
+
 def fit_decision_tree(
     features: np.ndarray,
     labels: np.ndarray,
     params: TreeParams,
     seed: int = 0,
-    features_per_split: int | None = None,
     allowed_features=None,
 ) -> TreeNode:
-    """Grow a CART classification tree.
-
-    ``features_per_split`` resamples that many candidate features at every
-    split (random-forest mode, drawn from ``seed``); by default every feature
-    is a candidate.  ``allowed_features`` restricts the candidate pool.
-    """
+    """Grow a CART classification tree; ``allowed_features`` restricts the candidate features."""
+    del seed  # the fit draws nothing
     check_training_set(features, labels)
     d = features.shape[1]
-    pool = list(range(d)) if allowed_features is None else sorted(allowed_features)
+    pool = list(range(d)) if allowed_features is None else list(allowed_features)
+    for f in pool:
+        check_count("allowed_features", f, 0)
+        if f >= d:
+            raise ValueError(f"allowed_features must lie in 0..{d - 1}, got {f!r}")
     if not pool:
         raise ValueError("allowed_features must name at least one feature")
-    if not 0 <= pool[0] <= pool[-1] < d:
-        raise ValueError(f"allowed_features must lie in 0..{d - 1}, got {pool}")
-    if features_per_split is not None:
-        check_count("features_per_split", features_per_split, 1)
-    rng = Xoshiro256StarStar(seed)
-    if features_per_split is not None and features_per_split < len(pool):
-        def candidates():
-            return [pool[i] for i in rng.sample_indices(len(pool), features_per_split)]
-    else:
-        def candidates():
-            return pool
-    return _grow(*_presort(features), one_hot(labels), params, _gini_gain,
-                 lambda t, rows: t.sum(axis=0).astype(np.int64), candidates)
+    return _grow(*_presort(features), one_hot(labels), params, _gini_gain, _class_counts,
+                 lambda: pool)
 
 
 def _route(root: TreeNode, features: np.ndarray):
@@ -278,44 +271,30 @@ def predict_tree(root: TreeNode, features: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_features_per_split(d: int) -> int:
-    return int(np.ceil(np.sqrt(d)))
-
-
 def fit_random_forest(
     features: np.ndarray,
     labels: np.ndarray,
     n_trees: int,
     params: TreeParams,
     seed: int = 0,
-    bootstrap: bool = True,
-    features_per_split: int | None = None,
 ) -> ForestModel:
-    """Bagged CART trees with per-split feature resampling (default ceil(sqrt(d)))."""
+    """Bagged CART trees, each split choosing among ceil(sqrt(d)) random features."""
     check_count("n_trees", n_trees, 1)
     check_training_set(features, labels)
     n, d = features.shape
-    m = default_features_per_split(d) if features_per_split is None else features_per_split
-    check_count("features_per_split", m, 1)
-    if m > d:
-        raise ValueError(f"features_per_split must be <= {d} features, got {m}")
+    m = math.ceil(math.sqrt(d))
     trees = []
     for t in range(n_trees):
         tree_seed = derive_seed(seed, t)
-        if bootstrap:
-            rng = Xoshiro256StarStar(derive_seed(tree_seed, 0))
-            rows = np.array([rng.below(n) for _ in range(n)], dtype=np.int64)
-        else:
-            rows = np.arange(n)
-        trees.append(
-            fit_decision_tree(
-                features[rows],
-                labels[rows],
-                params,
-                seed=derive_seed(tree_seed, 1),
-                features_per_split=m if m < d else None,
-            )
-        )
+        rng = Xoshiro256StarStar(derive_seed(tree_seed, 0))
+        rows = np.array([rng.below(n) for _ in range(n)], dtype=np.int64)
+        draw = Xoshiro256StarStar(derive_seed(tree_seed, 1))
+
+        def candidates():
+            return draw.sample_indices(d, m) if m < d else range(d)
+
+        trees.append(_grow(*_presort(features[rows]), one_hot(labels[rows]), params, _gini_gain,
+                           _class_counts, candidates))
     return ForestModel(trees=trees)
 
 

@@ -7,7 +7,7 @@ import pytest
 from wallfollow import dataset as dsm
 from wallfollow import evaluation as ev
 from wallfollow import tree_models as tm
-from wallfollow.rng import XoshiroLanes
+from wallfollow.rng import Xoshiro256StarStar, XoshiroLanes, derive_seed
 
 # The benchmarked hyperparameters, which the fit functions require: a test
 # that fits a model as the benchmark does passes these.
@@ -42,6 +42,12 @@ def synth_full_dataset(n: int, seed: int = 1234) -> dsm.Dataset:
         np.where(left < 2.2, 0, 3),
     ).astype(np.int64)
     return dsm.Dataset(features, labels)
+
+
+def forest_bootstrap_rows(n: int, seed: int, tree: int) -> np.ndarray:
+    """The ``n`` rows that tree ``tree`` of ``fit_random_forest(..., seed=seed)`` grows on."""
+    rng = Xoshiro256StarStar(derive_seed(derive_seed(seed, tree), 0))
+    return np.array([rng.below(n) for _ in range(n)], dtype=np.int64)
 
 
 def write_dataset_file(ds: dsm.Dataset, path: Path) -> None:

@@ -14,10 +14,12 @@ import os
 import numpy as np
 import pytest
 
-from conftest import DT_PARAMS, GBC_HP, real_data_dir, synth_full_dataset, write_trio
+from conftest import (DT_PARAMS, GBC_HP, forest_bootstrap_rows, real_data_dir, synth_full_dataset,
+                      write_trio)
 from wallfollow import cli
 from wallfollow import evaluation as ev
 from wallfollow import neural as nn
+from wallfollow import serialize as sz
 from wallfollow import stat_models as sm
 from wallfollow import tree_models as tm
 from wallfollow.dataset import (
@@ -209,14 +211,13 @@ def test_c12_gini_bounds():
     assert report_line(12, "gini gain bounds and purity-zero over 300 draws", ok)
 
 
-def test_c12_forest_degenerates_to_tree(synth_d4):
-    forest = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 1, DT_PARAMS,
-                                  bootstrap=False, features_per_split=4, seed=0)
-    tree = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, DT_PARAMS)
-    same = np.array_equal(tm.predict_forest(forest, synth_d4.features),
-                          tm.predict_tree(tree, synth_d4.features))
-    assert report_line(12, "forest(1 tree, no bootstrap, m=d) equals the single tree",
-                       bool(same))
+def test_c12_forest_degenerates_to_tree(synth_d2):
+    # at d = 2 every split's ceil(sqrt(d)) candidates are all the features
+    forest = tm.fit_random_forest(synth_d2.features, synth_d2.labels, 1, DT_PARAMS, seed=0)
+    rows = forest_bootstrap_rows(synth_d2.features.shape[0], 0, 0)
+    tree = tm.fit_decision_tree(synth_d2.features[rows], synth_d2.labels[rows], DT_PARAMS)
+    same = sz.encode_model(forest) == sz.encode_model(tm.ForestModel(trees=[tree]))
+    assert report_line(12, "forest(1 tree, m=d) equals the tree on its bootstrap rows", same)
 
 
 def test_c12_gbc_probability_normalization(synth_d4):

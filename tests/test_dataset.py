@@ -143,9 +143,10 @@ _FAULTS = ("hash", "nan", "inf", "empty-field", "trailing-comma", "too-few", "to
            "unknown-token")
 
 
-def _apply_fault(draw, fault: str, fields: list[str], d: int) -> list[str]:
-    """``fields`` (``d`` numerals, then a token) with one record fault written in."""
-    k = draw(st.integers(0, d - 1))
+def _apply_fault(draw, fault: str, fields: list[str]) -> list[str]:
+    """``fields`` (numerals, then a token) with one record fault written in."""
+    # earlier faults on the record may have left fewer than d numerals, or none
+    k = draw(st.integers(0, max(len(fields) - 2, 0)))
     if fault == "hash":
         line = ",".join(fields)
         at = draw(st.integers(0, len(line)))
@@ -183,7 +184,7 @@ def _sensor_files(draw):
         records.append(fields)
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(records) - 1))
-        records[i] = _apply_fault(draw, draw(st.sampled_from(_FAULTS)), records[i], d)
+        records[i] = _apply_fault(draw, draw(st.sampled_from(_FAULTS)), records[i])
     lines = [",".join(fields) for fields in records]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_LINES)))

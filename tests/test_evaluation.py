@@ -45,7 +45,7 @@ _FIT_PATHS = {
     "dfnn_ws": _NETWORK_FIT, "dfnn3": _NETWORK_FIT, "fnn1": _NETWORK_FIT,
     "dt": (tm.fit_decision_tree, tm.TreeParams),
     "gbc": (tm.fit_gradient_boost, tm.TreeParams),
-    "rfc": (tm.fit_random_forest, tm.fit_decision_tree, tm.TreeParams),
+    "rfc": (tm.fit_random_forest, tm.TreeParams),
     "lda": (sm.fit_lda,),
     "svm": (sm.fit_svm, sm.smo_solve),
     "knn": (sm.fit_knn,),

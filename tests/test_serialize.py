@@ -283,6 +283,9 @@ def test_knn_document_is_checked_as_a_fit(synth_d2, edit, message):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda payload: payload["priors"].pop(), r"^priors must hold 4 values, got shape \(3,\)$"),
+    # a negative prior used to load and win every row, a zero one to never win
+    *((lambda payload, p=p: payload["priors"].__setitem__(1, p),
+       r"^priors must be finite and in \(0, 1\]$") for p in (-0.5, 0.0, float("nan"), 1.5)),
     (lambda payload: payload["means"].pop(), r"^means must have shape \(4, d\), got \(3, 2\)$"),
     (lambda payload: payload.update(variances=[row[:1] for row in payload["variances"]]),
      r"^variances must have the means' shape \(4, 2\), got \(4, 1\)$"),
@@ -290,7 +293,8 @@ def test_knn_document_is_checked_as_a_fit(synth_d2, edit, message):
      "^variances must be finite and > 0$"),
     (lambda payload: payload["variances"][3].__setitem__(1, -1.0),
      "^variances must be finite and > 0$"),
-], ids=["priors", "means", "variances", "variance0", "variance-negative"])
+], ids=["priors", "prior-negative", "prior0", "prior-nan", "prior-above-1", "means",
+        "variances", "variance0", "variance-negative"])
 def test_gnb_document_is_checked_at_load(synth_d2, edit, message):
     document = sz.encode_model(sm.fit_gnb(synth_d2.features, synth_d2.labels))
     edit(document["payload"])

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DT_PARAMS
+from conftest import DT_PARAMS, forest_bootstrap_rows
 from wallfollow import serialize, tree_models as tm
 from wallfollow.dataset import CLASS_NAMES, one_hot
-from wallfollow.rng import XoshiroLanes, Xoshiro256StarStar
+from wallfollow.rng import XoshiroLanes, Xoshiro256StarStar, derive_seed
 
 
 def tree_depth(node):
@@ -261,14 +261,13 @@ def test_allowed_features_restriction(synth_d4):
 # random forest
 # ---------------------------------------------------------------------------
 
-def test_degenerate_forest_equals_single_tree(synth_d4):
-    forest = tm.fit_random_forest(
-        synth_d4.features, synth_d4.labels, 1, DT_PARAMS, seed=5,
-        bootstrap=False, features_per_split=4,
-    )
-    tree = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, DT_PARAMS)
-    queries = synth_d4.features
-    assert np.array_equal(tm.predict_forest(forest, queries), tm.predict_tree(tree, queries))
+def test_degenerate_forest_equals_single_tree(synth_d2):
+    # at d = 2 every split's ceil(sqrt(d)) candidates are all the features
+    for seed in (0, 5, 9):
+        forest = tm.fit_random_forest(synth_d2.features, synth_d2.labels, 1, DT_PARAMS, seed=seed)
+        rows = forest_bootstrap_rows(synth_d2.features.shape[0], seed, 0)
+        tree = tm.fit_decision_tree(synth_d2.features[rows], synth_d2.labels[rows], DT_PARAMS)
+        assert _document(forest) == _document(tm.ForestModel(trees=[tree])), seed
 
 
 def test_stub_tree_majority_vote():
@@ -286,20 +285,10 @@ def test_vote_tie_breaks_to_lowest_class():
 def test_forest_determinism_and_params(synth_d4):
     a = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 7, DT_PARAMS, seed=3)
     b = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 7, DT_PARAMS, seed=3)
-    # ceil(sqrt(4)) candidate features per split
-    two = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 7, DT_PARAMS, seed=3,
-                               features_per_split=2)
-    assert _document(a) == _document(two)
     queries = synth_d4.features[:50]
     assert np.array_equal(tm.predict_forest(a, queries), tm.predict_forest(b, queries))
     with pytest.raises(ValueError):
         tm.fit_random_forest(synth_d4.features, synth_d4.labels, 0, DT_PARAMS)
-
-
-def test_default_features_per_split():
-    assert tm.default_features_per_split(24) == 5
-    assert tm.default_features_per_split(4) == 2
-    assert tm.default_features_per_split(2) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +356,17 @@ def test_boost_validates_arguments(synth_d4):
 
 
 @pytest.mark.parametrize("fit, match", [
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, features_per_split=0),
-                 "features_per_split", id="dt-features_per_split-0"),
     pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[]),
                  "allowed_features", id="dt-allowed_features-empty"),
     pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[0, 4]),
                  "allowed_features", id="dt-allowed_features-above-range"),
     pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[-1, 2]),
                  "allowed_features", id="dt-allowed_features-negative"),
+    # a fraction used to raise an IndexError, and True was read as feature 1
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[0.5]),
+                 "^allowed_features must be an integer", id="dt-allowed_features-fraction"),
+    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[True, 1]),
+                 "^allowed_features must be an integer", id="dt-allowed_features-bool"),
     pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(-2, 2)),
                  "max_depth", id="dt-max_depth-negative"),
     pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, 100, 0.1, -1),
@@ -397,12 +389,6 @@ def test_boost_validates_arguments(synth_d4):
                  "^max_depth must be an integer", id="gbc-max_depth-fraction"),
     pytest.param(lambda x, y: tm.fit_random_forest(x, y, 2.5, DT_PARAMS),
                  "^n_trees must be an integer", id="rfc-n_trees-fraction"),
-    pytest.param(lambda x, y: tm.fit_random_forest(x, y, 2, DT_PARAMS, features_per_split=2.5),
-                 "^features_per_split must be an integer", id="rfc-features_per_split-fraction"),
-    pytest.param(lambda x, y: tm.fit_random_forest(x, y, 2, DT_PARAMS, features_per_split=5),
-                 "^features_per_split must be <= 4", id="rfc-features_per_split-above-d"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, features_per_split=1.5),
-                 "^features_per_split must be an integer", id="dt-features_per_split-fraction"),
     pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(2.5, 2)),
                  "^max_depth must be an integer", id="dt-max_depth-fraction"),
     pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(None, 2.5)),
@@ -515,6 +501,19 @@ def _reference_decision_tree(features, labels, params, seed=0,
     return grow(np.arange(features.shape[0]), 0)
 
 
+def _reference_forest(features, labels, n_trees, params, seed):
+    """Reference trees on each tree's bootstrap rows, ceil(sqrt(d)) candidates per split."""
+    n, d = features.shape
+    m = next(m for m in range(1, d + 1) if m * m >= d)
+    trees = []
+    for t in range(n_trees):
+        rows = forest_bootstrap_rows(n, seed, t)
+        trees.append(_reference_decision_tree(features[rows], labels[rows], params,
+                                              seed=derive_seed(derive_seed(seed, t), 1),
+                                              features_per_split=m))
+    return tm.ForestModel(trees=trees)
+
+
 def _reference_regression_tree(features, target, max_depth, min_samples_split=2):
     d = features.shape[1]
 
@@ -620,29 +619,24 @@ def _repeated_rows(seed, n, d):
 ])
 def test_decision_tree_documents_equal_reference_grower(make, seed, n, d):
     features, labels = make(seed, n, d)
-    m = tm.default_features_per_split(d)
     for params in (DT_PARAMS, tm.TreeParams(1, 2), tm.TreeParams(3, 2), tm.TreeParams(None, 9),
                    tm.TreeParams(4, 5)):
-        for kwargs in ({}, {"features_per_split": m, "seed": seed + 7},
-                       {"features_per_split": 1, "seed": seed},
-                       {"allowed_features": list(range(0, d, 2))},
-                       {"allowed_features": [d - 1, 0], "features_per_split": 1,
-                        "seed": seed + 3}):
+        for kwargs in ({}, {"allowed_features": list(range(0, d, 2))},
+                       {"allowed_features": [d - 1, 0]}):
             expected = _reference_decision_tree(features, labels, params, **kwargs)
             actual = tm.fit_decision_tree(features, labels, params, **kwargs)
             assert _document(actual) == _document(expected), (params, kwargs)
 
 
 @pytest.mark.parametrize("make, n, d, max_depth", [
-    *(pytest.param(_tie_heavy, 60, d, 5, id=f"{d}") for d in (2, 5, 24)),
+    *(pytest.param(_tie_heavy, 60, d, 5, id=f"{d}") for d in (1, 2, 3, 5, 24)),
     *(pytest.param(_few_ties, 300, d, None, id=f"few-ties-{d}") for d in (2, 4, 24)),
 ])
-def test_random_forest_documents_equal_reference_grower(make, n, d, max_depth, monkeypatch):
+def test_random_forest_documents_equal_reference_grower(make, n, d, max_depth):
     features, labels = make(d, n, d)
     params = tm.TreeParams(max_depth=max_depth, min_samples_split=2)
+    expected = _reference_forest(features, labels, 4, params, seed=d)
     actual = tm.fit_random_forest(features, labels, 4, params, seed=d)
-    monkeypatch.setattr(tm, "fit_decision_tree", _reference_decision_tree)
-    expected = tm.fit_random_forest(features, labels, 4, params, seed=d)
     assert _document(actual) == _document(expected)
 
 
