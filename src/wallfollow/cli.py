@@ -10,10 +10,8 @@ flags and seed.
 from __future__ import annotations
 
 import argparse
-import http.client
 import os
 import sys
-import urllib.request
 from pathlib import Path
 
 from . import evaluation, tree_models
@@ -130,6 +128,10 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 def _download(url: str, path: Path) -> int:
     """Copy ``url`` to ``path`` once the whole body has arrived; returns the size."""
+    # loaded here: no other command needs the network modules (and ssl behind them)
+    import http.client
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url) as response:
             payload = response.read()  # raises IncompleteRead on a short body

@@ -52,6 +52,14 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
+def check_finite(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a finite real number (not a
+    bool); for values read from a document, where JSON also admits ``NaN`` and strings."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and math.isfinite(value))):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``features`` is a finite matrix with at least one row and
     one column and ``labels`` holds one class in ``0..N_CLASSES-1`` per row.  ``Dataset``

@@ -12,7 +12,6 @@ regardless of worker count or scheduling, and stops a cell at its first failure.
 from __future__ import annotations
 
 import time
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
@@ -232,6 +231,8 @@ def _pool_task(task):
 
 
 def _future_row(task, future):
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return future.result()
     except BrokenProcessPool as exc:
@@ -257,6 +258,9 @@ def _cell_rows(datasets: dict, cells: list, jobs: int):
         for tasks in cells:
             yield _until_failure(map(partial(_run_task, datasets), tasks))
         return
+    # loaded here so that a serial run never imports multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(min(jobs, sum(map(len, cells))),
                                initializer=_pool_init, initargs=(datasets,))
     try:

@@ -8,7 +8,9 @@ and the Adadelta update rule.  Everything runs in float64 numpy with
 reverse-mode gradients written out by hand.
 
 Each layer class names the arrays it trains in one ``PARAMS`` tuple; its
-``backward`` leaves the gradient of parameter ``name`` at ``d<name>``.
+``backward`` leaves the gradient of parameter ``name`` at ``d<name>``.  Only a
+train-mode forward caches what ``backward`` reads; an inference forward
+allocates its output once, never writes to its input and caches nothing.
 
 Blocks are ordered affine -> batch norm -> activation -> dropout.  Training
 is deterministic given the initialization seed and the training seed.
@@ -69,8 +71,10 @@ class SharedInputLayer:
         self.b = np.zeros(self.d)
 
     def forward(self, x: np.ndarray, train: bool, rng) -> np.ndarray:
-        z = self.w[None, :, None] * x[:, None, :] + self.b[None, :, None]
-        self._cache = x
+        z = self.w[None, :, None] * x[:, None, :]
+        z += self.b[None, :, None]
+        if train:
+            self._cache = x
         return z.reshape(x.shape[0], self.d * self.d)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -97,7 +101,8 @@ class Dense:
         self.bias = np.zeros(self.n_out)
 
     def forward(self, x: np.ndarray, train: bool, rng) -> np.ndarray:
-        self._cache = x
+        if train:
+            self._cache = x
         return x @ self.weight.T + self.bias
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -111,7 +116,8 @@ class Relu:
     PARAMS = ()
 
     def forward(self, x: np.ndarray, train: bool, rng) -> np.ndarray:
-        self._cache = x
+        if train:
+            self._cache = x
         return _relu(x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -150,10 +156,16 @@ class BatchNorm:
             self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
             self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
             self._cache = (xmu, ivar, xhat)
+            out = self.gamma * xhat
         else:
+            # the running statistics' fixed per-unit affine map, applied in place
+            # on one buffer; the order (x - mean) * ivar * gamma + beta fixes the bits
             ivar = 1.0 / np.sqrt(self.running_var + BN_EPS)
-            xhat = (x - self.running_mean) * ivar
-        return self.gamma * xhat + self.beta
+            out = x - self.running_mean
+            out *= ivar
+            out *= self.gamma
+        out += self.beta
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         xmu, ivar, xhat = self._cache

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import neural, stat_models, tree_models
+from .dataset import N_CLASSES, check_count, check_finite
 
 FORMAT_NAME = "wallfollow-model"
 FORMAT_VERSION = 3
@@ -82,6 +83,19 @@ def _tree_to_lists(root: tree_models.TreeNode) -> dict:
     }
 
 
+def _leaf_value(i: int, leaf):
+    """Leaf ``i``'s class counts (``N_CLASSES`` integers >= 0) or its finite regression score."""
+    if not isinstance(leaf, list):
+        check_finite(f"tree node {i}'s value", leaf)
+        return leaf
+    if len(leaf) != N_CLASSES:
+        raise ValueError(f"tree node {i}'s class counts must hold {N_CLASSES} values, "
+                         f"got {len(leaf)}")
+    for count in leaf:
+        check_count(f"tree node {i}'s class count", count, 0)
+    return np.array(leaf, dtype=np.int64)
+
+
 def _tree_from_lists(data) -> tree_models.TreeNode:
     feature, threshold, left, right, value = (_fields(data, TREE_KEYS, "tree")[k]
                                               for k in TREE_KEYS)
@@ -90,9 +104,9 @@ def _tree_from_lists(data) -> tree_models.TreeNode:
         raise ValueError("a tree's lists must be non-empty and of one length")
     nodes = [tree_models.TreeNode() for _ in range(n)]
     for i, node in enumerate(nodes):
+        check_finite(f"tree node {i}'s threshold", threshold[i])
         if feature[i] == -1:
-            leaf = value[i]
-            node.value = np.array(leaf, dtype=np.int64) if isinstance(leaf, list) else leaf
+            node.value = _leaf_value(i, value[i])
             continue
         f = feature[i]
         if isinstance(f, bool) or not isinstance(f, int) or f < 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_CLASSES, check_count, check_training_set
+from .dataset import N_CLASSES, check_count, check_finite, check_training_set
 from .rng import Xoshiro256StarStar, derive_seed
 
 LDA_RIDGE = 1e-8
@@ -41,6 +41,17 @@ def _check_classes_present(features: np.ndarray, labels: np.ndarray,
 class LDAModel:
     coef: np.ndarray  # (K, d) rows = Sigma^-1 mu_k
     intercept: np.ndarray  # (K,)
+
+    def __post_init__(self):
+        shape = np.shape(self.coef)
+        if len(shape) != 2 or shape[0] != N_CLASSES:
+            raise ValueError(f"coef must have shape ({N_CLASSES}, d), got {shape}")
+        if np.shape(self.intercept) != (N_CLASSES,):
+            raise ValueError(f"intercept must hold {N_CLASSES} values, "
+                             f"got shape {np.shape(self.intercept)}")
+        # a NaN score wins argmax, so one NaN would claim every row
+        if not (np.isfinite(self.coef).all() and np.isfinite(self.intercept).all()):
+            raise ValueError("coef and intercept must be finite")
 
 
 def fit_lda(features: np.ndarray, labels: np.ndarray) -> LDAModel:
@@ -458,12 +469,32 @@ class BinaryMachine:
     bias: float
     converged: bool
 
+    def __post_init__(self):
+        shape = np.shape(self.support_vectors)
+        # a machine without support vectors is stored as an empty list, of shape (0,)
+        if len(shape) != 2 and shape != (0,):
+            raise ValueError(f"support_vectors must be a 2-D matrix, got shape {shape}")
+        if np.shape(self.dual_coef) != shape[:1]:
+            raise ValueError(f"dual_coef must hold one value per support vector ({shape[0]}), "
+                             f"got shape {np.shape(self.dual_coef)}")
+        if not (np.isfinite(self.support_vectors).all() and np.isfinite(self.dual_coef).all()):
+            raise ValueError("support_vectors and dual_coef must be finite")
+        check_finite("bias", self.bias)
+
 
 @dataclass
 class SVMModel:
     machines: list[BinaryMachine]  # one-vs-rest, class order 0..K-1
     gamma: float
     c: float
+
+    def __post_init__(self):
+        if len(self.machines) != N_CLASSES:
+            raise ValueError(f"an SVM has {N_CLASSES} one-vs-rest machines, "
+                             f"got {len(self.machines)}")
+        check_finite("gamma", self.gamma)
+        if self.gamma <= 0:
+            raise ValueError(f"gamma must be > 0, got {self.gamma!r}")
 
 
 def fit_svm(

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 from functools import partial
 from http.server import BaseHTTPRequestHandler, HTTPServer, SimpleHTTPRequestHandler
@@ -151,6 +154,18 @@ def test_fetch_truncated_transfer_reports_failure(tmp_path, capsys):
     assert rc == cli.EXIT_DATA
     assert "download failed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_neither_network_nor_process_pool_modules():
+    # only `data fetch` needs the network modules and only `--jobs` > 1 the pool;
+    # a fresh interpreter shows what importing the command line alone loads
+    unused = ("ssl", "http.client", "urllib.request", "email", "multiprocessing",
+              "concurrent.futures.process")
+    probe = f"import sys, wallfollow.cli; print([m for m in {unused!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 # ---------------------------------------------------------------------------
 # bench

@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import inspect
 import multiprocessing
 import os
@@ -165,12 +166,12 @@ def test_parallel_failure_names_cell_iteration_and_seed(synth_d2):
 def test_run_table1_starts_one_pool_of_at_most_one_worker_per_task(synth_d2, monkeypatch):
     workers = []
 
-    class CountingPool(ev.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.process.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             workers.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(ev, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", CountingPool)
     cfg = ev.CVConfig(iterations=2, master_seed=1)
     datasets = {Width.SIMPLIFIED2: synth_d2}
     serial = ev.run_table1(datasets, cfg, ["dt", "gnb"], jobs=1)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,6 +436,61 @@ def test_inference_is_stateless():
     a = net.forward(features[:5])
     b = net.forward(features[:5])
     assert np.array_equal(a, b)
+
+
+
+def _reference_inference(net, x):
+    """Inference forward as each layer once spelled it, one expression per layer."""
+    for layer in net.layers:
+        if isinstance(layer, nn.SharedInputLayer):
+            z = layer.w[None, :, None] * x[:, None, :] + layer.b[None, :, None]
+            x = z.reshape(x.shape[0], layer.d * layer.d)
+        elif isinstance(layer, nn.Dense):
+            x = x @ layer.weight.T + layer.bias
+        elif isinstance(layer, nn.BatchNorm):
+            ivar = 1.0 / np.sqrt(layer.running_var + nn.BN_EPS)
+            x = layer.gamma * ((x - layer.running_mean) * ivar) + layer.beta
+        elif isinstance(layer, nn.Relu):
+            x = np.maximum(x, 0.0)
+        # dropout is the identity in inference
+    return nn.softmax(x)
+
+
+@pytest.mark.parametrize("width", [2, 4, 24])
+@pytest.mark.parametrize("preset", nn.PRESET_NAMES)
+def test_inference_bitwise_equal_to_per_layer_expressions(preset, width):
+    rng = XoshiroLanes(100 + width)
+    features = rng.uniform(-2, 2, (75, width))
+    labels = (rng.doubles(75) * 4).astype(np.int64)
+    net = nn.build_preset(preset, width, dropout=0.1, init_seed=8)
+    # two epochs, so that scales, shifts and running statistics are not their initial values
+    nn.train_network(net, features, labels,
+                     nn.TrainConfig(batch_size=32, epochs=2, dropout=0.1, seed=9))
+    x = rng.uniform(-3, 3, (200, width))
+    copy = x.copy()
+    assert np.array_equal(net.forward(x), _reference_inference(net, x))
+    assert np.array_equal(x, copy)  # no layer writes to its input
+
+
+def test_predict_allocates_each_activation_once_and_holds_none():
+    # DFNN_WS/24 scoring a held-out tenth: 546 rows of 576 units
+    rows, units = 546, 24 * 24
+    full_width = rows * units * 8
+    net = nn.build_preset("DFNN_WS", 24, dropout=0.1, init_seed=2)
+    x = XoshiroLanes(3).uniform(-2, 2, (rows, 24))
+    net.predict(x[:2])  # any lazy set-up happens before tracing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        predicted = net.predict(x)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert predicted.shape == (rows,)
+    # a layer's input and its output at most, and no layer keeps an activation
+    assert peak - before <= 2.1 * full_width
+    assert held - before < 0.1 * full_width
 
 
 def test_training_log_lines():

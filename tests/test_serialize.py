@@ -195,6 +195,30 @@ def test_rejects_foreign_documents(synth_d2):
     bad["payload"]["value"].pop()
     with pytest.raises(ValueError, match="lists must be non-empty and of one length"):
         sz.decode_model(bad)
+    # a NaN threshold used to send every row right, a string one to fail at predict
+    for threshold, message in ((float("nan"), "nan"), ("0.5", "'0.5'"), (True, "True")):
+        bad = json.loads(json.dumps(document))
+        bad["payload"]["threshold"][0] = threshold
+        with pytest.raises(ValueError, match=f"^tree node 0's threshold must be a finite "
+                                             f"number, got {message}$"):
+            sz.decode_model(bad)
+    leaf = document["payload"]["feature"].index(-1)
+    for counts, message in (([1, 0, 0], "class counts must hold 4 values, got 3"),
+                            ([1, 0, 0, 1.5], "class count must be an integer, got 1.5"),
+                            ([1, 0, -2, 0], "class count must be >= 0, got -2")):
+        bad = json.loads(json.dumps(document))
+        bad["payload"]["value"][leaf] = counts
+        with pytest.raises(ValueError, match=f"^tree node {leaf}'s {message}$"):
+            sz.decode_model(bad)
+    # a NaN boosting leaf used to load and shift its class's scores to NaN
+    boost = sz.encode_model(tm.fit_gradient_boost(synth_d2.features, synth_d2.labels,
+                                                  **(GBC_HP | {"n_stages": 2})))
+    tree = boost["payload"]["stages"][1][1]
+    leaf = tree["feature"].index(-1)
+    tree["value"][leaf] = float("nan")
+    with pytest.raises(ValueError, match=f"^tree node {leaf}'s value must be a finite "
+                                         f"number, got nan$"):
+        sz.decode_model(boost)
 
 
 @pytest.mark.parametrize("fit, predict, first_tree", [
@@ -297,6 +321,69 @@ def test_knn_document_is_checked_as_a_fit(synth_d2, edit, message):
         "variances", "variance0", "variance-negative"])
 def test_gnb_document_is_checked_at_load(synth_d2, edit, message):
     document = sz.encode_model(sm.fit_gnb(synth_d2.features, synth_d2.labels))
+    edit(document["payload"])
+    with pytest.raises(ValueError, match=message):
+        sz.decode_model(document)
+
+
+def _svm_document(synth_d4):
+    rows = np.arange(200)
+    return sz.encode_model(sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows],
+                                      **SVM_HP, seed=1))
+
+
+@pytest.mark.parametrize("edit, message", [
+    # each of these used to load and predict silently wrong
+    *((lambda payload, g=g: payload.update(gamma=g), f"^{message}$")
+      for g, message in ((-1.0, "gamma must be > 0, got -1.0"),
+                         (0, "gamma must be > 0, got 0"),
+                         (float("nan"), "gamma must be a finite number, got nan"),
+                         (float("inf"), "gamma must be a finite number, got inf"))),
+    (lambda payload: payload["machines"][2].update(bias=float("nan")),
+     "^bias must be a finite number, got nan$"),
+    (lambda payload: payload["machines"].pop(),
+     "^an SVM has 4 one-vs-rest machines, got 3$"),
+    # these used to fail only at predict, with an unnamed numpy error
+    (lambda payload: payload["machines"][0]["dual_coef"].pop(),
+     r"^dual_coef must hold one value per support vector \(\d+\), got shape \(\d+,\)$"),
+    (lambda payload: payload["machines"][1].update(
+        support_vectors=sum(payload["machines"][1]["support_vectors"], [])),
+     r"^support_vectors must be a 2-D matrix, got shape \(\d+,\)$"),
+    (lambda payload: payload["machines"][3]["dual_coef"].__setitem__(0, float("inf")),
+     "^support_vectors and dual_coef must be finite$"),
+], ids=["gamma-negative", "gamma0", "gamma-nan", "gamma-inf", "bias-nan", "three-machines",
+        "dual_coef-short", "support_vectors-flat", "dual_coef-inf"])
+def test_svm_document_is_checked_at_load(synth_d4, edit, message):
+    document = _svm_document(synth_d4)
+    edit(document["payload"])
+    with pytest.raises(ValueError, match=message):
+        sz.decode_model(document)
+
+
+def test_svm_machine_without_support_vectors_round_trips(tmp_path, synth_d4):
+    # an empty (0, d) matrix is stored as [] and loads with shape (0,); prediction then
+    # reads only the machine's bias
+    model = sz.decode_model(_svm_document(synth_d4))
+    model.machines[0] = sm.BinaryMachine(np.zeros((0, 4)), np.zeros(0), -5.0, True)
+    loaded = _round_trip(model, tmp_path)
+    queries = synth_d4.features[:50]
+    assert np.array_equal(sm.svm_decision_values(loaded, queries),
+                          sm.svm_decision_values(model, queries))
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a NaN intercept used to claim every row for its class
+    (lambda payload: payload["intercept"].__setitem__(1, float("nan")),
+     "^coef and intercept must be finite$"),
+    (lambda payload: payload["coef"][2].__setitem__(0, float("-inf")),
+     "^coef and intercept must be finite$"),
+    # a short intercept or coef used to fail only at predict
+    (lambda payload: payload["intercept"].pop(),
+     r"^intercept must hold 4 values, got shape \(3,\)$"),
+    (lambda payload: payload["coef"].pop(), r"^coef must have shape \(4, d\), got \(3, 4\)$"),
+], ids=["intercept-nan", "coef-inf", "intercept-short", "coef-short"])
+def test_lda_document_is_checked_at_load(synth_d4, edit, message):
+    document = sz.encode_model(sm.fit_lda(synth_d4.features, synth_d4.labels))
     edit(document["payload"])
     with pytest.raises(ValueError, match=message):
         sz.decode_model(document)
