@@ -52,12 +52,22 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def check_finite(name: str, value) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a finite real number (not a
-    bool); for values read from a document, where JSON also admits ``NaN`` and strings."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
-            isinstance(value, (float, np.floating)) and math.isfinite(value))):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+def check_finite(name: str, value, shape: tuple) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` holds finite real numbers (not
+    bools) in ``shape``: ``()`` for a scalar, ``None`` for an axis of any length.  Every number
+    a model stores passes here, as JSON also admits ``NaN``, ``null``, strings and any list."""
+    if shape == ():
+        if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+                isinstance(value, (float, np.floating)) and math.isfinite(value))):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        return
+    array = np.asarray(value)
+    fits = (array.dtype.kind in "iuf" and array.ndim == len(shape)
+            and all(n in (None, m) for n, m in zip(shape, array.shape)))
+    if not (fits and np.isfinite(array).all()):
+        raise ValueError(f"{name} must hold finite real numbers in shape "
+                         f"{str(shape).replace('None', 'any')}, got "
+                         f"{'non-finite values' if fits else array.dtype} in shape {array.shape}")
 
 
 def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:

@@ -83,20 +83,20 @@ def _tree_to_lists(root: tree_models.TreeNode) -> dict:
     }
 
 
-def _leaf_value(i: int, leaf):
-    """Leaf ``i``'s class counts (``N_CLASSES`` integers >= 0) or its finite regression score."""
-    if not isinstance(leaf, list):
-        check_finite(f"tree node {i}'s value", leaf)
+def _leaf_value(i: int, leaf, regression: bool):
+    """Leaf ``i``'s finite regression score, or its class counts (``N_CLASSES`` integers >= 0)."""
+    if regression:
+        check_finite(f"tree node {i}'s value", leaf, ())
         return leaf
-    if len(leaf) != N_CLASSES:
-        raise ValueError(f"tree node {i}'s class counts must hold {N_CLASSES} values, "
-                         f"got {len(leaf)}")
+    if not isinstance(leaf, list) or len(leaf) != N_CLASSES:
+        raise ValueError(f"tree node {i}'s class counts must be a list of {N_CLASSES} "
+                         f"integers, got {leaf!r}")
     for count in leaf:
         check_count(f"tree node {i}'s class count", count, 0)
     return np.array(leaf, dtype=np.int64)
 
 
-def _tree_from_lists(data) -> tree_models.TreeNode:
+def _tree_from_lists(data, regression: bool) -> tree_models.TreeNode:
     feature, threshold, left, right, value = (_fields(data, TREE_KEYS, "tree")[k]
                                               for k in TREE_KEYS)
     n = len(feature)
@@ -104,9 +104,9 @@ def _tree_from_lists(data) -> tree_models.TreeNode:
         raise ValueError("a tree's lists must be non-empty and of one length")
     nodes = [tree_models.TreeNode() for _ in range(n)]
     for i, node in enumerate(nodes):
-        check_finite(f"tree node {i}'s threshold", threshold[i])
+        check_finite(f"tree node {i}'s threshold", threshold[i], ())
         if feature[i] == -1:
-            node.value = _leaf_value(i, value[i])
+            node.value = _leaf_value(i, value[i], regression)
             continue
         f = feature[i]
         if isinstance(f, bool) or not isinstance(f, int) or f < 0:
@@ -142,8 +142,8 @@ def _encode(value):
 
 def _decode(hint, data):
     """Rebuild a value of the annotated type ``hint`` from its JSON form."""
-    if hint is tree_models.TreeNode:
-        return _tree_from_lists(data)
+    if hint in (tree_models.TreeNode, tree_models.RegressionTree):
+        return _tree_from_lists(data, regression=hint == tree_models.RegressionTree)
     if hint is neural.Layer:
         kind = _fields(data, ("type",), "layer")["type"]
         if kind not in LAYERS:
@@ -152,11 +152,12 @@ def _decode(hint, data):
         _fields(data, args + cls.PARAMS + extra, f"{kind} layer")
         layer = cls(*(data[a] for a in args))
         for a in cls.PARAMS + extra:
-            array, allocated = np.array(data[a]), getattr(layer, a)
-            if array.shape != allocated.shape:
-                raise ValueError(f"{kind} layer's {a!r} has shape {array.shape}, "
-                                 f"expected {allocated.shape}")
+            array = np.array(data[a])
+            check_finite(f"{kind} layer's {a!r}", array, getattr(layer, a).shape)
             setattr(layer, a, array)
+        # training never stores a negative variance, and inference takes its square root
+        if isinstance(layer, neural.BatchNorm) and (layer.running_var < 0).any():
+            raise ValueError(f"{kind} layer's 'running_var' must be >= 0")
         return layer
     if hint is np.ndarray:
         return np.array(data)
@@ -167,7 +168,7 @@ def _decode(hint, data):
         item = typing.get_args(hint)[0]
         return origin(_decode(item, v) for v in data)
     if dataclasses.is_dataclass(hint):
-        hints = typing.get_type_hints(hint)
+        hints = typing.get_type_hints(hint, include_extras=True)
         names = [f.name for f in dataclasses.fields(hint)]
         _fields(data, names, hint.__name__)
         return hint(**{name: _decode(hints[name], data[name]) for name in names})

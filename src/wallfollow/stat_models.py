@@ -43,15 +43,8 @@ class LDAModel:
     intercept: np.ndarray  # (K,)
 
     def __post_init__(self):
-        shape = np.shape(self.coef)
-        if len(shape) != 2 or shape[0] != N_CLASSES:
-            raise ValueError(f"coef must have shape ({N_CLASSES}, d), got {shape}")
-        if np.shape(self.intercept) != (N_CLASSES,):
-            raise ValueError(f"intercept must hold {N_CLASSES} values, "
-                             f"got shape {np.shape(self.intercept)}")
-        # a NaN score wins argmax, so one NaN would claim every row
-        if not (np.isfinite(self.coef).all() and np.isfinite(self.intercept).all()):
-            raise ValueError("coef and intercept must be finite")
+        check_finite("coef", self.coef, (N_CLASSES, None))
+        check_finite("intercept", self.intercept, (N_CLASSES,))
 
 
 def fit_lda(features: np.ndarray, labels: np.ndarray) -> LDAModel:
@@ -101,18 +94,12 @@ class GNBModel:
     variances: np.ndarray  # (K, d), already smoothed
 
     def __post_init__(self):
-        if np.shape(self.priors) != (N_CLASSES,):
-            raise ValueError(f"priors must hold {N_CLASSES} values, "
-                             f"got shape {np.shape(self.priors)}")
-        if not ((self.priors > 0) & (self.priors <= 1)).all():  # NaN fails both
+        check_finite("priors", self.priors, (N_CLASSES,))
+        if not ((self.priors > 0) & (self.priors <= 1)).all():
             raise ValueError("priors must be finite and in (0, 1]")
-        shape = np.shape(self.means)
-        if len(shape) != 2 or shape[0] != N_CLASSES:
-            raise ValueError(f"means must have shape ({N_CLASSES}, d), got {shape}")
-        if np.shape(self.variances) != shape:
-            raise ValueError(f"variances must have the means' shape {shape}, "
-                             f"got {np.shape(self.variances)}")
-        if not (np.isfinite(self.variances) & (self.variances > 0)).all():
+        check_finite("means", self.means, (N_CLASSES, None))
+        check_finite("variances", self.variances, np.shape(self.means))
+        if not (self.variances > 0).all():
             raise ValueError("variances must be finite and > 0")
 
 
@@ -470,16 +457,11 @@ class BinaryMachine:
     converged: bool
 
     def __post_init__(self):
-        shape = np.shape(self.support_vectors)
         # a machine without support vectors is stored as an empty list, of shape (0,)
-        if len(shape) != 2 and shape != (0,):
-            raise ValueError(f"support_vectors must be a 2-D matrix, got shape {shape}")
-        if np.shape(self.dual_coef) != shape[:1]:
-            raise ValueError(f"dual_coef must hold one value per support vector ({shape[0]}), "
-                             f"got shape {np.shape(self.dual_coef)}")
-        if not (np.isfinite(self.support_vectors).all() and np.isfinite(self.dual_coef).all()):
-            raise ValueError("support_vectors and dual_coef must be finite")
-        check_finite("bias", self.bias)
+        if np.shape(self.support_vectors) != (0,):
+            check_finite("support_vectors", self.support_vectors, (None, None))
+        check_finite("dual_coef", self.dual_coef, np.shape(self.support_vectors)[:1])
+        check_finite("bias", self.bias, ())
 
 
 @dataclass
@@ -492,7 +474,12 @@ class SVMModel:
         if len(self.machines) != N_CLASSES:
             raise ValueError(f"an SVM has {N_CLASSES} one-vs-rest machines, "
                              f"got {len(self.machines)}")
-        check_finite("gamma", self.gamma)
+        # every machine reads the input rows, so all support vectors share one width
+        width = max(np.shape(m.support_vectors)[1:] for m in self.machines)
+        for k, m in enumerate(self.machines):
+            if np.ndim(m.support_vectors) == 2:
+                check_finite(f"machine {k}'s support_vectors", m.support_vectors, (None, *width))
+        check_finite("gamma", self.gamma, ())
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma!r}")
 
@@ -539,6 +526,10 @@ def svm_decision_values(model: SVMModel, features: np.ndarray) -> np.ndarray:
     values = np.empty((features.shape[0], len(model.machines)))
     for k, machine in enumerate(model.machines):
         if machine.support_vectors.shape[0]:
+            width = machine.support_vectors.shape[1]
+            if width != features.shape[1]:
+                raise ValueError(f"the SVM's support vectors have {width} features, but the "
+                                 f"input rows have {features.shape[1]}")
             cross = rbf_kernel(features, machine.support_vectors, model.gamma)
             values[:, k] = cross @ machine.dual_coef + machine.bias
         else:

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .dataset import CLASS_NAMES, N_CLASSES, check_count, check_training_set, one_hot
+from .dataset import CLASS_NAMES, N_CLASSES, check_count, check_finite, check_training_set, one_hot
 from .neural import softmax
 from .rng import Xoshiro256StarStar, derive_seed
 
@@ -54,6 +55,10 @@ class TreeNode:
         return self.feature is None
 
 
+# a boosting tree, whose leaves hold scores where a classification tree's hold counts
+RegressionTree = Annotated[TreeNode, "regression"]
+
+
 @dataclass
 class TreeParams:
     max_depth: int | None  # None grows until the other stopping rules hold
@@ -73,12 +78,10 @@ class ForestModel:
 @dataclass
 class BoostModel:
     init_scores: np.ndarray  # per-class log prior, length 4
-    stages: list[tuple[TreeNode, ...]]  # one regression tree per class; leaves hold shrunk steps
+    stages: list[tuple[RegressionTree, ...]]  # one tree per class; leaves hold shrunk steps
 
     def __post_init__(self):
-        if np.shape(self.init_scores) != (N_CLASSES,):
-            raise ValueError(f"init_scores must hold {N_CLASSES} values, "
-                             f"got shape {np.shape(self.init_scores)}")
+        check_finite("init_scores", self.init_scores, (N_CLASSES,))
         for m, stage in enumerate(self.stages):
             if len(stage) != N_CLASSES:
                 raise ValueError(f"stage {m} must hold {N_CLASSES} trees, got {len(stage)}")

@@ -11,6 +11,10 @@ from wallfollow import tree_models as tm
 from wallfollow.rng import XoshiroLanes
 
 
+# the load error's text for an array of the wrong dtype, shape or finiteness
+REAL = "must hold finite real numbers in shape"
+
+
 def _round_trip(model, tmp_path):
     path = tmp_path / "model.json"
     sz.save_model(model, path)
@@ -203,22 +207,28 @@ def test_rejects_foreign_documents(synth_d2):
                                              f"number, got {message}$"):
             sz.decode_model(bad)
     leaf = document["payload"]["feature"].index(-1)
-    for counts, message in (([1, 0, 0], "class counts must hold 4 values, got 3"),
+    for counts, message in (([1, 0, 0], r"class counts must be a list of 4 integers, "
+                                        r"got \[1, 0, 0\]"),
                             ([1, 0, 0, 1.5], "class count must be an integer, got 1.5"),
-                            ([1, 0, -2, 0], "class count must be >= 0, got -2")):
+                            ([1, 0, -2, 0], "class count must be >= 0, got -2"),
+                            # a scalar leaf used to load and predict class 0 for every row
+                            (0.5, r"class counts must be a list of 4 integers, got 0\.5")):
         bad = json.loads(json.dumps(document))
         bad["payload"]["value"][leaf] = counts
         with pytest.raises(ValueError, match=f"^tree node {leaf}'s {message}$"):
             sz.decode_model(bad)
-    # a NaN boosting leaf used to load and shift its class's scores to NaN
+    # a NaN boosting leaf used to load and shift its class's scores to NaN, and a
+    # class-count leaf to load and fail at predict with an unnamed broadcast error
     boost = sz.encode_model(tm.fit_gradient_boost(synth_d2.features, synth_d2.labels,
                                                   **(GBC_HP | {"n_stages": 2})))
-    tree = boost["payload"]["stages"][1][1]
-    leaf = tree["feature"].index(-1)
-    tree["value"][leaf] = float("nan")
-    with pytest.raises(ValueError, match=f"^tree node {leaf}'s value must be a finite "
-                                         f"number, got nan$"):
-        sz.decode_model(boost)
+    for value, message in ((float("nan"), "nan"), ([1, 0, 0, 0], r"\[1, 0, 0, 0\]")):
+        bad = json.loads(json.dumps(boost))
+        tree = bad["payload"]["stages"][1][1]
+        leaf = tree["feature"].index(-1)
+        tree["value"][leaf] = value
+        with pytest.raises(ValueError, match=f"^tree node {leaf}'s value must be a finite "
+                                             f"number, got {message}$"):
+            sz.decode_model(bad)
 
 
 @pytest.mark.parametrize("fit, predict, first_tree", [
@@ -257,17 +267,30 @@ def test_rejects_unknown_layers():
 
 
 def _dense_document():
-    return sz.encode_model(nn.Network([nn.Dense(4, 16), nn.BatchNorm(16), nn.Dense(16, 4)]))
+    # every layer type that stores arrays; the shared layer maps 2 values to 4 outputs
+    return sz.encode_model(nn.Network([nn.Dense(4, 16), nn.BatchNorm(16), nn.Dense(16, 2),
+                                       nn.SharedInputLayer(2)]))
 
 
 @pytest.mark.parametrize("layer, key, value, shapes", [
     # n_in disagrees with a well-formed 16x4 weight
-    (0, "n_in", 5, r"'weight' has shape \(16, 4\), expected \(16, 5\)"),
+    (0, "n_in", 5, rf"'weight' {REAL} \(16, 5\), got float64 in shape \(16, 4\)"),
     # a 16x3 weight would otherwise fail only later, in predict's matmul
-    (0, "weight", [[0.0] * 3] * 16, r"'weight' has shape \(16, 3\), expected \(16, 4\)"),
-    (0, "bias", [0.0] * 15, r"'bias' has shape \(15,\), expected \(16,\)"),
-    (1, "running_var", [1.0] * 4, r"'running_var' has shape \(4,\), expected \(16,\)"),
-], ids=["dense-n_in", "dense-weight", "dense-bias", "batchnorm-running_var"])
+    (0, "weight", [[0.0] * 3] * 16, rf"'weight' {REAL} \(16, 4\), got float64 in shape \(16, 3\)"),
+    (0, "bias", [0.0] * 15, rf"'bias' {REAL} \(16,\), got float64 in shape \(15,\)"),
+    (1, "running_var", [1.0] * 4, rf"'running_var' {REAL} \(16,\), got float64 in shape \(4,\)"),
+    # each of these used to load and predict one class for every row
+    (0, "weight", [[0.0] * 4] * 15 + [[0.0, float("inf"), 0.0, 0.0]],
+     rf"'weight' {REAL} \(16, 4\), got non-finite values in shape \(16, 4\)"),
+    (1, "running_mean", [0.0] * 15 + [float("nan")],
+     rf"'running_mean' {REAL} \(16,\), got non-finite values in shape \(16,\)"),
+    (3, "b", [0.0, float("nan")], rf"'b' {REAL} \(2,\), got non-finite values in shape \(2,\)"),
+    (1, "running_var", [1.0] * 15 + [-1.0], "'running_var' must be >= 0"),
+    # a null used to load and fail only at predict, with a TypeError
+    (2, "bias", [0.0, None], rf"'bias' {REAL} \(2,\), got object in shape \(2,\)"),
+], ids=["dense-n_in", "dense-weight", "dense-bias", "batchnorm-running_var", "dense-weight-inf",
+        "batchnorm-running_mean-nan", "shared-b-nan", "batchnorm-running_var-negative",
+        "dense-bias-null"])
 def test_layer_arrays_must_have_the_constructed_shapes(layer, key, value, shapes):
     document = _dense_document()
     assert sz.decode_model(document).predict(np.zeros((3, 4))).shape == (3,)
@@ -279,9 +302,12 @@ def test_layer_arrays_must_have_the_constructed_shapes(layer, key, value, shapes
 
 @pytest.mark.parametrize("edit, message", [
     (lambda payload: payload["init_scores"].pop(),
-     r"^init_scores must hold 4 values, got shape \(3,\)$"),
+     rf"^init_scores {REAL} \(4,\), got float64 in shape \(3,\)$"),
     (lambda payload: payload["stages"][0].pop(), "^stage 0 must hold 4 trees, got 3$"),
-], ids=["init_scores", "stage"])
+    # used to load and predict class 0 for every row
+    (lambda payload: payload["init_scores"].__setitem__(2, float("nan")),
+     rf"^init_scores {REAL} \(4,\), got non-finite values in shape \(4,\)$"),
+], ids=["init_scores", "stage", "init_scores-nan"])
 def test_boost_document_with_three_classes_fails_at_load(synth_d4, edit, message):
     document = sz.encode_model(tm.fit_gradient_boost(synth_d4.features, synth_d4.labels,
                                                       **(GBC_HP | {"n_stages": 2})))
@@ -306,19 +332,28 @@ def test_knn_document_is_checked_as_a_fit(synth_d2, edit, message):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda payload: payload["priors"].pop(), r"^priors must hold 4 values, got shape \(3,\)$"),
+    (lambda payload: payload["priors"].pop(),
+     rf"^priors {REAL} \(4,\), got float64 in shape \(3,\)$"),
     # a negative prior used to load and win every row, a zero one to never win
-    *((lambda payload, p=p: payload["priors"].__setitem__(1, p),
-       r"^priors must be finite and in \(0, 1\]$") for p in (-0.5, 0.0, float("nan"), 1.5)),
-    (lambda payload: payload["means"].pop(), r"^means must have shape \(4, d\), got \(3, 2\)$"),
+    *((lambda payload, p=p: payload["priors"].__setitem__(1, p), f"^{message}$")
+      for p, message in ((-0.5, r"priors must be finite and in \(0, 1\]"),
+                         (0.0, r"priors must be finite and in \(0, 1\]"),
+                         (float("nan"),
+                          rf"priors {REAL} \(4,\), got non-finite values in shape \(4,\)"),
+                         (1.5, r"priors must be finite and in \(0, 1\]"))),
+    (lambda payload: payload["means"].pop(),
+     rf"^means {REAL} \(4, any\), got float64 in shape \(3, 2\)$"),
     (lambda payload: payload.update(variances=[row[:1] for row in payload["variances"]]),
-     r"^variances must have the means' shape \(4, 2\), got \(4, 1\)$"),
+     rf"^variances {REAL} \(4, 2\), got float64 in shape \(4, 1\)$"),
     (lambda payload: payload["variances"][0].__setitem__(0, 0.0),
      "^variances must be finite and > 0$"),
     (lambda payload: payload["variances"][3].__setitem__(1, -1.0),
      "^variances must be finite and > 0$"),
+    # used to load and predict class 1 for every row
+    (lambda payload: payload["means"][2].__setitem__(0, float("nan")),
+     rf"^means {REAL} \(4, any\), got non-finite values in shape \(4, 2\)$"),
 ], ids=["priors", "prior-negative", "prior0", "prior-nan", "prior-above-1", "means",
-        "variances", "variance0", "variance-negative"])
+        "variances", "variance0", "variance-negative", "means-nan"])
 def test_gnb_document_is_checked_at_load(synth_d2, edit, message):
     document = sz.encode_model(sm.fit_gnb(synth_d2.features, synth_d2.labels))
     edit(document["payload"])
@@ -345,19 +380,30 @@ def _svm_document(synth_d4):
      "^an SVM has 4 one-vs-rest machines, got 3$"),
     # these used to fail only at predict, with an unnamed numpy error
     (lambda payload: payload["machines"][0]["dual_coef"].pop(),
-     r"^dual_coef must hold one value per support vector \(\d+\), got shape \(\d+,\)$"),
+     rf"^dual_coef {REAL} \(\d+,\), got float64 in shape \(\d+,\)$"),
     (lambda payload: payload["machines"][1].update(
         support_vectors=sum(payload["machines"][1]["support_vectors"], [])),
-     r"^support_vectors must be a 2-D matrix, got shape \(\d+,\)$"),
+     rf"^support_vectors {REAL} \(any, any\), got float64 in shape \(\d+,\)$"),
     (lambda payload: payload["machines"][3]["dual_coef"].__setitem__(0, float("inf")),
-     "^support_vectors and dual_coef must be finite$"),
+     rf"^dual_coef {REAL} \(\d+,\), got non-finite values in shape \(\d+,\)$"),
+    (lambda payload: payload["machines"][0].update(
+        support_vectors=[row[:3] for row in payload["machines"][0]["support_vectors"]]),
+     rf"^machine 0's support_vectors {REAL} \(any, 4\), got float64 in shape \(\d+, 3\)$"),
 ], ids=["gamma-negative", "gamma0", "gamma-nan", "gamma-inf", "bias-nan", "three-machines",
-        "dual_coef-short", "support_vectors-flat", "dual_coef-inf"])
+        "dual_coef-short", "support_vectors-flat", "dual_coef-inf", "support_vectors-width"])
 def test_svm_document_is_checked_at_load(synth_d4, edit, message):
     document = _svm_document(synth_d4)
     edit(document["payload"])
     with pytest.raises(ValueError, match=message):
         sz.decode_model(document)
+
+
+def test_svm_input_width_fails_by_name(synth_d4):
+    # used to fail with an unnamed numpy broadcast error
+    model = sz.decode_model(_svm_document(synth_d4))
+    with pytest.raises(ValueError, match="^the SVM's support vectors have 4 features, but the "
+                                         "input rows have 3$"):
+        sm.predict_svm(model, synth_d4.features[:, :3])
 
 
 def test_svm_machine_without_support_vectors_round_trips(tmp_path, synth_d4):
@@ -374,14 +420,21 @@ def test_svm_machine_without_support_vectors_round_trips(tmp_path, synth_d4):
 @pytest.mark.parametrize("edit, message", [
     # a NaN intercept used to claim every row for its class
     (lambda payload: payload["intercept"].__setitem__(1, float("nan")),
-     "^coef and intercept must be finite$"),
+     rf"^intercept {REAL} \(4,\), got non-finite values in shape \(4,\)$"),
     (lambda payload: payload["coef"][2].__setitem__(0, float("-inf")),
-     "^coef and intercept must be finite$"),
+     rf"^coef {REAL} \(4, any\), got non-finite values in shape \(4, 4\)$"),
     # a short intercept or coef used to fail only at predict
     (lambda payload: payload["intercept"].pop(),
-     r"^intercept must hold 4 values, got shape \(3,\)$"),
-    (lambda payload: payload["coef"].pop(), r"^coef must have shape \(4, d\), got \(3, 4\)$"),
-], ids=["intercept-nan", "coef-inf", "intercept-short", "coef-short"])
+     rf"^intercept {REAL} \(4,\), got float64 in shape \(3,\)$"),
+    (lambda payload: payload["coef"].pop(),
+     rf"^coef {REAL} \(4, any\), got float64 in shape \(3, 4\)$"),
+    # bools used to load as numbers, a string to fail with a TypeError
+    (lambda payload: payload.update(intercept=[True, False, True, True]),
+     rf"^intercept {REAL} \(4,\), got bool in shape \(4,\)$"),
+    (lambda payload: payload["intercept"].__setitem__(0, "1.5"),
+     rf"^intercept {REAL} \(4,\), got <U\d+ in shape \(4,\)$"),
+], ids=["intercept-nan", "coef-inf", "intercept-short", "coef-short", "intercept-bool",
+        "intercept-string"])
 def test_lda_document_is_checked_at_load(synth_d4, edit, message):
     document = sz.encode_model(sm.fit_lda(synth_d4.features, synth_d4.labels))
     edit(document["payload"])
