@@ -1,7 +1,7 @@
 """Deterministic pseudo-random numbers for every stochastic step in the package.
 
-All randomness flows through one documented pipeline so that runs are
-bit-reproducible across platforms:
+All randomness flows through one documented pipeline of integer arithmetic,
+which no BLAS kernel or SIMD dispatch touches:
 
 * ``splitmix64`` -- 64-bit mixing function, used to expand master seeds into
   per-component seeds and to initialise generator state.
@@ -13,6 +13,10 @@ bit-reproducible across platforms:
   ``LANES`` values are step 0 of lanes 0..LANES-1, and so on.
 
 Derived seeds use ``derive_seed(base, index) = splitmix64(base ^ index)``.
+
+The package's results are bit-identical across ``--jobs`` and repeat runs on
+one host's OpenBLAS kernel and numpy SIMD dispatch.  The float models' ``@``,
+``solve``, ``exp`` and ``log`` can change bits on another kernel or SIMD target.
 """
 
 from __future__ import annotations
@@ -89,10 +93,44 @@ class Xoshiro256StarStar:
             if u < limit:
                 return u % n
 
+    def below_each(self, bounds) -> list[int]:
+        """``[self.below(n) for n in bounds]``: the same stream and final state.
+
+        The state lives in locals for the whole loop, and each bound's
+        rejection limit is computed once per run of equal bounds.
+        """
+        s0, s1, s2, s3 = self._s
+        mask = MASK64
+        out = []
+        append = out.append
+        n, limit = None, 0
+        try:
+            for bound in bounds:
+                if bound != n:
+                    if bound <= 0:
+                        raise ValueError("bound must be positive")
+                    n, limit = bound, (1 << 64) - ((1 << 64) % bound)
+                while True:
+                    x = (s1 * 5) & mask
+                    u = ((((x << 7) | (x >> 57)) & mask) * 9) & mask
+                    t = (s1 << 17) & mask
+                    s2 ^= s0
+                    s3 ^= s1
+                    s1 ^= s2
+                    s0 ^= s3
+                    s2 ^= t
+                    s3 = ((s3 << 45) | (s3 >> 19)) & mask
+                    if u < limit:
+                        append(u % n)
+                        break
+        finally:
+            self._s = [s0, s1, s2, s3]
+        return out
+
     def shuffle(self, items) -> None:
         """In-place Fisher-Yates shuffle (descending index convention)."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        top = len(items) - 1
+        for i, j in zip(range(top, 0, -1), self.below_each(range(top + 1, 1, -1))):
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, n: int, k: int) -> list[int]:

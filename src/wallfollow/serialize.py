@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,17 @@ def _tree_from_lists(data, regression: bool) -> tree_models.TreeNode:
     return nodes[0]
 
 
+def _array(what: str, data) -> np.ndarray:
+    """``np.array(data)``, or a ``ValueError`` naming ``what`` if its nested lists are ragged."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy < 1.24 warns and builds an object array
+        try:
+            return np.array(data)
+        except (ValueError, Warning) as exc:
+            raise ValueError(f"{what} must be a rectangular array, got nested lists of "
+                             f"unequal lengths") from exc
+
+
 def _encode(value):
     if isinstance(value, tree_models.TreeNode):
         return _tree_to_lists(value)
@@ -150,17 +162,24 @@ def _decode(hint, data):
             raise ValueError(f"unknown layer type {kind!r}")
         cls, args, extra = LAYERS[kind]
         _fields(data, args + cls.PARAMS + extra, f"{kind} layer")
+        for a in args:  # sizes are counts >= 1; a dropout rate lies in [0, 1)
+            what, value = f"{kind} layer's {a!r}", data[a]
+            if a == "rate":
+                check_finite(what, value, ())
+                if not 0 <= value < 1:
+                    raise ValueError(f"{what} must be in [0, 1), got {value!r}")
+            else:
+                check_count(what, value, 1)
         layer = cls(*(data[a] for a in args))
         for a in cls.PARAMS + extra:
-            array = np.array(data[a])
-            check_finite(f"{kind} layer's {a!r}", array, getattr(layer, a).shape)
+            what = f"{kind} layer's {a!r}"
+            array = _array(what, data[a])
+            check_finite(what, array, getattr(layer, a).shape)
             setattr(layer, a, array)
         # training never stores a negative variance, and inference takes its square root
         if isinstance(layer, neural.BatchNorm) and (layer.running_var < 0).any():
             raise ValueError(f"{kind} layer's 'running_var' must be >= 0")
         return layer
-    if hint is np.ndarray:
-        return np.array(data)
     origin = typing.get_origin(hint)
     if origin in (list, tuple):
         if not isinstance(data, list):
@@ -171,7 +190,8 @@ def _decode(hint, data):
         hints = typing.get_type_hints(hint, include_extras=True)
         names = [f.name for f in dataclasses.fields(hint)]
         _fields(data, names, hint.__name__)
-        return hint(**{name: _decode(hints[name], data[name]) for name in names})
+        return hint(**{name: _array(name, data[name]) if hints[name] is np.ndarray
+                       else _decode(hints[name], data[name]) for name in names})
     return data
 
 

@@ -133,11 +133,11 @@ def predict_gnb(model: GNBModel, features: np.ndarray) -> np.ndarray:
 # Squared Euclidean distances
 # ---------------------------------------------------------------------------
 
-# Distance entries per block (at least one full row).  At d = 24 and 4910
-# training rows, a block's (d, rows, cols) stack of per-feature terms is
-# under 1 MB and stays in a core's L2 cache; larger blocks measured slower
-# on the SVM Gram build.
-_BLOCK = 1 << 12
+# Distance entries per block (at least one full row).  ``_sq_dists`` makes
+# three numpy calls per feature on a block, so a block spans several rows to
+# keep the call overhead low: 13 rows at 4910 columns.  On the 4910 x 24 Gram
+# build, 2**15 to 2**17 measured alike and 2**14 and 2**18 slower.
+_BLOCK = 1 << 16
 
 
 def _block_rows(n_cols: int) -> int:
@@ -158,22 +158,28 @@ def _sq_dists(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     if d > 128:
         half = d // 2 - (d // 2) % 8
         return _sq_dists(a[:, :half], b_t[:half]) + _sq_dists(a[:, half:], b_t[half:])
-    terms = a.T[:, :, None] - b_t[:, None, :]
-    np.multiply(terms, terms, out=terms)
-    if d < 8:
-        total = np.zeros(terms.shape[1:])
-        for term in terms:
-            total += term
-        return total
-    acc = terms[:8]
-    tail = d - d % 8
-    for f in range(8, tail, 8):
-        acc += terms[f:f + 8]
-    acc = acc[0::2] + acc[1::2]
-    acc = acc[0::2] + acc[1::2]
-    total = acc[0] + acc[1]
-    for term in terms[tail:]:
-        total += term
+    lanes = 8 if d >= 8 else 1
+    tail = d - d % lanes
+    acc = np.empty((lanes, a.shape[0], b_t.shape[1]))
+    term = np.empty(acc.shape[1:])
+
+    def square(f: int, out: np.ndarray) -> np.ndarray:
+        np.subtract(a[:, f, None], b_t[f], out=out)
+        return np.multiply(out, out, out=out)
+
+    for f in range(lanes):
+        square(f, acc[f])
+    for f in range(lanes, tail):
+        acc[f % lanes] += square(f, term)
+    if lanes == 8:
+        for j in (0, 2, 4, 6):
+            acc[j] += acc[j + 1]
+        acc[0] += acc[2]
+        acc[4] += acc[6]
+        acc[0] += acc[4]
+    total = acc[0]
+    for f in range(tail, d):
+        total += square(f, term)
     return total
 
 
@@ -205,18 +211,26 @@ def predict_knn_batch(model: KNNModel, queries: np.ndarray) -> np.ndarray:
     Distance ties resolve to the lower training-row index (stable sort);
     vote ties resolve to the lowest class index.
     """
-    n = model.train_features.shape[0]
+    n, k = model.train_features.shape[0], model.k
+    # a NaN distance would fall outside every ``d2 <= kth`` selection below
+    check_finite("queries", queries, (None, model.train_features.shape[1]))
     m = queries.shape[0]
     out = np.empty(m, dtype=np.int64)
     train_t = np.ascontiguousarray(model.train_features.T)
     step = _block_rows(n)
     for start in range(0, m, step):
-        q = queries[start:start + step]
-        d2 = _sq_dists(q, train_t)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
-        votes = np.zeros((q.shape[0], N_CLASSES), dtype=np.int64)
-        rows = np.repeat(np.arange(q.shape[0]), model.k)
-        np.add.at(votes, (rows, model.train_labels[nearest].reshape(-1)), 1)
+        d2 = _sq_dists(queries[start:start + step], train_t)
+        # The k nearest are among the rows at or below the k-th distance;
+        # sorting those by (query, distance), stably, keeps the lower
+        # training row first on a tie, as a stable sort of each whole row would.
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        query, row = np.nonzero(d2 <= kth)
+        ranked = np.lexsort((d2[query, row], query))
+        first = np.searchsorted(query, np.arange(d2.shape[0]))
+        nearest = row[ranked[first[:, None] + np.arange(k)]]
+        votes = np.zeros((d2.shape[0], N_CLASSES), dtype=np.int64)
+        np.add.at(votes, (np.repeat(np.arange(d2.shape[0]), k),
+                          model.train_labels[nearest].reshape(-1)), 1)
         out[start:start + step] = votes.argmax(axis=1)
     return out
 
@@ -239,24 +253,38 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     b_t = np.ascontiguousarray(b.T)
     step = _block_rows(b.shape[0])
     for start in range(0, a.shape[0], step):
-        out[start:start + step] = np.exp(-gamma * _sq_dists(a[start:start + step], b_t))
+        block = _sq_dists(a[start:start + step], b_t)
+        block *= -gamma
+        np.exp(block, out=out[start:start + step])
     return out
+
+
+# Side of the square tiles in which ``rbf_kernel_symmetric`` mirrors its upper
+# triangle: a tile and its transpose, 512 KB each, stay in a core's L2 cache.
+_TILE = 256
 
 
 def rbf_kernel_symmetric(x: np.ndarray, gamma: float) -> np.ndarray:
     """``rbf_kernel(x, x, gamma)``, computed on the upper triangle and mirrored.
 
     Exactly symmetric with a unit diagonal: (a - b)^2 == (b - a)^2 in IEEE
-    arithmetic and both halves add their terms in the same order.
+    arithmetic and both halves add their terms in the same order.  Each row
+    block computes its rows from their diagonal entry on; the strict lower
+    triangle is then copied from the upper one tile by tile.
     """
     n = x.shape[0]
     out = np.empty((n, n))
     x_t = np.ascontiguousarray(x.T)
     step = _block_rows(n)
     for start in range(0, n, step):
-        block = np.exp(-gamma * _sq_dists(x[start:start + step], x_t[:, start:]))
-        out[start:start + step, start:] = block
-        out[start:, start:start + step] = block.T
+        block = _sq_dists(x[start:start + step], x_t[:, start:])
+        block *= -gamma
+        np.exp(block, out=out[start:start + step, start:])
+    for i in range(0, n, _TILE):
+        upper = out[i:i + _TILE, i:i + _TILE]
+        np.copyto(upper, upper.T, where=np.tri(upper.shape[0], k=-1, dtype=bool))
+        for j in range(i + _TILE, n, _TILE):
+            out[j:j + _TILE, i:i + _TILE] = out[i:i + _TILE, j:j + _TILE].T
     return out
 
 
@@ -523,17 +551,40 @@ def fit_svm(
 
 
 def svm_decision_values(model: SVMModel, features: np.ndarray) -> np.ndarray:
+    """Each machine's ``rbf_kernel(features, support_vectors) @ dual_coef + bias``.
+
+    The machines share most of their support vectors, so the kernel is
+    computed once per row block on the distinct vectors of all machines, and
+    each block's columns are copied into each machine's own C-ordered kernel,
+    on which the product equals the one on ``rbf_kernel``'s bit for bit.  The
+    machines' kernels are all held until their products are taken, so the
+    peak is 8 bytes per input row and per support vector of every machine,
+    not per distinct one (about 38 MB on the test rows of a 4910-row fit).  No array
+    spans all the distinct vectors and all the rows: freeing one after each
+    prediction raised glibc's mmap threshold, and with it the peak RSS of a
+    process that predicts again and again by about 15 MB.
+    """
     values = np.empty((features.shape[0], len(model.machines)))
+    held = [k for k, m in enumerate(model.machines) if m.support_vectors.shape[0]]
+    vectors = [model.machines[k].support_vectors for k in held]
+    kernels = {}
+    if held:
+        width = vectors[0].shape[1]
+        if width != features.shape[1]:
+            raise ValueError(f"the SVM's support vectors have {width} features, but the "
+                             f"input rows have {features.shape[1]}")
+        distinct, column = np.unique(np.concatenate(vectors), axis=0, return_inverse=True)
+        columns = np.split(column.reshape(-1), np.cumsum([v.shape[0] for v in vectors])[:-1])
+        kernels = {k: np.empty((features.shape[0], c.size)) for k, c in zip(held, columns)}
+        step = _block_rows(distinct.shape[0])
+        for start in range(0, features.shape[0], step):
+            block = rbf_kernel(features[start:start + step], distinct, model.gamma)
+            for kernel, c in zip(kernels.values(), columns):
+                # the indices are in range; "clip" writes to ``out`` unbuffered
+                block.take(c, axis=1, out=kernel[start:start + step], mode="clip")
     for k, machine in enumerate(model.machines):
-        if machine.support_vectors.shape[0]:
-            width = machine.support_vectors.shape[1]
-            if width != features.shape[1]:
-                raise ValueError(f"the SVM's support vectors have {width} features, but the "
-                                 f"input rows have {features.shape[1]}")
-            cross = rbf_kernel(features, machine.support_vectors, model.gamma)
-            values[:, k] = cross @ machine.dual_coef + machine.bias
-        else:
-            values[:, k] = machine.bias
+        values[:, k] = (kernels.pop(k) @ machine.dual_coef + machine.bias if k in kernels
+                        else machine.bias)
     return values
 
 

@@ -14,11 +14,14 @@ only the gain differs: the Gini decrease on one-hot labels, or minus the
 children's squared error on boosting residuals.
 
 Each fit sorts every column once (the presort of CART, Breiman et al. 1984);
-a boosting fit shares that sort across all of its trees.  A child keeps its
-parent's row orders filtered by the split.  Node rows keep their training
-order, so a filtered stable order is exactly the node's own stable argsort,
-bootstrap duplicates included: every node scores the same sorted targets as
-a per-node sort would.  The cumulative sums run sequentially, each four-class
+a boosting fit shares that sort across all of its trees.  A forest ranks
+every column once instead (``_rank_table``), and each tree's presort is the
+stable argsort of its bootstrap rows' ranks: equal values share a rank and
+both sorts are stable, so it is the order a float sort would give.  A child
+keeps its parent's row orders filtered by the split.  Node rows keep their
+training order, so a filtered stable order is exactly the node's own stable
+argsort, bootstrap duplicates included: every node scores the same sorted
+targets as a per-node sort would.  The cumulative sums run sequentially, each four-class
 sum adds left to right, and class-count leaves are exact integer sums, so the
 trees are bit-identical to ones grown with a sort at every node.
 """
@@ -122,17 +125,28 @@ def _sse_gain(sorted_target: np.ndarray) -> np.ndarray:
     """Minus the children's summed squared error of the cut after each row.
 
     ``sorted_target`` is ``(c, m)``: the node's residuals sorted by each of
-    ``c`` candidate features.  Returns ``(c, m - 1)`` scores.
+    ``c`` candidate features.  Returns ``(c, m - 1)`` scores: with prefix
+    sums ``S`` and ``Q`` of the residuals and of their squares, and ``i`` rows
+    on the left, ``-((Q_i - S_i**2 / i) + ((Q_m - Q_i) - (S_m - S_i)**2 / (m - i)))``,
+    evaluated in place in that order.
     """
     m = sorted_target.shape[1]
     cum = np.cumsum(sorted_target, axis=1)
-    cum2 = np.cumsum(sorted_target * sorted_target, axis=1)
+    cum2 = np.multiply(sorted_target, sorted_target)
+    np.cumsum(cum2, axis=1, out=cum2)
     left, left2 = cum[:, :-1], cum2[:, :-1]
     n_left = np.arange(1.0, m)
     n_right = m - n_left
-    sse_left = left2 - left ** 2 / n_left
-    sse_right = (cum2[:, -1:] - left2) - (cum[:, -1:] - left) ** 2 / n_right
-    return -(sse_left + sse_right)
+    score = np.multiply(left, left)
+    score /= n_left
+    np.subtract(left2, score, out=score)  # the left child's SSE
+    np.subtract(cum[:, -1:], left, out=left)
+    left *= left
+    left /= n_right
+    np.subtract(cum2[:, -1:], left2, out=left2)
+    left2 -= left  # the right child's SSE
+    score += left2
+    return np.negative(score, out=score)
 
 
 def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,6 +154,16 @@ def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns = np.ascontiguousarray(features.T)
     order = np.argsort(columns, axis=1, kind="stable")
     return order, np.take_along_axis(columns, order, axis=1)
+
+
+def _rank_table(features: np.ndarray) -> np.ndarray:
+    """``(d, n)`` dense ranks of each column's values, equal values sharing a rank.
+
+    The ranks are ``uint16``, whose stable sort numpy does by radix, when
+    no column has more than 65,536 distinct values, and ``int64`` otherwise.
+    """
+    ranks = np.stack([np.unique(column, return_inverse=True)[1] for column in features.T])
+    return ranks.astype(np.uint16) if ranks.max() <= np.iinfo(np.uint16).max else ranks
 
 
 def best_split(order: np.ndarray, values: np.ndarray, target: np.ndarray,
@@ -156,11 +180,13 @@ def best_split(order: np.ndarray, values: np.ndarray, target: np.ndarray,
     when no candidate has two distinct values.  Zero-gain splits are
     returned (see module docstring).
     """
-    candidates = np.array(sorted(candidate_features))
-    sv = values[candidates]
+    candidates = sorted(candidate_features)
+    sv = values
+    if candidates != list(range(order.shape[0])):
+        order, sv = order[candidates], values[candidates]
     # ``take`` and ``flatnonzero`` rather than fancy and boolean indexing:
     # several times faster on these shapes, with the same result.
-    scores = gain(target.take(order[candidates], axis=0)).ravel()
+    scores = gain(target.take(order, axis=0)).ravel()
     cuts = np.flatnonzero(sv[:, :-1] != sv[:, 1:])  # row-major (candidate, cut) positions
     if cuts.size == 0:
         return None
@@ -286,17 +312,22 @@ def fit_random_forest(
     check_training_set(features, labels)
     n, d = features.shape
     m = math.ceil(math.sqrt(d))
+    columns = np.ascontiguousarray(features.T)
+    ranks = _rank_table(features)
     trees = []
     for t in range(n_trees):
         tree_seed = derive_seed(seed, t)
-        rng = Xoshiro256StarStar(derive_seed(tree_seed, 0))
-        rows = np.array([rng.below(n) for _ in range(n)], dtype=np.int64)
+        rows = np.array(Xoshiro256StarStar(derive_seed(tree_seed, 0)).below_each([n] * n),
+                        dtype=np.int64)
         draw = Xoshiro256StarStar(derive_seed(tree_seed, 1))
 
         def candidates():
             return draw.sample_indices(d, m) if m < d else range(d)
 
-        trees.append(_grow(*_presort(features[rows]), one_hot(labels[rows]), params, _gini_gain,
+        # ``_presort(features[rows])``, by the ranks (see the module docstring)
+        order = np.argsort(ranks.take(rows, axis=1), axis=1, kind="stable")
+        values = np.take_along_axis(columns.take(rows, axis=1), order, axis=1)
+        trees.append(_grow(order, values, one_hot(labels[rows]), params, _gini_gain,
                            _class_counts, candidates))
     return ForestModel(trees=trees)
 

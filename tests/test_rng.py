@@ -56,6 +56,32 @@ def test_shuffle_is_a_permutation(seed):
     assert sorted(items) == list(range(57))
 
 
+@pytest.mark.parametrize("bounds", [
+    [4910] * 500,  # a bootstrap's draws
+    list(range(57, 1, -1)),  # a shuffle's
+    [2**63 + 1] * 64,  # about half of these draws are rejected and redrawn
+    [1, 2**64, 3, 3, 2**64 - 1, 7],
+], ids=["bootstrap", "shuffle", "rejection", "mixed"])
+def test_below_each_equals_repeated_below(bounds):
+    for seed in range(4):
+        one, bulk = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+        assert bulk.below_each(bounds) == [one.below(n) for n in bounds]
+        assert bulk._s == one._s
+    if bounds[0] == 2**63 + 1:
+        stepped = Xoshiro256StarStar(3)
+        for _ in bounds:
+            stepped.next_u64()
+        assert stepped._s != one._s
+
+
+def test_below_each_keeps_the_draws_before_a_bad_bound():
+    one, bulk = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    one.below(3)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        bulk.below_each([3, 0, 4])
+    assert bulk._s == one._s
+
+
 def test_sample_indices_distinct():
     gen = Xoshiro256StarStar(11)
     picks = gen.sample_indices(24, 5)

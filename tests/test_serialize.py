@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +298,48 @@ def test_layer_arrays_must_have_the_constructed_shapes(layer, key, value, shapes
     document["payload"]["layers"][layer][key] = value
     kind = document["payload"]["layers"][layer]["type"]
     with pytest.raises(ValueError, match=f"^{kind} layer's {shapes}$"):
+        sz.decode_model(document)
+
+
+@pytest.mark.parametrize("layer, key, value, message", [
+    # these used to raise a TypeError, or numpy's unnamed "negative dimensions"
+    (0, "n_in", "4", "dense layer's 'n_in' must be an integer, got '4'"),
+    (2, "n_out", 2.5, "dense layer's 'n_out' must be an integer, got 2.5"),
+    (0, "n_in", -1, "dense layer's 'n_in' must be >= 1, got -1"),
+    (1, "units", 0, "batchnorm layer's 'units' must be >= 1, got 0"),
+    (3, "d", True, "shared layer's 'd' must be an integer, got True"),
+    (4, "rate", "0.5", "dropout layer's 'rate' must be a finite number, got '0.5'"),
+    (4, "rate", float("nan"), "dropout layer's 'rate' must be a finite number, got nan"),
+    (4, "rate", 1, "dropout layer's 'rate' must be in [0, 1), got 1"),
+    (4, "rate", -0.25, "dropout layer's 'rate' must be in [0, 1), got -0.25"),
+], ids=["n_in-string", "n_out-fraction", "n_in-negative", "units0", "d-bool", "rate-string",
+        "rate-nan", "rate1", "rate-negative"])
+def test_layer_arguments_are_checked_by_name(layer, key, value, message):
+    document = sz.encode_model(nn.Network([nn.Dense(4, 16), nn.BatchNorm(16), nn.Dense(16, 2),
+                                           nn.SharedInputLayer(2), nn.Dropout(0.5)]))
+    assert sz.decode_model(document).predict(np.zeros((3, 4))).shape == (3,)
+    document["payload"]["layers"][layer][key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sz.decode_model(document)
+
+
+@pytest.mark.parametrize("kind, edit, field", [
+    # each of these used to fail in np.array with a message that named no field
+    ("lda", lambda payload: payload["coef"][1].pop(), "coef"),
+    ("svm", lambda payload: payload["machines"][2]["support_vectors"][0].append(0.5),
+     "support_vectors"),
+    ("network", lambda payload: payload["layers"][0]["weight"][3].pop(),
+     "dense layer's 'weight'"),
+], ids=["lda-coef", "svm-support_vectors", "dense-weight"])
+def test_ragged_arrays_fail_by_field_name(synth_d4, kind, edit, field):
+    x, y = synth_d4.features[:200], synth_d4.labels[:200]
+    model = {"lda": lambda: sm.fit_lda(x, y),
+             "svm": lambda: sm.fit_svm(x, y, **SVM_HP, seed=1),
+             "network": lambda: nn.Network([nn.Dense(4, 16), nn.Relu(), nn.Dense(16, 4)])}[kind]()
+    document = sz.encode_model(model)
+    edit(document["payload"])
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be a rectangular array, "
+                                         "got nested lists of unequal lengths$"):
         sz.decode_model(document)
 
 

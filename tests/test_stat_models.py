@@ -193,6 +193,28 @@ def test_knn_distance_tie_prefers_lower_row_index():
     assert sm.predict_knn_batch(model, np.array([[0.0, 0.0]]))[0] == 2
 
 
+def test_knn_more_rows_tied_at_the_kth_distance_than_k():
+    # rows 1..6 all lie at distance 1 from the query; k = 3 takes row 0 and
+    # then the two lowest of the tied rows, 1 and 2 (class 3), not the four
+    # class-2 rows after them
+    train = np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                      [0.6, 0.8], [-0.6, -0.8], [3.0, 3.0]])
+    labels = np.array([1, 3, 3, 2, 2, 2, 2, 2])
+    query = np.array([[0.0, 0.0]])
+    for k, expected in ((3, 3), (4, 3), (5, 2)):
+        model = sm.fit_knn(train, labels, k)
+        assert sm.predict_knn_batch(model, query)[0] == expected
+        assert _knn_oracle(train, labels, query[0], k) == expected
+    # every query of a lattice ties many rows at its k-th distance
+    grid = np.array([[i, j] for i in range(-3, 4) for j in range(-3, 4)], dtype=float)
+    grid_labels = np.arange(grid.shape[0]) % 4
+    queries = np.array([[i / 2, j / 2] for i in range(-5, 6) for j in range(-5, 6)])
+    for k in (1, 2, 5, 9, 13):
+        model = sm.fit_knn(grid, grid_labels, k)
+        expected = [_knn_oracle(grid, grid_labels, q, k) for q in queries]
+        assert sm.predict_knn_batch(model, queries).tolist() == expected
+
+
 def test_knn_full_k_predicts_global_majority(synth_d2):
     model = sm.fit_knn(synth_d2.features, synth_d2.labels, k=synth_d2.n)
     majority = int(np.bincount(synth_d2.labels, minlength=4).argmax())
@@ -209,6 +231,20 @@ def test_knn_k_bounds():
     with pytest.raises(ValueError, match="^k must be an integer"):
         sm.fit_knn(np.ones((3, 2)), np.zeros(3, dtype=np.int64), k=2.5)
     assert sm.fit_knn(np.ones((3, 2)), np.zeros(3, dtype=np.int64), k=np.int64(2)).k == 2
+
+
+@pytest.mark.parametrize("bad", [0, 2], ids=["first", "last"])
+def test_knn_query_must_be_finite_and_as_wide_as_the_training_rows(bad):
+    # a NaN query has no row at or below its k-th distance, so the partition
+    # search would give it the next query's neighbours, or none as the last
+    model = sm.fit_knn(np.eye(4), np.arange(4), k=2)
+    queries = np.zeros((3, 4))
+    queries[bad, 1] = np.nan
+    with pytest.raises(ValueError, match="^queries must hold finite real numbers in "
+                                         r"shape \(any, 4\), got non-finite values"):
+        sm.predict_knn_batch(model, queries)
+    with pytest.raises(ValueError, match=r"^queries .* got float64 in shape \(3, 3\)"):
+        sm.predict_knn_batch(model, np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +688,39 @@ def test_fit_svm_bitwise_equal_with_reference_kernel(synth_full, monkeypatch):
         assert got.bias == want.bias
         assert got.converged == want.converged
     assert np.array_equal(blocked_values, sm.svm_decision_values(reference, queries))
+
+
+def _machine_values(machine, queries, gamma):
+    """One machine's decision values through its own cross-kernel."""
+    if machine.support_vectors.shape[0] == 0:
+        return np.full(queries.shape[0], machine.bias)
+    return sm.rbf_kernel(queries, machine.support_vectors, gamma) @ machine.dual_coef \
+        + machine.bias
+
+
+def test_svm_decision_values_bitwise_equal_to_each_machines_kernel(synth_d4):
+    rng = XoshiroLanes(31)
+    x, y = synth_d4.features[:120], synth_d4.labels[:120]
+    # duplicate training rows: the fitted machines hold the same vector twice,
+    # and every machine shares vectors with the others
+    fitted = sm.fit_svm(np.concatenate([x, x[:40]]), np.concatenate([y, y[:40]]),
+                        **SVM_HP, seed=4)
+    pool = np.round(rng.uniform(-1, 1, (12, 4)), 1)
+    pool[3] = pool[2]
+    pool[5, 0], pool[6] = 0.0, pool[5]
+    pool[6, 0] = -0.0  # equal to row 5 as numbers, not as bits
+    picks = ([0, 1, 2, 3, 3, 5], [1, 2, 6, 9], [], [4, 5, 6, 7, 8, 10, 11])
+    built = sm.SVMModel(machines=[
+        sm.BinaryMachine(pool[rows].reshape(-1, 4), rng.uniform(-1, 1, len(rows)), 0.25 * k,
+                         True)
+        for k, rows in enumerate(picks)], gamma=0.7, c=1.0)
+    queries = np.concatenate([rng.uniform(-1, 1, (30, 4)), pool])
+    for model in (fitted, built):
+        values = sm.svm_decision_values(model, queries)
+        for k, machine in enumerate(model.machines):
+            want = _machine_values(machine, queries, model.gamma)
+            assert values[:, k].tobytes() == want.tobytes()
+    assert built.machines[2].support_vectors.shape == (0, 4)
 
 
 def test_predict_knn_batch_equal_with_reference_kernel(synth_full, monkeypatch):

@@ -603,6 +603,16 @@ def _few_ties(seed, n, d):
     return _tie_heavy(seed, n, d, decimals=3)
 
 
+def _signed_zeros(seed, n, d):
+    """``_tie_heavy`` moved to [-1, 1], with every other zero stored as ``-0.0``."""
+    features, labels = _tie_heavy(seed, n, d)
+    features = np.round(features - 1.0, 1)
+    zeros = np.flatnonzero(features == 0.0)
+    features.flat[zeros[::2]] = -0.0
+    assert np.signbit(features.flat[zeros]).any() and not np.signbit(features.flat[zeros]).all()
+    return features, labels
+
+
 def _repeated_rows(seed, n, d):
     """A bootstrap sample of ``_few_ties`` rows: whole rows repeat."""
     features, labels = _few_ties(seed, n, d)
@@ -631,6 +641,7 @@ def test_decision_tree_documents_equal_reference_grower(make, seed, n, d):
 @pytest.mark.parametrize("make, n, d, max_depth", [
     *(pytest.param(_tie_heavy, 60, d, 5, id=f"{d}") for d in (1, 2, 3, 5, 24)),
     *(pytest.param(_few_ties, 300, d, None, id=f"few-ties-{d}") for d in (2, 4, 24)),
+    *(pytest.param(_signed_zeros, 120, d, None, id=f"signed-zeros-{d}") for d in (1, 4)),
 ])
 def test_random_forest_documents_equal_reference_grower(make, n, d, max_depth):
     features, labels = make(d, n, d)
@@ -638,6 +649,24 @@ def test_random_forest_documents_equal_reference_grower(make, n, d, max_depth):
     expected = _reference_forest(features, labels, 4, params, seed=d)
     actual = tm.fit_random_forest(features, labels, 4, params, seed=d)
     assert _document(actual) == _document(expected)
+
+
+@pytest.mark.parametrize("distinct, dtype", [(65_536, np.uint16), (65_537, np.int64)])
+def test_rank_table_orders_rows_as_a_presort(distinct, dtype):
+    # column 0 holds ``distinct`` values, shuffled, some of them twice; column 1
+    # holds -0.0 and 0.0, which are equal and so share a rank
+    n = distinct + 300
+    values = np.arange(distinct) * 0.25 - 1000.0
+    column = np.concatenate([values, values[:300]])[XoshiroLanes(7).permutation(n)]
+    zeros = np.where(np.arange(n) % 3 == 0, -0.0, np.where(np.arange(n) % 3 == 1, 0.0, 2.5))
+    features = np.stack([column, zeros], axis=1)
+    ranks = tm._rank_table(features)
+    assert ranks.dtype == dtype
+    assert int(ranks[0].max()) == distinct - 1
+    assert ranks[1].tolist()[:3] == [0, 0, 1]
+    rows = forest_bootstrap_rows(n, 3, 0)
+    order = np.argsort(ranks.take(rows, axis=1), axis=1, kind="stable")
+    assert np.array_equal(order, tm._presort(features[rows])[0])
 
 
 @pytest.mark.parametrize("make, seed, n, d, max_depth", [
