@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -21,11 +22,28 @@ def run_cli(*argv):
 # data verify / derive
 # ---------------------------------------------------------------------------
 
-def test_verify_intact_files(published_like_dir, capsys):
+def crlf_copy(directory, tmp_path):
+    """The data files of ``directory`` with every line ended by CR LF."""
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    for name in DATA_FILES:
+        lf = (directory / name).read_bytes()
+        assert b"\r" not in lf
+        (crlf / name).write_bytes(lf.replace(b"\n", b"\r\n"))
+    assert (crlf / DATA_FILES[2]).read_bytes().count(b"\r\n") == 5456
+    return crlf
+
+
+def test_verify_intact_files(published_like_dir, tmp_path, capsys):
     assert run_cli("data", "verify", "--data-dir", str(published_like_dir)) == 0
     out = capsys.readouterr().out
     for name in DATA_FILES:
         assert f"{name}: 5456 rows" in out
+    # a CRLF file is one byte longer per line, so only the byte counts may differ
+    crlf = crlf_copy(published_like_dir, tmp_path)
+    assert run_cli("data", "verify", "--data-dir", str(crlf)) == 0
+    assert (re.sub(r" \(\d+ bytes\)", "", capsys.readouterr().out)
+            == re.sub(r" \(\d+ bytes\)", "", out))
 
 
 def test_verify_truncated_file(published_like_dir, tmp_path, capsys):
@@ -54,11 +72,14 @@ def test_verify_missing_file(tmp_path, capsys):
     assert "missing data file" in capsys.readouterr().err
 
 
-def test_derive_exact_match(published_like_dir, capsys):
+def test_derive_exact_match(published_like_dir, tmp_path, capsys):
     assert run_cli("data", "derive", "--data-dir", str(published_like_dir)) == 0
     out = capsys.readouterr().out
     assert out.count("exact match") == 2
     assert "arc front" in out
+    crlf = crlf_copy(published_like_dir, tmp_path)
+    assert run_cli("data", "derive", "--data-dir", str(crlf)) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_derive_detects_corruption(published_like_dir, tmp_path, capsys):
@@ -156,16 +177,18 @@ def test_fetch_truncated_transfer_reports_failure(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_import_loads_neither_network_nor_process_pool_modules():
+def test_import_loads_neither_network_nor_process_pool_modules(published_like_dir):
     # only `data fetch` needs the network modules and only `--jobs` > 1 the pool;
-    # a fresh interpreter shows what importing the command line alone loads
+    # a fresh interpreter shows what importing the command line and `data verify` load
     unused = ("ssl", "http.client", "urllib.request", "email", "multiprocessing",
               "concurrent.futures.process")
-    probe = f"import sys, wallfollow.cli; print([m for m in {unused!r} if m in sys.modules])"
+    probe = ("import sys, wallfollow.cli\n"
+             "status = wallfollow.cli.main(['data', 'verify', '--data-dir', sys.argv[1]])\n"
+             f"print(status, [m for m in {unused!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", probe, str(published_like_dir)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 # ---------------------------------------------------------------------------
 # bench
@@ -230,6 +253,8 @@ def test_bench_writes_table2_when_cells_present(published_like_dir, tmp_path):
     rc = run_cli("bench", "--data-dir", str(published_like_dir), "--models", "dt,gbc",
                  "--widths", "24,4,2", "--iters", "1", "--seed", "5", "--out", str(out))
     assert rc == 0
+    for name in ("results.csv", "table1.md", "table2.md"):
+        assert (out / name).stat().st_size > 0
     table2 = (out / "table2.md").read_text()
     assert "98.8%" in table2 and "99.63%" in table2
     # a narrower run into the same directory must not leave the old table2.md
@@ -306,6 +331,13 @@ def test_config_file_presets_flags(published_like_dir, tmp_path, capsys):
 # export-tree
 # ---------------------------------------------------------------------------
 
+def assert_splits_only_on_x0_x1(text):
+    # a one-leaf tree has no split line at all, so at least one is required
+    splits = [line for line in text.splitlines() if "<=" in line]
+    assert splits
+    assert all(re.search(r'label="X_[01] <= ', line) for line in splits), splits
+
+
 def test_export_tree_width2_uses_both_features(published_like_dir, tmp_path, capsys):
     out = tmp_path / "tree.dot"
     rc = run_cli("export-tree", "--data-dir", str(published_like_dir), "--width", "2",
@@ -313,9 +345,7 @@ def test_export_tree_width2_uses_both_features(published_like_dir, tmp_path, cap
     assert rc == 0
     text = out.read_text()
     assert text.startswith("digraph tree {")
-    for line in text.splitlines():
-        if "<=" in line:
-            assert "X_0" in line or "X_1" in line
+    assert_splits_only_on_x0_x1(text)
     assert "test accuracy" in capsys.readouterr().out
 
 
@@ -324,10 +354,7 @@ def test_export_tree_restrict_front_left(published_like_dir, tmp_path, capsys):
     rc = run_cli("export-tree", "--data-dir", str(published_like_dir), "--width", "4",
                  "--restrict", "front,left", "--out", str(out))
     assert rc == 0
-    text = out.read_text()
-    for line in text.splitlines():
-        if "<=" in line:
-            assert "X_0" in line or "X_1" in line  # front=X_0, left=X_1
+    assert_splits_only_on_x0_x1(out.read_text())  # front=X_0, left=X_1
     assert "test accuracy" in capsys.readouterr().out
 
 

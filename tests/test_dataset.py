@@ -45,6 +45,7 @@ def test_load_preserves_row_order(tmp_path):
     path = tmp_path / "ordered.data"
     path.write_text("\n".join(lines) + "\n")
     ds = load_dataset(path, Width.SIMPLIFIED2)
+    assert ds.width is Width.SIMPLIFIED2
     assert np.array_equal(ds.features[:, 0], np.arange(10, dtype=float))
     assert np.array_equal(ds.labels, np.arange(10) % 4)
 

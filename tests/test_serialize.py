@@ -19,7 +19,10 @@ REAL = "must hold finite real numbers in shape"
 def _round_trip(model, tmp_path):
     path = tmp_path / "model.json"
     sz.save_model(model, path)
-    return sz.load_model(path)
+    assert json.loads(path.read_text())["version"] == 3
+    loaded = sz.load_model(path)
+    assert type(loaded) is type(model)
+    return loaded
 
 
 def _deep_tree_rows():
@@ -89,10 +92,8 @@ def test_svm_round_trip(tmp_path, synth_d4):
     model = sm.fit_svm(synth_d4.features[rows], synth_d4.labels[rows], **SVM_HP, seed=1)
     loaded = _round_trip(model, tmp_path)
     queries = synth_d4.features[150:200]
-    assert np.array_equal(
-        sm.svm_decision_values(loaded, queries),
-        sm.svm_decision_values(model, queries),
-    )
+    assert (sm.svm_decision_values(loaded, queries).tobytes()
+            == sm.svm_decision_values(model, queries).tobytes())
     assert loaded.gamma == model.gamma
 
 
@@ -308,12 +309,13 @@ def test_layer_arrays_must_have_the_constructed_shapes(layer, key, value, shapes
     (0, "n_in", -1, "dense layer's 'n_in' must be >= 1, got -1"),
     (1, "units", 0, "batchnorm layer's 'units' must be >= 1, got 0"),
     (3, "d", True, "shared layer's 'd' must be an integer, got True"),
+    (3, "d", -1, "shared layer's 'd' must be >= 1, got -1"),
     (4, "rate", "0.5", "dropout layer's 'rate' must be a finite number, got '0.5'"),
     (4, "rate", float("nan"), "dropout layer's 'rate' must be a finite number, got nan"),
     (4, "rate", 1, "dropout layer's 'rate' must be in [0, 1), got 1"),
     (4, "rate", -0.25, "dropout layer's 'rate' must be in [0, 1), got -0.25"),
-], ids=["n_in-string", "n_out-fraction", "n_in-negative", "units0", "d-bool", "rate-string",
-        "rate-nan", "rate1", "rate-negative"])
+], ids=["n_in-string", "n_out-fraction", "n_in-negative", "units0", "d-bool", "d-negative",
+        "rate-string", "rate-nan", "rate1", "rate-negative"])
 def test_layer_arguments_are_checked_by_name(layer, key, value, message):
     document = sz.encode_model(nn.Network([nn.Dense(4, 16), nn.BatchNorm(16), nn.Dense(16, 2),
                                            nn.SharedInputLayer(2), nn.Dropout(0.5)]))
