@@ -279,13 +279,17 @@ def run_table1(datasets: dict, cfg: CVConfig, algorithms=None, widths=None,
     """Benchmark the selected models on every applicable width.
 
     ``datasets`` maps Width -> Dataset.  ``overrides`` maps an algorithm tag
-    to hyperparameter overrides for its cells.  A cell fails with the message
-    of its first failing iteration and stops there; other cells still run.
+    to hyperparameter overrides for its cells; a repeated tag or width is an
+    error.  A cell fails with the message of its first failing iteration and
+    stops there; other cells still run.
     """
     from . import __version__
 
     algorithms = list(ALL_TAGS) if algorithms is None else list(algorithms)
     widths = sorted(datasets, key=int, reverse=True) if widths is None else list(widths)
+    for what, items in (("algorithm tag", algorithms), ("width", [int(w) for w in widths])):
+        if len(set(items)) < len(items):
+            raise ValueError(f"repeated {what} in {items}")
     overrides = overrides or {}
     for width in widths:
         if width not in datasets:

@@ -6,7 +6,8 @@ which no BLAS kernel or SIMD dispatch touches:
 * ``splitmix64`` -- 64-bit mixing function, used to expand master seeds into
   per-component seeds and to initialise generator state.
 * ``Xoshiro256StarStar`` -- scalar xoshiro256** generator, used for shuffles,
-  bootstrap draws and other index-level randomness.
+  bootstrap draws and other index-level randomness.  Every bounded draw
+  (``below``, ``sample_indices``, ``shuffle``) steps through ``below_each``.
 * ``XoshiroLanes`` -- a fixed-width bank of xoshiro256** generators stepped in
   lockstep with numpy, used where bulk draws are needed (weight init, dropout
   masks, per-epoch shuffle keys).  Outputs are ordered step-major: the first
@@ -84,20 +85,14 @@ class Xoshiro256StarStar:
         return result
 
     def below(self, n: int) -> int:
-        """Unbiased integer in [0, n) by rejection sampling."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
+        """Unbiased integer in [0, n): one ``below_each`` draw."""
+        return self.below_each((n,))[0]
 
     def below_each(self, bounds) -> list[int]:
-        """``[self.below(n) for n in bounds]``: the same stream and final state.
+        """Unbiased integers in [0, n), one per ``n`` of ``bounds``, by rejection sampling.
 
-        The state lives in locals for the whole loop, and each bound's
-        rejection limit is computed once per run of equal bounds.
+        The state lives in locals for the whole loop, and each bound's rejection
+        limit is computed once per run of equal bounds.
         """
         s0, s1, s2, s3 = self._s
         mask = MASK64
@@ -128,19 +123,18 @@ class Xoshiro256StarStar:
         return out
 
     def shuffle(self, items) -> None:
-        """In-place Fisher-Yates shuffle (descending index convention)."""
+        """In-place Fisher-Yates shuffle (descending index convention), drawn by ``below_each``."""
         top = len(items) - 1
         for i, j in zip(range(top, 0, -1), self.below_each(range(top + 1, 1, -1))):
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), via partial Fisher-Yates."""
+        """k distinct indices from range(n), via partial Fisher-Yates drawn by ``below_each``."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
         pool = list(range(n))
-        for i in range(k):
-            j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
+        for i, r in enumerate(self.below_each(range(n, n - k, -1))):
+            pool[i], pool[i + r] = pool[i + r], pool[i]
         return pool[:k]
 
 

@@ -13,17 +13,18 @@ Classification and regression trees share one grower and one split search;
 only the gain differs: the Gini decrease on one-hot labels, or minus the
 children's squared error on boosting residuals.
 
-Each fit sorts every column once (the presort of CART, Breiman et al. 1984);
-a boosting fit shares that sort across all of its trees.  A forest ranks
-every column once instead (``_rank_table``), and each tree's presort is the
-stable argsort of its bootstrap rows' ranks: equal values share a rank and
-both sorts are stable, so it is the order a float sort would give.  A child
-keeps its parent's row orders filtered by the split.  Node rows keep their
-training order, so a filtered stable order is exactly the node's own stable
-argsort, bootstrap duplicates included: every node scores the same sorted
-targets as a per-node sort would.  The cumulative sums run sequentially, each four-class
-sum adds left to right, and class-count leaves are exact integer sums, so the
-trees are bit-identical to ones grown with a sort at every node.
+Each fit sorts every column once (the presort of CART, Breiman et al. 1984),
+by one rule (``_presort``): the rows are taken in the stable argsort of their
+values' ranks (``_rank_table``).  Equal values share a rank, so this is the
+order a stable float sort would give.  A boosting fit shares its sort across
+all of its trees; a forest ranks the columns once and sorts each tree's
+bootstrap rows by those ranks.  A child keeps its parent's row orders
+filtered by the split.  Node rows keep their training order, so a filtered
+stable order is exactly the node's own stable argsort, bootstrap duplicates
+included: every node scores the same sorted targets as a per-node sort
+would.  The cumulative sums run sequentially, each four-class sum adds left
+to right, and class-count leaves are exact integer sums, so the trees are
+bit-identical to ones grown with a sort at every node.
 """
 
 from __future__ import annotations
@@ -149,13 +150,6 @@ def _sse_gain(sorted_target: np.ndarray) -> np.ndarray:
     return np.negative(score, out=score)
 
 
-def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, values)``, both ``(d, n)``: each column's stable argsort and sorted values."""
-    columns = np.ascontiguousarray(features.T)
-    order = np.argsort(columns, axis=1, kind="stable")
-    return order, np.take_along_axis(columns, order, axis=1)
-
-
 def _rank_table(features: np.ndarray) -> np.ndarray:
     """``(d, n)`` dense ranks of each column's values, equal values sharing a rank.
 
@@ -164,6 +158,14 @@ def _rank_table(features: np.ndarray) -> np.ndarray:
     """
     ranks = np.stack([np.unique(column, return_inverse=True)[1] for column in features.T])
     return ranks.astype(np.uint16) if ranks.max() <= np.iinfo(np.uint16).max else ranks
+
+
+def _presort(columns: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, values)``, both ``(d, n)``: the stable argsort of each row of ``ranks``
+    (``_rank_table`` of ``columns``) and the row of ``columns`` taken in that order.
+    """
+    order = np.argsort(ranks, axis=1, kind="stable")
+    return order, np.take_along_axis(columns, order, axis=1)
 
 
 def best_split(order: np.ndarray, values: np.ndarray, target: np.ndarray,
@@ -268,8 +270,8 @@ def fit_decision_tree(
             raise ValueError(f"allowed_features must lie in 0..{d - 1}, got {f!r}")
     if not pool:
         raise ValueError("allowed_features must name at least one feature")
-    return _grow(*_presort(features), one_hot(labels), params, _gini_gain, _class_counts,
-                 lambda: pool)
+    sorted_rows = _presort(np.ascontiguousarray(features.T), _rank_table(features))
+    return _grow(*sorted_rows, one_hot(labels), params, _gini_gain, _class_counts, lambda: pool)
 
 
 def _route(root: TreeNode, features: np.ndarray):
@@ -324,10 +326,8 @@ def fit_random_forest(
         def candidates():
             return draw.sample_indices(d, m) if m < d else range(d)
 
-        # ``_presort(features[rows])``, by the ranks (see the module docstring)
-        order = np.argsort(ranks.take(rows, axis=1), axis=1, kind="stable")
-        values = np.take_along_axis(columns.take(rows, axis=1), order, axis=1)
-        trees.append(_grow(order, values, one_hot(labels[rows]), params, _gini_gain,
+        sorted_rows = _presort(columns.take(rows, axis=1), ranks.take(rows, axis=1))
+        trees.append(_grow(*sorted_rows, one_hot(labels[rows]), params, _gini_gain,
                            _class_counts, candidates))
     return ForestModel(trees=trees)
 
@@ -367,7 +367,7 @@ def fit_gradient_boost(
     onehot = one_hot(labels)
     scores = np.tile(init_scores, (n, 1))
     params = TreeParams(max_depth, min_samples_split=2)
-    order, values = _presort(features)
+    order, values = _presort(np.ascontiguousarray(features.T), _rank_table(features))
     stages: list[tuple[TreeNode, ...]] = []
     for _ in range(n_stages):
         probs = softmax(scores)

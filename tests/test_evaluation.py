@@ -299,6 +299,15 @@ def test_run_table1_rejects_unknown_tag(synth_d2):
                       ["xgb"])
 
 
+def test_run_table1_rejects_repeated_tags_and_widths(synth_d2):
+    # the report keys cells by (tag, width), so a repeat would run cells it cannot report
+    datasets, cfg = {Width.SIMPLIFIED2: synth_d2}, ev.CVConfig(iterations=1, master_seed=0)
+    with pytest.raises(ValueError, match=r"^repeated algorithm tag in \['dt', 'gnb', 'dt'\]$"):
+        ev.run_table1(datasets, cfg, ["dt", "gnb", "dt"])
+    with pytest.raises(ValueError, match=r"^repeated width in \[2, 2\]$"):
+        ev.run_table1(datasets, cfg, ["dt"], [Width.SIMPLIFIED2, 2])
+
+
 def test_run_table1_marks_failed_cells(synth_d2):
     # knn with k larger than any training fold must fail; dt must survive
     datasets = {Width.SIMPLIFIED2: synth_d2}

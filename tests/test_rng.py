@@ -56,6 +56,16 @@ def test_shuffle_is_a_permutation(seed):
     assert sorted(items) == list(range(57))
 
 
+def _reference_below(gen, n):
+    """One unbiased draw in [0, n): ``next_u64`` outputs at or above the largest
+    multiple of ``n`` under 2**64 are rejected, and an accepted ``u`` gives ``u % n``."""
+    limit = 2**64 - 2**64 % n
+    while True:
+        u = gen.next_u64()
+        if u < limit:
+            return u % n
+
+
 @pytest.mark.parametrize("bounds", [
     [4910] * 500,  # a bootstrap's draws
     list(range(57, 1, -1)),  # a shuffle's
@@ -63,23 +73,26 @@ def test_shuffle_is_a_permutation(seed):
     [1, 2**64, 3, 3, 2**64 - 1, 7],
 ], ids=["bootstrap", "shuffle", "rejection", "mixed"])
 def test_below_each_equals_repeated_below(bounds):
+    # both checked against a rejection sampler written here over next_u64
     for seed in range(4):
-        one, bulk = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
-        assert bulk.below_each(bounds) == [one.below(n) for n in bounds]
-        assert bulk._s == one._s
+        ref, bulk, single = (Xoshiro256StarStar(seed) for _ in range(3))
+        expected = [_reference_below(ref, n) for n in bounds]
+        assert bulk.below_each(bounds) == expected
+        assert [single.below(n) for n in bounds] == expected
+        assert bulk._s == ref._s == single._s
     if bounds[0] == 2**63 + 1:
         stepped = Xoshiro256StarStar(3)
         for _ in bounds:
             stepped.next_u64()
-        assert stepped._s != one._s
+        assert stepped._s != ref._s
 
 
 def test_below_each_keeps_the_draws_before_a_bad_bound():
-    one, bulk = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
-    one.below(3)
+    ref, bulk = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    _reference_below(ref, 3)
     with pytest.raises(ValueError, match="bound must be positive"):
         bulk.below_each([3, 0, 4])
-    assert bulk._s == one._s
+    assert bulk._s == ref._s
 
 
 def test_sample_indices_distinct():
@@ -88,6 +101,18 @@ def test_sample_indices_distinct():
     assert len(picks) == 5
     assert len(set(picks)) == 5
     assert all(0 <= p < 24 for p in picks)
+
+
+@pytest.mark.parametrize("n, k", [(24, 5), (4, 2), (5, 5), (7, 0), (1, 1)])
+def test_sample_indices_equals_per_draw_partial_fisher_yates(n, k):
+    for seed in range(4):
+        ref, gen = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+        pool = list(range(n))
+        for i in range(k):
+            j = i + _reference_below(ref, n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        assert gen.sample_indices(n, k) == pool[:k]
+        assert gen._s == ref._s
 
 
 def test_lanes_match_scalar_generators():

@@ -112,8 +112,15 @@ def _exhaustive_best_split(features, labels):
     return feature, threshold, float(best)
 
 
+def _float_presort(features):
+    """Each column's stable float argsort and its values in that order, both ``(d, n)``."""
+    columns = np.ascontiguousarray(features.T)
+    order = np.argsort(columns, axis=1, kind="stable")
+    return order, np.take_along_axis(columns, order, axis=1)
+
+
 def _gini_split(features, labels, candidates):
-    return tm.best_split(*tm._presort(features), one_hot(labels), candidates, tm._gini_gain)
+    return tm.best_split(*_float_presort(features), one_hot(labels), candidates, tm._gini_gain)
 
 
 def test_best_split_four_point_line():
@@ -664,9 +671,15 @@ def test_rank_table_orders_rows_as_a_presort(distinct, dtype):
     assert ranks.dtype == dtype
     assert int(ranks[0].max()) == distinct - 1
     assert ranks[1].tolist()[:3] == [0, 0, 1]
+    columns = np.ascontiguousarray(features.T)
     rows = forest_bootstrap_rows(n, 3, 0)
-    order = np.argsort(ranks.take(rows, axis=1), axis=1, kind="stable")
-    assert np.array_equal(order, tm._presort(features[rows])[0])
+    # every row, as a tree or boosting fit sorts them, and a forest tree's bootstrap rows
+    for presorted, expected in (
+            (tm._presort(columns, ranks), _float_presort(features)),
+            (tm._presort(columns.take(rows, axis=1), ranks.take(rows, axis=1)),
+             _float_presort(features[rows]))):
+        assert np.array_equal(presorted[0], expected[0])
+        assert np.array_equal(presorted[1].view(np.uint64), expected[1].view(np.uint64))
 
 
 @pytest.mark.parametrize("make, seed, n, d, max_depth", [
