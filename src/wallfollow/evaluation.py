@@ -285,6 +285,7 @@ def run_table1(datasets: dict, cfg: CVConfig, algorithms=None, widths=None,
     """
     from . import __version__
 
+    check_count("jobs", jobs, 1)
     algorithms = list(ALL_TAGS) if algorithms is None else list(algorithms)
     widths = sorted(datasets, key=int, reverse=True) if widths is None else list(widths)
     for what, items in (("algorithm tag", algorithms), ("width", [int(w) for w in widths])):

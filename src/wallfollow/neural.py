@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_count, check_training_set, one_hot
+from .dataset import N_CLASSES, check_count, check_finite, check_training_set, one_hot
 from .rng import XoshiroLanes
 
 ADADELTA_RHO = 0.95
@@ -60,6 +60,7 @@ class SharedInputLayer:
     PARAMS = ("w", "b")
 
     def __init__(self, d: int):
+        check_count("shared layer's 'd'", d, 1)
         self.d = d
         self.w = np.zeros(d)
         self.b = np.zeros(d)
@@ -89,6 +90,8 @@ class Dense:
     PARAMS = ("weight", "bias")
 
     def __init__(self, n_in: int, n_out: int):
+        check_count("dense layer's 'n_in'", n_in, 1)
+        check_count("dense layer's 'n_out'", n_out, 1)
         self.n_in = n_in
         self.n_out = n_out
         self.weight = np.zeros((n_out, n_in))
@@ -135,6 +138,7 @@ class BatchNorm:
     PARAMS = ("gamma", "beta")
 
     def __init__(self, units: int):
+        check_count("batchnorm layer's 'units'", units, 1)
         self.units = units
         self.gamma = np.ones(units)
         self.beta = np.zeros(units)
@@ -184,8 +188,9 @@ class Dropout:
     PARAMS = ()
 
     def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
+        check_finite("dropout layer's 'rate'", rate, ())  # a real number, not a bool
+        if not 0 <= rate < 1:
+            raise ValueError(f"dropout layer's 'rate' must be in [0, 1), got {rate!r}")
         self.rate = rate
         self._mask = None
 
@@ -213,8 +218,7 @@ class TrainConfig:
     def __post_init__(self):
         check_count("batch_size", self.batch_size, 1)
         check_count("epochs", self.epochs, 0)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        Dropout(self.dropout)  # it becomes every dropout layer's rate: the layer's rule
 
 
 Layer = SharedInputLayer | Dense | BatchNorm | Relu | Dropout
@@ -222,9 +226,25 @@ Layer = SharedInputLayer | Dense | BatchNorm | Relu | Dropout
 
 @dataclass(eq=False)
 class Network:
-    """Ordered layer stack ending in a 4-unit softmax output."""
+    """Ordered layer stack ending in a 4-unit softmax output, checked at construction."""
 
     layers: list[Layer]
+
+    def __post_init__(self):
+        width = None  # of the last layer that sets one
+        for layer in self.layers:
+            if isinstance(layer, BatchNorm):
+                # training never stores a negative variance, and inference takes its square root
+                if (layer.running_var < 0).any():
+                    raise ValueError("batchnorm layer's 'running_var' must be >= 0")
+                width = layer.units
+            elif isinstance(layer, Dense):
+                width = layer.n_out
+            elif isinstance(layer, SharedInputLayer):
+                width = layer.d * layer.d
+        if width != N_CLASSES:
+            raise ValueError(f"a network's last dense, shared or batchnorm layer must be "
+                             f"{N_CLASSES} wide, got {width}")
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         for layer in self.layers:

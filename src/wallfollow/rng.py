@@ -4,7 +4,9 @@ All randomness flows through one documented pipeline of integer arithmetic,
 which no BLAS kernel or SIMD dispatch touches:
 
 * ``splitmix64`` -- 64-bit mixing function, used to expand master seeds into
-  per-component seeds and to initialise generator state.
+  per-component seeds and to initialise generator state.  The mix is a
+  bijection, so a generator's state words, its outputs at distinct inputs,
+  hold at most one zero: no state is xoshiro's forbidden all-zero one.
 * ``Xoshiro256StarStar`` -- scalar xoshiro256** generator, used for shuffles,
   bootstrap draws and other index-level randomness.  Every bounded draw
   (``below``, ``sample_indices``, ``shuffle``) steps through ``below_each``.
@@ -66,10 +68,7 @@ class Xoshiro256StarStar:
     """Scalar xoshiro256** generator seeded via splitmix64 expansion."""
 
     def __init__(self, seed: int):
-        s = splitmix64_stream(seed, 4)
-        if not any(s):  # all-zero state is the one forbidden configuration
-            s[0] = GOLDEN
-        self._s = s
+        self._s = splitmix64_stream(seed, 4)
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
@@ -149,11 +148,7 @@ class XoshiroLanes:
 
     def __init__(self, seed: int):
         words = splitmix64_stream(seed, 4 * LANES)
-        state = np.array(words, dtype=np.uint64).reshape(LANES, 4).T.copy()
-        dead = ~state.any(axis=0)
-        if dead.any():
-            state[0, dead] = np.uint64(GOLDEN)
-        self._s = state  # shape (4, LANES), stepped in place
+        self._s = np.array(words, dtype=np.uint64).reshape(LANES, 4).T.copy()  # (4, LANES)
         self._w = np.empty((2, LANES), dtype=np.uint64)  # per-step scratch
 
     def u64(self, count: int) -> np.ndarray:

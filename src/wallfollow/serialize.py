@@ -4,9 +4,11 @@ Models are stored as a single JSON document: ``{"format": "wallfollow-model",
 "version": 3, "kind": ..., "payload": ...}``.  The model is what a ``fit_*``
 function returns, or a ``neural.Network``.  One encoder, driven by type
 annotations, handles every kind: dataclasses become objects field by field,
-arrays nested lists, layers objects through ``LAYERS``, and a tree five flat
-preorder lists, so a tree of any depth can be saved.  Floats round-trip
-bit-for-bit (shortest repr), so reloaded models predict identically.
+arrays nested lists, layers objects through ``LAYERS``, and a tree the five
+flat preorder lists of ``tree_models.tree_to_lists``, so a tree of any depth
+can be saved.  The decoder builds each value through the constructor that
+checks it.  Floats round-trip bit-for-bit (shortest repr), so reloaded
+models predict identically.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import neural, stat_models, tree_models
-from .dataset import N_CLASSES, check_count, check_finite
+from .dataset import check_finite
 
 FORMAT_NAME = "wallfollow-model"
 FORMAT_VERSION = 3
@@ -37,10 +39,6 @@ KINDS = {
     "network": neural.Network,
 }
 _KIND_OF = {cls: kind for kind, cls in KINDS.items()}
-
-# A tree is one list per key, indexed by preorder node number.  A leaf has
-# feature, left and right -1; an inner node's value is zero in its leaves' shape.
-TREE_KEYS = ("feature", "threshold", "left", "right", "value")
 
 # Network layers: type -> (class, constructor arguments, arrays stored beyond
 # the class's PARAMS); a layer's object lists "type", then the arguments, then
@@ -65,63 +63,6 @@ def _fields(data, keys, what: str) -> dict:
     return data
 
 
-def _tree_to_lists(root: tree_models.TreeNode) -> dict:
-    nodes = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if not node.is_leaf:
-            stack += [node.right, node.left]
-    index = {id(node): i for i, node in enumerate(nodes)}
-    zero = np.zeros_like(next(n for n in nodes if n.is_leaf).value).tolist()
-    return {
-        "feature": [-1 if n.is_leaf else n.feature for n in nodes],
-        "threshold": [n.threshold for n in nodes],
-        "left": [-1 if n.is_leaf else index[id(n.left)] for n in nodes],
-        "right": [-1 if n.is_leaf else index[id(n.right)] for n in nodes],
-        "value": [_encode(n.value) if n.is_leaf else zero for n in nodes],
-    }
-
-
-def _leaf_value(i: int, leaf, regression: bool):
-    """Leaf ``i``'s finite regression score, or its class counts (``N_CLASSES`` integers >= 0)."""
-    if regression:
-        check_finite(f"tree node {i}'s value", leaf, ())
-        return leaf
-    if not isinstance(leaf, list) or len(leaf) != N_CLASSES:
-        raise ValueError(f"tree node {i}'s class counts must be a list of {N_CLASSES} "
-                         f"integers, got {leaf!r}")
-    for count in leaf:
-        check_count(f"tree node {i}'s class count", count, 0)
-    return np.array(leaf, dtype=np.int64)
-
-
-def _tree_from_lists(data, regression: bool) -> tree_models.TreeNode:
-    feature, threshold, left, right, value = (_fields(data, TREE_KEYS, "tree")[k]
-                                              for k in TREE_KEYS)
-    n = len(feature)
-    if n == 0 or any(not isinstance(data[k], list) or len(data[k]) != n for k in TREE_KEYS):
-        raise ValueError("a tree's lists must be non-empty and of one length")
-    nodes = [tree_models.TreeNode() for _ in range(n)]
-    for i, node in enumerate(nodes):
-        check_finite(f"tree node {i}'s threshold", threshold[i], ())
-        if feature[i] == -1:
-            node.value = _leaf_value(i, value[i], regression)
-            continue
-        f = feature[i]
-        if isinstance(f, bool) or not isinstance(f, int) or f < 0:
-            raise ValueError(f"tree node {i} has feature {f!r}; an inner node's feature "
-                             f"must be an integer >= 0")
-        # children after their parent: every path ends, so routing cannot loop
-        if not (i < left[i] < n and i < right[i] < n):
-            raise ValueError(f"tree node {i} has children {left[i]} and {right[i]}; "
-                             f"both must lie in {i + 1}..{n - 1}")
-        node.feature, node.threshold = f, threshold[i]
-        node.left, node.right = nodes[left[i]], nodes[right[i]]
-    return nodes[0]
-
-
 def _array(what: str, data) -> np.ndarray:
     """``np.array(data)``, or a ``ValueError`` naming ``what`` if its nested lists are ragged."""
     with warnings.catch_warnings():
@@ -135,12 +76,11 @@ def _array(what: str, data) -> np.ndarray:
 
 def _encode(value):
     if isinstance(value, tree_models.TreeNode):
-        return _tree_to_lists(value)
+        return tree_models.tree_to_lists(value)
     if type(value) in _LAYER_TYPE_OF:
         kind = _LAYER_TYPE_OF[type(value)]
         cls, args, extra = LAYERS[kind]
-        return {"type": kind, **{a: getattr(value, a) for a in args},
-                **{a: getattr(value, a).tolist() for a in cls.PARAMS + extra}}
+        return {"type": kind, **{a: _encode(getattr(value, a)) for a in args + cls.PARAMS + extra}}
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if isinstance(value, (list, tuple)):
@@ -155,30 +95,20 @@ def _encode(value):
 def _decode(hint, data):
     """Rebuild a value of the annotated type ``hint`` from its JSON form."""
     if hint in (tree_models.TreeNode, tree_models.RegressionTree):
-        return _tree_from_lists(data, regression=hint == tree_models.RegressionTree)
+        return tree_models.tree_from_lists(_fields(data, tree_models.TREE_KEYS, "tree"),
+                                           regression=hint == tree_models.RegressionTree)
     if hint is neural.Layer:
         kind = _fields(data, ("type",), "layer")["type"]
         if kind not in LAYERS:
             raise ValueError(f"unknown layer type {kind!r}")
         cls, args, extra = LAYERS[kind]
         _fields(data, args + cls.PARAMS + extra, f"{kind} layer")
-        for a in args:  # sizes are counts >= 1; a dropout rate lies in [0, 1)
-            what, value = f"{kind} layer's {a!r}", data[a]
-            if a == "rate":
-                check_finite(what, value, ())
-                if not 0 <= value < 1:
-                    raise ValueError(f"{what} must be in [0, 1), got {value!r}")
-            else:
-                check_count(what, value, 1)
-        layer = cls(*(data[a] for a in args))
+        layer = cls(*(data[a] for a in args))  # the constructor checks its arguments
         for a in cls.PARAMS + extra:
             what = f"{kind} layer's {a!r}"
             array = _array(what, data[a])
             check_finite(what, array, getattr(layer, a).shape)
             setattr(layer, a, array)
-        # training never stores a negative variance, and inference takes its square root
-        if isinstance(layer, neural.BatchNorm) and (layer.running_var < 0).any():
-            raise ValueError(f"{kind} layer's 'running_var' must be >= 0")
         return layer
     origin = typing.get_origin(hint)
     if origin in (list, tuple):

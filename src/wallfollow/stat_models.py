@@ -76,6 +76,7 @@ def fit_lda(features: np.ndarray, labels: np.ndarray) -> LDAModel:
 
 
 def lda_decision_scores(model: LDAModel, features: np.ndarray) -> np.ndarray:
+    check_finite("features", features, (None, model.coef.shape[1]))
     return features @ model.coef.T + model.intercept
 
 
@@ -115,6 +116,7 @@ def fit_gnb(features: np.ndarray, labels: np.ndarray) -> GNBModel:
 
 
 def gnb_log_posteriors(model: GNBModel, features: np.ndarray) -> np.ndarray:
+    check_finite("features", features, (None, model.means.shape[1]))
     scores = np.empty((features.shape[0], model.means.shape[0]))
     for k in range(model.means.shape[0]):
         var = model.variances[k]

@@ -62,6 +62,74 @@ class TreeNode:
 # a boosting tree, whose leaves hold scores where a classification tree's hold counts
 RegressionTree = Annotated[TreeNode, "regression"]
 
+# A tree's preorder form, as a model document stores it: one list per key, indexed by
+# preorder node number.  A leaf has feature, left and right -1; an inner node's value
+# is zero in its leaves' shape.
+TREE_KEYS = ("feature", "threshold", "left", "right", "value")
+
+
+def tree_to_lists(root: TreeNode) -> dict:
+    """The ``TREE_KEYS`` lists of ``root``'s tree, in plain numbers."""
+    nodes = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    index = {id(node): i for i, node in enumerate(nodes)}
+    zero = np.zeros_like(next(n for n in nodes if n.is_leaf).value).tolist()
+    return {
+        "feature": [-1 if n.is_leaf else n.feature for n in nodes],
+        "threshold": [n.threshold for n in nodes],
+        "left": [-1 if n.is_leaf else index[id(n.left)] for n in nodes],
+        "right": [-1 if n.is_leaf else index[id(n.right)] for n in nodes],
+        "value": [np.asarray(n.value).tolist() if n.is_leaf else zero for n in nodes],
+    }
+
+
+def _leaf_value(i: int, leaf, regression: bool):
+    """Leaf ``i``'s finite regression score, or its class counts (``N_CLASSES`` integers >= 0)."""
+    if regression:
+        check_finite(f"tree node {i}'s value", leaf, ())
+        return leaf
+    if not isinstance(leaf, list) or len(leaf) != N_CLASSES:
+        raise ValueError(f"tree node {i}'s class counts must be a list of {N_CLASSES} "
+                         f"integers, got {leaf!r}")
+    for count in leaf:
+        check_count(f"tree node {i}'s class count", count, 0)
+    return np.array(leaf, dtype=np.int64)
+
+
+def tree_from_lists(lists: dict, regression: bool) -> TreeNode:
+    """The tree of ``lists``, a dict of the ``TREE_KEYS`` lists as a document holds them;
+    a ``ValueError`` names the first node at fault."""
+    feature, threshold, left, right, value = columns = [lists[k] for k in TREE_KEYS]
+    if not all(isinstance(c, list) and len(c) == len(feature) > 0 for c in columns):
+        raise ValueError("a tree's lists must be non-empty and of one length")
+    n = len(feature)
+    nodes = [TreeNode() for _ in range(n)]
+    for i, node in enumerate(nodes):
+        check_finite(f"tree node {i}'s threshold", threshold[i], ())
+        if feature[i] == -1:
+            node.value = _leaf_value(i, value[i], regression)
+            continue
+        f = feature[i]
+        if isinstance(f, bool) or not isinstance(f, int) or f < 0:
+            raise ValueError(f"tree node {i} has feature {f!r}; an inner node's feature "
+                             f"must be an integer >= 0")
+        # children after their parent: every path ends, so routing cannot loop
+        if not (i < left[i] < n and i < right[i] < n):
+            raise ValueError(f"tree node {i} has children {left[i]} and {right[i]}; "
+                             f"both must lie in {i + 1}..{n - 1}")
+        node.feature, node.threshold = f, threshold[i]
+        node.left, node.right = nodes[left[i]], nodes[right[i]]
+    # a tree, which ``tree_to_lists`` and export read back: no node shared or left out
+    children = [c for i, f in enumerate(feature) if f != -1 for c in (left[i], right[i])]
+    if sorted(children) != list(range(1, n)):
+        raise ValueError("every tree node but node 0 must be the child of exactly one node")
+    return nodes[0]
+
 
 @dataclass
 class TreeParams:
@@ -77,6 +145,9 @@ class TreeParams:
 @dataclass
 class ForestModel:
     trees: list[TreeNode]
+
+    def __post_init__(self):
+        check_count("n_trees", len(self.trees), 1)
 
 
 @dataclass
@@ -408,27 +479,22 @@ def predict_boost(model: BoostModel, features: np.ndarray) -> np.ndarray:
 
 def export_tree_text(root: TreeNode, feature_names: list[str]) -> str:
     """DOT digraph of a classification tree of any depth; node ids follow preorder."""
+    tree = tree_to_lists(root)
+    feature, left, right = tree["feature"], tree["left"], tree["right"]
+    parent = {c: i for i, f in enumerate(feature) if f != -1 for c in (left[i], right[i])}
     lines = ["digraph tree {", "  node [shape=box];"]
-    # A pending entry is a node with its parent's id, or the edge line from
-    # the parent, pushed under the node's children so it follows the subtree.
-    stack = [(root, None)]
-    node_id = -1
-    while stack:
-        node, parent_id = stack.pop()
-        if isinstance(node, str):
-            lines.append(node)
+    for i, (f, threshold, value) in enumerate(zip(feature, tree["threshold"], tree["value"])):
+        if f != -1:
+            lines.append(f'  n{i} [label="{feature_names[f]} <= {threshold!r}"];')
             continue
-        node_id += 1
-        if parent_id is not None:
-            stack.append((f"  n{parent_id} -> n{node_id};", None))
-        if node.is_leaf:
-            cls = CLASS_NAMES[int(np.argmax(node.value))]
-            counts = ", ".join(str(int(c)) for c in node.value)
-            lines.append(f'  n{node_id} [label="{cls}\\ncounts=[{counts}]"];')
-        else:
-            lines.append(
-                f'  n{node_id} [label="{feature_names[node.feature]} <= {node.threshold!r}"];'
-            )
-            stack += [(node.right, node_id), (node.left, node_id)]
+        cls = CLASS_NAMES[int(np.argmax(value))]
+        counts = ", ".join(str(int(c)) for c in value)
+        lines.append(f'  n{i} [label="{cls}\\ncounts=[{counts}]"];')
+        # the edge into a subtree follows the subtree's last node, a leaf: this leaf ends
+        # its own subtree and, up each right child, its parent's
+        ends = [i]
+        while ends[-1] and right[parent[ends[-1]]] == ends[-1]:
+            ends.append(parent[ends[-1]])
+        lines += [f"  n{parent[c]} -> n{c};" for c in ends if c]
     lines.append("}")
     return "\n".join(lines) + "\n"

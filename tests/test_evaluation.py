@@ -308,6 +308,14 @@ def test_run_table1_rejects_repeated_tags_and_widths(synth_d2):
         ev.run_table1(datasets, cfg, ["dt"], [Width.SIMPLIFIED2, 2])
 
 
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
+def test_run_table1_checks_jobs(synth_d2, jobs):
+    # 0 and -1 used to fail inside the process pool, naming no option
+    datasets, cfg = {Width.SIMPLIFIED2: synth_d2}, ev.CVConfig(iterations=1, master_seed=0)
+    with pytest.raises(ValueError, match=r"^jobs must be (an integer|>= 1), got "):
+        ev.run_table1(datasets, cfg, ["dt"], jobs=jobs)
+
+
 def test_run_table1_marks_failed_cells(synth_d2):
     # knn with k larger than any training fold must fail; dt must survive
     datasets = {Width.SIMPLIFIED2: synth_d2}

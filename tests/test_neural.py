@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,29 @@ def test_dropout_preserves_expectation():
     assert out.mean() == pytest.approx(1.0, abs=0.01)
     kept = out[out != 0]
     assert kept == pytest.approx(np.full(kept.shape, 1.0 / 0.9), abs=1e-12)
+
+
+def test_layer_sizes_are_checked_by_name():
+    # each used to build a layer with an empty or boolean-sized array
+    for build, message in (
+            (lambda: nn.Dense(0, 4), "dense layer's 'n_in' must be >= 1, got 0"),
+            (lambda: nn.Dense(4, 0), "dense layer's 'n_out' must be >= 1, got 0"),
+            (lambda: nn.BatchNorm(0), "batchnorm layer's 'units' must be >= 1, got 0"),
+            (lambda: nn.SharedInputLayer(True), "shared layer's 'd' must be an integer, got True")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+@pytest.mark.parametrize("layers, width", [
+    ([], None), ([nn.Relu()], None), ([nn.Dense(4, 3), nn.Relu()], 3),
+    ([nn.Dense(4, 4), nn.Dense(4, 2)], 2), ([nn.SharedInputLayer(3)], 9),
+    ([nn.Dense(2, 4), nn.BatchNorm(5)], 5),
+], ids=["empty", "relu", "dense3", "dense2-last", "shared9", "batchnorm5"])
+def test_network_output_must_be_4_wide(layers, width):
+    with pytest.raises(ValueError, match=f"^a network's last dense, shared or batchnorm layer "
+                                         f"must be 4 wide, got {width}$"):
+        nn.Network(layers)
+    assert nn.Network(layers + [nn.Dense(7, 4), nn.Relu()]).layers[-2].n_out == 4
 
 
 def test_dropout_rate_validation():

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wallfollow.rng import (
+    GOLDEN,
     LANES,
+    MASK64,
     Xoshiro256StarStar,
     XoshiroLanes,
     derive_seed,
@@ -23,6 +25,37 @@ SPLITMIX_SEED0 = (
 def test_splitmix64_reference_vectors():
     assert tuple(splitmix64_stream(0, 4)) == SPLITMIX_SEED0
     assert splitmix64(0) == SPLITMIX_SEED0[0]
+
+
+def _unmix(z: int) -> int:
+    """The inverse of ``splitmix64``: each of its steps undone, last first."""
+    def unshift(y, k):  # inverts y = x ^ (x >> k)
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    return (unshift(z, 30) - GOLDEN) & MASK64
+
+
+def test_splitmix64_is_a_bijection_so_no_state_is_all_zero():
+    # A generator's state words are splitmix64 outputs at distinct inputs (seed + i * GOLDEN,
+    # GOLDEN odd).  The mix has an inverse, so at most one word is zero and no state can be
+    # xoshiro's forbidden all-zero one.
+    words = splitmix64_stream(7, 10_000)
+    assert [_unmix(w) for w in words] == [(7 + i * GOLDEN) & MASK64 for i in range(10_000)]
+    assert [splitmix64(_unmix(w)) for w in words] == words
+    root = _unmix(0)
+    assert root == 0x61C8864680B583EB and splitmix64(root) == 0
+    # the seeds whose state holds that one zero word draw as any other
+    scalar = Xoshiro256StarStar(root)
+    assert scalar._s[0] == 0 and all(scalar._s[1:])
+    assert len({scalar.next_u64() for _ in range(8)}) == 8
+    lanes = XoshiroLanes((root - 5 * GOLDEN) & MASK64)
+    assert lanes._s[1, 1] == 0 and np.count_nonzero(lanes._s) == 4 * LANES - 1
+    assert len(set(lanes.u64(8 * LANES).reshape(8, LANES)[:, 1].tolist())) == 8
 
 
 def test_derive_seed_is_deterministic_and_spreads():

@@ -108,6 +108,53 @@ def test_network_round_trip(tmp_path):
     assert np.array_equal(loaded.forward(features), net.forward(features))
 
 
+def test_network_with_numpy_widths_round_trips(tmp_path):
+    # a numpy integer width used to stop the save: "Object of type int64 is not JSON
+    # serializable"
+    for preset, width in (("FNN1", np.int64(4)), ("DFNN_WS", np.int64(2))):
+        net = nn.build_preset(preset, width, np.float64(0.1), init_seed=1)
+        loaded = _round_trip(net, tmp_path)
+        features = XoshiroLanes(2).uniform(-1, 1, (10, int(width)))
+        assert np.array_equal(loaded.forward(features), net.forward(features))
+
+
+@pytest.mark.parametrize("rate, message", [
+    (False, "must be a finite number, got False"),
+    ("0.5", "must be a finite number, got '0.5'"),
+    (float("nan"), "must be a finite number, got nan"),
+    (1, "must be in [0, 1), got 1"),
+    (-0.25, "must be in [0, 1), got -0.25"),
+], ids=["bool", "string", "nan", "one", "negative"])
+def test_one_dropout_rate_rule(rate, message):
+    # a network trained with TrainConfig(dropout=False) used to save and then fail to load
+    document = sz.encode_model(nn.Network([nn.Dense(2, 4), nn.Dropout(0.5)]))
+    document["payload"]["layers"][1]["rate"] = rate
+    pattern = "^" + re.escape("dropout layer's 'rate' " + message) + "$"
+    for refuse in (lambda: nn.Dropout(rate), lambda: sz.decode_model(document),
+                   lambda: nn.TrainConfig(**(NET_HP | {"dropout": rate}))):
+        with pytest.raises(ValueError, match=pattern):
+            refuse()
+
+
+@pytest.mark.parametrize("layers", [[], [{"type": "relu"}]], ids=["empty", "relu"])
+def test_network_document_without_a_4_wide_output_fails(layers):
+    # each used to load and predict the argmax of its input columns
+    document = sz.encode_model(nn.Network([nn.Dense(2, 4)]))
+    document["payload"]["layers"] = layers
+    with pytest.raises(ValueError, match="^a network's last dense, shared or batchnorm layer "
+                                         "must be 4 wide, got None$"):
+        sz.decode_model(document)
+
+
+def test_empty_forest_document_fails(synth_d4):
+    # it used to load and predict class 0 for every row
+    model = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 2, DT_PARAMS, seed=2)
+    document = sz.encode_model(model)
+    document["payload"]["trees"] = []
+    with pytest.raises(ValueError, match=r"^n_trees must be >= 1, got 0$"):
+        sz.decode_model(document)
+
+
 # One layer of each serialized type: a factory, its output width on a 5-wide
 # input, and the PARAMS it must declare.
 LAYER_CASES = {
@@ -191,6 +238,13 @@ def test_rejects_foreign_documents(synth_d2):
         bad["payload"]["left"][0] = child
         with pytest.raises(ValueError, match=f"^tree node 0 has children {child} and "):
             sz.decode_model(bad)
+    # a node with two parents, and the nodes no parent reaches, used to load; export then
+    # wrote the shared subtree twice
+    bad = json.loads(json.dumps(document))
+    bad["payload"]["right"][0] = 1
+    with pytest.raises(ValueError, match="^every tree node but node 0 must be the child of "
+                                         "exactly one node$"):
+        sz.decode_model(bad)
     # -1 marks a leaf; any other negative index would read columns from the right
     for feature in (-3, 1.5, True, "0", None):
         bad = json.loads(json.dumps(document))
@@ -261,8 +315,8 @@ def test_rejects_unknown_model_type():
 
 def test_rejects_unknown_layers():
     with pytest.raises(TypeError, match="cannot serialize object"):
-        sz.encode_model(nn.Network([nn.Relu(), object()]))
-    document = sz.encode_model(nn.Network([nn.Relu()]))
+        sz.encode_model(nn.Network([nn.Dense(2, 4), object()]))
+    document = sz.encode_model(nn.Network([nn.Dense(2, 4)]))
     document["payload"]["layers"][0]["type"] = "conv"
     with pytest.raises(ValueError, match="unknown layer type 'conv'"):
         sz.decode_model(document)

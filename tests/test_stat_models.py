@@ -247,6 +247,19 @@ def test_knn_query_must_be_finite_and_as_wide_as_the_training_rows(bad):
         sm.predict_knn_batch(model, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("fit, predict", [(sm.fit_lda, sm.predict_lda),
+                                          (sm.fit_gnb, sm.predict_gnb)], ids=["lda", "gnb"])
+def test_lda_and_gnb_queries_must_be_as_wide_as_the_training_rows(synth_d4, fit, predict):
+    # naive Bayes used to broadcast one column against all four, and LDA to fail in
+    # numpy's matmul with a message that named no field
+    model = fit(synth_d4.features, synth_d4.labels)
+    x = synth_d4.features[:5]
+    assert predict(model, x).shape == (5,)
+    with pytest.raises(ValueError, match=r"^features must hold finite real numbers in "
+                                         r"shape \(any, 4\), got float64 in shape \(5, 1\)$"):
+        predict(model, x[:, :1])
+
+
 # ---------------------------------------------------------------------------
 # SMO / SVM
 # ---------------------------------------------------------------------------
