@@ -7,7 +7,8 @@ dense layers, batch normalization, inverted dropout, softmax/cross-entropy
 and the Adadelta update rule.  Everything runs in float64 numpy with
 reverse-mode gradients written out by hand.
 
-Each layer class names the arrays it trains in one ``PARAMS`` tuple; its
+Each layer class declares its stored form: ``KIND`` (its type in a document),
+constructor ``ARGS``, trained ``PARAMS`` and other arrays ``STATE``; its
 ``backward`` leaves the gradient of parameter ``name`` at ``d<name>``.  Only a
 train-mode forward caches what ``backward`` reads; an inference forward
 allocates its output once, never writes to its input and caches nothing.
@@ -57,10 +58,11 @@ class SharedInputLayer:
     map is w[i] * x[j] + b[i], flattened row-major over (i, j).
     """
 
-    PARAMS = ("w", "b")
+    KIND, ARGS = "shared", ("d",)
+    PARAMS, STATE = ("w", "b"), ()
 
     def __init__(self, d: int):
-        check_count("shared layer's 'd'", d, 1)
+        check_count(f"{self.KIND} layer's 'd'", d, 1)
         self.d = d
         self.w = np.zeros(d)
         self.b = np.zeros(d)
@@ -87,11 +89,12 @@ class SharedInputLayer:
 
 
 class Dense:
-    PARAMS = ("weight", "bias")
+    KIND, ARGS = "dense", ("n_in", "n_out")
+    PARAMS, STATE = ("weight", "bias"), ()
 
     def __init__(self, n_in: int, n_out: int):
-        check_count("dense layer's 'n_in'", n_in, 1)
-        check_count("dense layer's 'n_out'", n_out, 1)
+        check_count(f"{self.KIND} layer's 'n_in'", n_in, 1)
+        check_count(f"{self.KIND} layer's 'n_out'", n_out, 1)
         self.n_in = n_in
         self.n_out = n_out
         self.weight = np.zeros((n_out, n_in))
@@ -116,7 +119,8 @@ class Dense:
 
 
 class Relu:
-    PARAMS = ()
+    KIND, ARGS = "relu", ()
+    PARAMS, STATE = (), ()
 
     def forward(self, x: np.ndarray, train: bool, rng) -> np.ndarray:
         if train:
@@ -135,10 +139,11 @@ class BatchNorm:
     running stats only and caches nothing, so ``backward`` follows a train forward.
     """
 
-    PARAMS = ("gamma", "beta")
+    KIND, ARGS = "batchnorm", ("units",)
+    PARAMS, STATE = ("gamma", "beta"), ("running_mean", "running_var")
 
     def __init__(self, units: int):
-        check_count("batchnorm layer's 'units'", units, 1)
+        check_count(f"{self.KIND} layer's 'units'", units, 1)
         self.units = units
         self.gamma = np.ones(units)
         self.beta = np.zeros(units)
@@ -185,12 +190,13 @@ class BatchNorm:
 class Dropout:
     """Inverted dropout: zero with probability ``rate`` and rescale survivors."""
 
-    PARAMS = ()
+    KIND, ARGS = "dropout", ("rate",)
+    PARAMS, STATE = (), ()
 
     def __init__(self, rate: float):
-        check_finite("dropout layer's 'rate'", rate, ())  # a real number, not a bool
+        check_finite(f"{self.KIND} layer's 'rate'", rate, ())  # a real number, not a bool
         if not 0 <= rate < 1:
-            raise ValueError(f"dropout layer's 'rate' must be in [0, 1), got {rate!r}")
+            raise ValueError(f"{self.KIND} layer's 'rate' must be in [0, 1), got {rate!r}")
         self.rate = rate
         self._mask = None
 
@@ -233,6 +239,12 @@ class Network:
     def __post_init__(self):
         width = None  # of the last layer that sets one
         for layer in self.layers:
+            if isinstance(layer, Layer):  # the encoder names what is not a layer
+                # each array finite in the shape that the layer's constructor allocates
+                fresh = type(layer)(*(getattr(layer, a) for a in layer.ARGS))
+                for name in layer.PARAMS + layer.STATE:
+                    check_finite(f"{layer.KIND} layer's {name!r}", getattr(layer, name),
+                                 getattr(fresh, name).shape)
             if isinstance(layer, BatchNorm):
                 # training never stores a negative variance, and inference takes its square root
                 if (layer.running_var < 0).any():
@@ -252,6 +264,7 @@ class Network:
         return softmax(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        check_finite("features", x, (None, None))
         return self.forward(x).argmax(axis=1)
 
     def parameters(self) -> list[np.ndarray]:

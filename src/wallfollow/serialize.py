@@ -4,11 +4,11 @@ Models are stored as a single JSON document: ``{"format": "wallfollow-model",
 "version": 3, "kind": ..., "payload": ...}``.  The model is what a ``fit_*``
 function returns, or a ``neural.Network``.  One encoder, driven by type
 annotations, handles every kind: dataclasses become objects field by field,
-arrays nested lists, layers objects through ``LAYERS``, and a tree the five
-flat preorder lists of ``tree_models.tree_to_lists``, so a tree of any depth
-can be saved.  The decoder builds each value through the constructor that
-checks it.  Floats round-trip bit-for-bit (shortest repr), so reloaded
-models predict identically.
+arrays nested lists, a layer an object of the ``KIND``, ``ARGS``, ``PARAMS``
+and ``STATE`` its class declares, and a tree the five flat preorder lists of
+``tree_models.tree_to_lists``, so a tree of any depth can be saved.  The
+decoder builds each value through the constructor that checks it.  Floats
+round-trip bit-for-bit (shortest repr), so reloaded models predict identically.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import neural, stat_models, tree_models
-from .dataset import check_finite
 
 FORMAT_NAME = "wallfollow-model"
 FORMAT_VERSION = 3
@@ -40,17 +39,8 @@ KINDS = {
 }
 _KIND_OF = {cls: kind for kind, cls in KINDS.items()}
 
-# Network layers: type -> (class, constructor arguments, arrays stored beyond
-# the class's PARAMS); a layer's object lists "type", then the arguments, then
-# PARAMS, then the extra arrays.
-LAYERS = {
-    "shared": (neural.SharedInputLayer, ("d",), ()),
-    "dense": (neural.Dense, ("n_in", "n_out"), ()),
-    "batchnorm": (neural.BatchNorm, ("units",), ("running_mean", "running_var")),
-    "relu": (neural.Relu, (), ()),
-    "dropout": (neural.Dropout, ("rate",), ()),
-}
-_LAYER_TYPE_OF = {cls: kind for kind, (cls, _, _) in LAYERS.items()}
+# Network layers by their "type" in a document
+LAYERS = {cls.KIND: cls for cls in typing.get_args(neural.Layer)}
 
 
 def _fields(data, keys, what: str) -> dict:
@@ -77,10 +67,9 @@ def _array(what: str, data) -> np.ndarray:
 def _encode(value):
     if isinstance(value, tree_models.TreeNode):
         return tree_models.tree_to_lists(value)
-    if type(value) in _LAYER_TYPE_OF:
-        kind = _LAYER_TYPE_OF[type(value)]
-        cls, args, extra = LAYERS[kind]
-        return {"type": kind, **{a: _encode(getattr(value, a)) for a in args + cls.PARAMS + extra}}
+    if type(value) in LAYERS.values():
+        names = value.ARGS + value.PARAMS + value.STATE
+        return {"type": value.KIND, **{a: _encode(getattr(value, a)) for a in names}}
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if isinstance(value, (list, tuple)):
@@ -99,16 +88,13 @@ def _decode(hint, data):
                                            regression=hint == tree_models.RegressionTree)
     if hint is neural.Layer:
         kind = _fields(data, ("type",), "layer")["type"]
-        if kind not in LAYERS:
+        if not isinstance(kind, str) or kind not in LAYERS:
             raise ValueError(f"unknown layer type {kind!r}")
-        cls, args, extra = LAYERS[kind]
-        _fields(data, args + cls.PARAMS + extra, f"{kind} layer")
-        layer = cls(*(data[a] for a in args))  # the constructor checks its arguments
-        for a in cls.PARAMS + extra:
-            what = f"{kind} layer's {a!r}"
-            array = _array(what, data[a])
-            check_finite(what, array, getattr(layer, a).shape)
-            setattr(layer, a, array)
+        cls = LAYERS[kind]
+        _fields(data, cls.ARGS + cls.PARAMS + cls.STATE, f"{kind} layer")
+        layer = cls(*(data[a] for a in cls.ARGS))  # the constructor checks its arguments
+        for a in cls.PARAMS + cls.STATE:  # and ``Network`` the arrays
+            setattr(layer, a, _array(f"{kind} layer's {a!r}", data[a]))
         return layer
     origin = typing.get_origin(hint)
     if origin in (list, tuple):

@@ -492,6 +492,8 @@ class BinaryMachine:
             check_finite("support_vectors", self.support_vectors, (None, None))
         check_finite("dual_coef", self.dual_coef, np.shape(self.support_vectors)[:1])
         check_finite("bias", self.bias, ())
+        if not isinstance(self.converged, bool):  # the grid flags a cell by it
+            raise ValueError(f"converged must be true or false, got {self.converged!r}")
 
 
 @dataclass
@@ -509,9 +511,11 @@ class SVMModel:
         for k, m in enumerate(self.machines):
             if np.ndim(m.support_vectors) == 2:
                 check_finite(f"machine {k}'s support_vectors", m.support_vectors, (None, *width))
-        check_finite("gamma", self.gamma, ())
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma!r}")
+        for name in ("gamma", "c"):
+            value = getattr(self, name)
+            check_finite(name, value, ())
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
 def fit_svm(
@@ -566,6 +570,7 @@ def svm_decision_values(model: SVMModel, features: np.ndarray) -> np.ndarray:
     prediction raised glibc's mmap threshold, and with it the peak RSS of a
     process that predicts again and again by about 15 MB.
     """
+    check_finite("features", features, (None, None))
     values = np.empty((features.shape[0], len(model.machines)))
     held = [k for k, m in enumerate(model.machines) if m.support_vectors.shape[0]]
     vectors = [model.machines[k].support_vectors for k in held]

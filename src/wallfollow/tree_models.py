@@ -119,8 +119,8 @@ def tree_from_lists(lists: dict, regression: bool) -> TreeNode:
             raise ValueError(f"tree node {i} has feature {f!r}; an inner node's feature "
                              f"must be an integer >= 0")
         # children after their parent: every path ends, so routing cannot loop
-        if not (i < left[i] < n and i < right[i] < n):
-            raise ValueError(f"tree node {i} has children {left[i]} and {right[i]}; "
+        if not all(type(c) is int and i < c < n for c in (left[i], right[i])):
+            raise ValueError(f"tree node {i} has children {left[i]!r} and {right[i]!r}; "
                              f"both must lie in {i + 1}..{n - 1}")
         node.feature, node.threshold = f, threshold[i]
         node.left, node.right = nodes[left[i]], nodes[right[i]]
@@ -348,8 +348,9 @@ def fit_decision_tree(
 def _route(root: TreeNode, features: np.ndarray):
     """Yield (leaf, row indices) for every leaf that rows of ``features`` reach.
 
-    A node that splits on a feature the rows lack raises ``ValueError``.
+    Non-finite rows, or a node that splits on a feature the rows lack, raise ``ValueError``.
     """
+    check_finite("features", features, (None, None))
     stack = [(root, np.arange(features.shape[0]))]
     while stack:
         node, rows = stack.pop()

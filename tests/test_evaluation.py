@@ -29,6 +29,22 @@ def test_accuracy_errors():
         ev.accuracy([], [])
 
 
+@pytest.mark.parametrize("tag, hp", [("dt", {}), ("rfc", {"n_trees": 2}),
+                                     ("gbc", {"n_stages": 2}), ("svm", {}),
+                                     ("dfnn3", {"epochs": 1})],
+                         ids=["dt", "rfc", "gbc", "svm", "dfnn3"])
+def test_prediction_refuses_a_non_finite_input(synth_d4, tag, hp):
+    # a NaN row used to get a class: 3 from DT, 0 from the SVM and DFNN3
+    entry = ev.MODELS[tag]
+    model = entry.fit(synth_d4.features, synth_d4.labels, entry.defaults | hp, 1)
+    x = synth_d4.features[:5].copy()
+    x[2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^features must hold finite real numbers in shape "
+                                         r"\(any, any\), got non-finite values in shape "
+                                         r"\(5, 4\)$"):
+        entry.predict(model, x)
+
+
 def test_model_spec_defaults_and_overrides():
     spec = ev.ModelSpec("knn", Width.SIMPLIFIED2)
     assert spec.hyperparams["k"] == 5

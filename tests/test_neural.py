@@ -217,6 +217,23 @@ def test_network_output_must_be_4_wide(layers, width):
     assert nn.Network(layers + [nn.Dense(7, 4), nn.Relu()]).layers[-2].n_out == 4
 
 
+@pytest.mark.parametrize("index, name, value, message", [
+    (0, "weight", np.full((4, 2), np.nan), "dense layer's 'weight' must hold finite real "
+     "numbers in shape (4, 2), got non-finite values in shape (4, 2)"),
+    (0, "weight", np.zeros((4, 3)), "dense layer's 'weight' must hold finite real numbers "
+     "in shape (4, 2), got float64 in shape (4, 3)"),
+    (1, "running_mean", np.array([0.0, np.inf, 0.0, 0.0]), "batchnorm layer's "
+     "'running_mean' must hold finite real numbers in shape (4,), got non-finite values "
+     "in shape (4,)"),
+], ids=["weight-nan", "weight-shape", "running_mean-inf"])
+def test_network_checks_every_layer_array_by_name(index, name, value, message):
+    # a hand-built network used to take any array, and predict NaN or fail in numpy
+    layers = [nn.Dense(2, 4), nn.BatchNorm(4)]
+    setattr(layers[index], name, value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        nn.Network(layers)
+
+
 def test_dropout_rate_validation():
     with pytest.raises(ValueError):
         nn.Dropout(1.0)

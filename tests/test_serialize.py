@@ -1,5 +1,7 @@
+import inspect
 import json
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -170,7 +172,7 @@ LAYER_CASES = {
 def test_layer_params_match_gradients_and_survive_round_trip(tmp_path, kind):
     make, width, params = LAYER_CASES[kind]
     layer = make()
-    assert type(layer) is sz.LAYERS[kind][0]
+    assert type(layer) is sz.LAYERS[kind]
     assert layer.PARAMS == params
     net = nn.Network([nn.Dense(3, 5), layer, nn.Dense(width, 4)])
     net.init_params(4)
@@ -188,7 +190,7 @@ def test_layer_params_match_gradients_and_survive_round_trip(tmp_path, kind):
     loaded = _round_trip(net, tmp_path)
     for a, b in zip(net.parameters(), loaded.parameters(), strict=True):
         assert np.array_equal(a, b)
-    for name in sz.LAYERS[kind][2]:
+    for name in sz.LAYERS[kind].STATE:
         assert np.array_equal(getattr(loaded.layers[1], name), getattr(layer, name))
 
 
@@ -233,10 +235,12 @@ def test_rejects_foreign_documents(synth_d2):
                          "kind": "lda", "payload": {}})
     document = sz.encode_model(tm.fit_decision_tree(synth_d2.features, synth_d2.labels, DT_PARAMS))
     assert document["payload"]["left"][0] == 1
-    for child in (0, -1, len(document["payload"]["left"])):
+    # a fraction or float used to fail with a TypeError from indexing, a string with one
+    # from "<", and true to load as node 1
+    for child in (0, -1, len(document["payload"]["left"]), 1.5, 1.0, "1", True):
         bad = json.loads(json.dumps(document))
         bad["payload"]["left"][0] = child
-        with pytest.raises(ValueError, match=f"^tree node 0 has children {child} and "):
+        with pytest.raises(ValueError, match=f"^tree node 0 has children {child!r} and "):
             sz.decode_model(bad)
     # a node with two parents, and the nodes no parent reaches, used to load; export then
     # wrote the shared subtree twice
@@ -320,6 +324,30 @@ def test_rejects_unknown_layers():
     document["payload"]["layers"][0]["type"] = "conv"
     with pytest.raises(ValueError, match="unknown layer type 'conv'"):
         sz.decode_model(document)
+
+
+@pytest.mark.parametrize("kind", [["dense"], {"dense": 1}], ids=["list", "object"])
+def test_layer_type_must_be_a_layer_name(kind):
+    # used to fail with "TypeError: unhashable type"
+    document = sz.encode_model(nn.Network([nn.Dense(2, 4)]))
+    document["payload"]["layers"][0]["type"] = kind
+    with pytest.raises(ValueError, match=f"^unknown layer type {re.escape(repr(kind))}$"):
+        sz.decode_model(document)
+
+
+def test_every_layer_class_declares_its_stored_form():
+    # ``serialize`` keeps no layer table of its own: each class holds its stored form
+    classes = typing.get_args(nn.Layer)
+    for cls in classes:
+        for name in ("KIND", "ARGS", "PARAMS", "STATE"):
+            assert name in vars(cls), f"{cls.__name__} lacks {name}"
+        assert isinstance(cls.KIND, str)
+        assert cls.ARGS == tuple(inspect.signature(cls).parameters)
+        assert all(isinstance(names, tuple) for names in (cls.PARAMS, cls.STATE))
+    kinds = [cls.KIND for cls in classes]
+    assert len(set(kinds)) == len(kinds)
+    assert sorted(sz.LAYERS) == sorted(kinds)
+    assert all(sz.LAYERS[cls.KIND] is cls for cls in classes)
 
 
 def _dense_document():
@@ -488,8 +516,18 @@ def _svm_document(synth_d4):
     (lambda payload: payload["machines"][0].update(
         support_vectors=[row[:3] for row in payload["machines"][0]["support_vectors"]]),
      rf"^machine 0's support_vectors {REAL} \(any, 4\), got float64 in shape \(\d+, 3\)$"),
+    # a string flag used to load, and the grid then read the machine as converged
+    (lambda payload: payload["machines"][1].update(converged="no"),
+     "^converged must be true or false, got 'no'$"),
+    (lambda payload: payload["machines"][0].update(converged=1),
+     "^converged must be true or false, got 1$"),
+    # nothing reads c, but every number a model stores passes the one rule
+    (lambda payload: payload.update(c="abc"), "^c must be a finite number, got 'abc'$"),
+    (lambda payload: payload.update(c=float("nan")), "^c must be a finite number, got nan$"),
+    (lambda payload: payload.update(c=0.0), "^c must be > 0, got 0.0$"),
 ], ids=["gamma-negative", "gamma0", "gamma-nan", "gamma-inf", "bias-nan", "three-machines",
-        "dual_coef-short", "support_vectors-flat", "dual_coef-inf", "support_vectors-width"])
+        "dual_coef-short", "support_vectors-flat", "dual_coef-inf", "support_vectors-width",
+        "converged-string", "converged-int", "c-string", "c-nan", "c0"])
 def test_svm_document_is_checked_at_load(synth_d4, edit, message):
     document = _svm_document(synth_d4)
     edit(document["payload"])
