@@ -11,6 +11,7 @@ regardless of worker count or scheduling, and stops a cell at its first failure.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -136,6 +137,7 @@ class CVConfig:
 
     def __post_init__(self):
         check_count("iterations", self.iterations, 1)
+        check_count("master_seed", self.master_seed, -math.inf)  # an integer of any sign
 
 
 @dataclass
@@ -292,6 +294,8 @@ def run_table1(datasets: dict, cfg: CVConfig, algorithms=None, widths=None,
         if len(set(items)) < len(items):
             raise ValueError(f"repeated {what} in {items}")
     overrides = overrides or {}
+    for tag, hp in overrides.items():  # ModelSpec's rules, whether or not the tag runs
+        ModelSpec(tag, Width.FULL24, dict(hp))
     for width in widths:
         if width not in datasets:
             raise ValueError(f"no dataset loaded for width {int(width)}")

@@ -237,8 +237,9 @@ class Network:
     layers: list[Layer]
 
     def __post_init__(self):
-        width = None  # of the last layer that sets one
-        for layer in self.layers:
+        self.width = width = None  # read by the first sized layer, made by the last
+        for i, layer in enumerate(self.layers):
+            reads = makes = width  # relu and dropout pass their input on
             if isinstance(layer, Layer):  # the encoder names what is not a layer
                 # each array finite in the shape that the layer's constructor allocates
                 fresh = type(layer)(*(getattr(layer, a) for a in layer.ARGS))
@@ -249,11 +250,14 @@ class Network:
                 # training never stores a negative variance, and inference takes its square root
                 if (layer.running_var < 0).any():
                     raise ValueError("batchnorm layer's 'running_var' must be >= 0")
-                width = layer.units
+                reads = makes = layer.units
             elif isinstance(layer, Dense):
-                width = layer.n_out
+                reads, makes = layer.n_in, layer.n_out
             elif isinstance(layer, SharedInputLayer):
-                width = layer.d * layer.d
+                reads, makes = layer.d, layer.d * layer.d
+            if width is not None and reads != width:
+                raise ValueError(f"{layer.KIND} layer {i} reads {reads} values, but gets {width}")
+            self.width, width = self.width or reads, makes
         if width != N_CLASSES:
             raise ValueError(f"a network's last dense, shared or batchnorm layer must be "
                              f"{N_CLASSES} wide, got {width}")
@@ -264,7 +268,7 @@ class Network:
         return softmax(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        check_finite("features", x, (None, None))
+        check_finite("features", x, (None, self.width))
         return self.forward(x).argmax(axis=1)
 
     def parameters(self) -> list[np.ndarray]:

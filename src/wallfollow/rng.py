@@ -25,6 +25,7 @@ one host's OpenBLAS kernel and numpy SIMD dispatch.  The float models' ``@``,
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -50,14 +51,15 @@ def splitmix64(x: int) -> int:
 def splitmix64_stream(seed: int, count: int) -> list[int]:
     """First ``count`` outputs of the splitmix64 sequence started at ``seed``.
 
-    Output ``i`` is ``splitmix64(seed + i * GOLDEN)``.
+    Output ``i`` is ``splitmix64(seed + i * GOLDEN)``.  ``seed`` is any Python or numpy integer.
     """
+    seed = operator.index(seed)  # a numpy integer would overflow, or warn, in the arithmetic
     return [splitmix64((seed + i * GOLDEN) & MASK64) for i in range(count)]
 
 
 def derive_seed(base: int, index: int) -> int:
     """Child seed for sub-stream ``index`` of ``base`` (e.g. CV iterations)."""
-    return splitmix64((base ^ index) & MASK64)
+    return splitmix64((operator.index(base) ^ index) & MASK64)
 
 
 def _rotl(x: int, k: int) -> int:

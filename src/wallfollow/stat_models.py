@@ -207,7 +207,7 @@ def fit_knn(features: np.ndarray, labels: np.ndarray, k: int) -> KNNModel:
     return KNNModel(train_features=features, train_labels=labels, k=k)
 
 
-def predict_knn_batch(model: KNNModel, queries: np.ndarray) -> np.ndarray:
+def predict_knn_batch(model: KNNModel, features: np.ndarray) -> np.ndarray:
     """Exact k-NN with majority vote.
 
     Distance ties resolve to the lower training-row index (stable sort);
@@ -215,13 +215,13 @@ def predict_knn_batch(model: KNNModel, queries: np.ndarray) -> np.ndarray:
     """
     n, k = model.train_features.shape[0], model.k
     # a NaN distance would fall outside every ``d2 <= kth`` selection below
-    check_finite("queries", queries, (None, model.train_features.shape[1]))
-    m = queries.shape[0]
+    check_finite("features", features, (None, model.train_features.shape[1]))
+    m = features.shape[0]
     out = np.empty(m, dtype=np.int64)
     train_t = np.ascontiguousarray(model.train_features.T)
     step = _block_rows(n)
     for start in range(0, m, step):
-        d2 = _sq_dists(queries[start:start + step], train_t)
+        d2 = _sq_dists(features[start:start + step], train_t)
         # The k nearest are among the rows at or below the k-th distance;
         # sorting those by (query, distance), stably, keeps the lower
         # training row first on a tie, as a stable sort of each whole row would.
@@ -570,16 +570,12 @@ def svm_decision_values(model: SVMModel, features: np.ndarray) -> np.ndarray:
     prediction raised glibc's mmap threshold, and with it the peak RSS of a
     process that predicts again and again by about 15 MB.
     """
-    check_finite("features", features, (None, None))
-    values = np.empty((features.shape[0], len(model.machines)))
     held = [k for k, m in enumerate(model.machines) if m.support_vectors.shape[0]]
     vectors = [model.machines[k].support_vectors for k in held]
+    check_finite("features", features, (None, vectors[0].shape[1] if held else None))
+    values = np.empty((features.shape[0], len(model.machines)))
     kernels = {}
     if held:
-        width = vectors[0].shape[1]
-        if width != features.shape[1]:
-            raise ValueError(f"the SVM's support vectors have {width} features, but the "
-                             f"input rows have {features.shape[1]}")
         distinct, column = np.unique(np.concatenate(vectors), axis=0, return_inverse=True)
         columns = np.split(column.reshape(-1), np.cumsum([v.shape[0] for v in vectors])[:-1])
         kernels = {k: np.empty((features.shape[0], c.size)) for k, c in zip(held, columns)}

@@ -39,8 +39,9 @@ def test_prediction_refuses_a_non_finite_input(synth_d4, tag, hp):
     model = entry.fit(synth_d4.features, synth_d4.labels, entry.defaults | hp, 1)
     x = synth_d4.features[:5].copy()
     x[2, 1] = np.nan
-    with pytest.raises(ValueError, match=r"^features must hold finite real numbers in shape "
-                                         r"\(any, any\), got non-finite values in shape "
+    width = "any" if tag in _WIDTH_FREE else "4"
+    with pytest.raises(ValueError, match=rf"^features must hold finite real numbers in shape "
+                                         rf"\(any, {width}\), got non-finite values in shape "
                                          r"\(5, 4\)$"):
         entry.predict(model, x)
 
@@ -130,6 +131,35 @@ def test_cv_config_validation():
         ev.CVConfig(iterations=0, master_seed=0)
     with pytest.raises(ValueError, match="^iterations must be an integer, got 2.5$"):
         ev.CVConfig(iterations=2.5, master_seed=0)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "1"], ids=["bool", "float", "string"])
+def test_cv_config_master_seed_must_be_an_integer(seed):
+    # True used to run and print "master seed True"; 1.5 failed later, inside run_table1
+    with pytest.raises(ValueError, match=f"^master_seed must be an integer, got {seed!r}$"):
+        ev.CVConfig(iterations=1, master_seed=seed)
+    assert ev.CVConfig(iterations=1, master_seed=-1).master_seed == -1  # as --seed -1 gives
+
+
+# Models that store no input width: a tree reads only its split features.
+_WIDTH_FREE = ("dt", "rfc", "gbc")
+
+
+@pytest.mark.parametrize("tag", ev.ALL_TAGS)
+def test_every_model_that_stores_a_width_refuses_other_widths_alike(synth_d4, tag):
+    # a network used to fail inside numpy, the SVM with a message of its own
+    model = ev.MODELS[tag].fit(synth_d4.features, synth_d4.labels, _small_hp(tag), 1)
+    x = synth_d4.features[:5]
+    wide = np.hstack([x, x[:, :2]])
+    if tag in _WIDTH_FREE:
+        assert np.array_equal(ev.MODELS[tag].predict(model, wide),
+                              ev.MODELS[tag].predict(model, x))
+        return
+    for rows in (x[:, :3], wide):
+        with pytest.raises(ValueError, match=r"^features must hold finite real numbers in "
+                                             rf"shape \(any, 4\), got float64 in shape "
+                                             rf"\(5, {rows.shape[1]}\)$"):
+            ev.MODELS[tag].predict(model, rows)
 
 
 def _cell(ds, tag, cfg, jobs=1, overrides=None):
@@ -313,6 +343,16 @@ def test_run_table1_rejects_unknown_tag(synth_d2):
     with pytest.raises(ValueError, match="unknown algorithm"):
         ev.run_table1({Width.SIMPLIFIED2: synth_d2}, ev.CVConfig(iterations=1, master_seed=0),
                       ["xgb"])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"dtt": {"max_depth": 1}}, "unknown algorithm tag 'dtt'"),
+    ({"rfc": {"n_tree": 5}}, "unknown hyperparameters for rfc: ['n_tree']"),
+], ids=["unknown-tag", "unknown-hyperparameter"])
+def test_run_table1_checks_every_override(synth_d2, overrides, message):
+    # each used to be dropped: dt ran with its defaults, and rfc was not in the run
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _cell(synth_d2, "dt", ev.CVConfig(iterations=1, master_seed=0), overrides=overrides)
 
 
 def test_run_table1_rejects_repeated_tags_and_widths(synth_d2):

@@ -208,13 +208,36 @@ def test_layer_sizes_are_checked_by_name():
 @pytest.mark.parametrize("layers, width", [
     ([], None), ([nn.Relu()], None), ([nn.Dense(4, 3), nn.Relu()], 3),
     ([nn.Dense(4, 4), nn.Dense(4, 2)], 2), ([nn.SharedInputLayer(3)], 9),
-    ([nn.Dense(2, 4), nn.BatchNorm(5)], 5),
+    ([nn.Dense(2, 5), nn.BatchNorm(5)], 5),
 ], ids=["empty", "relu", "dense3", "dense2-last", "shared9", "batchnorm5"])
 def test_network_output_must_be_4_wide(layers, width):
     with pytest.raises(ValueError, match=f"^a network's last dense, shared or batchnorm layer "
                                          f"must be 4 wide, got {width}$"):
         nn.Network(layers)
-    assert nn.Network(layers + [nn.Dense(7, 4), nn.Relu()]).layers[-2].n_out == 4
+    assert nn.Network(layers + [nn.Dense(width or 7, 4), nn.Relu()]).layers[-2].n_out == 4
+
+
+@pytest.mark.parametrize("layers, message", [
+    ([nn.Dense(2, 16), nn.Relu(), nn.Dense(8, 4)], "dense layer 2 reads 8 values, but gets 16"),
+    ([nn.SharedInputLayer(2), nn.BatchNorm(2), nn.Dense(2, 4)],
+     "batchnorm layer 1 reads 2 values, but gets 4"),
+], ids=["dense", "batchnorm"])
+def test_network_sized_layers_must_chain(layers, message):
+    # a hand-built network used to be built, and to fail in numpy at its first forward pass
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        nn.Network(layers)
+
+
+def test_network_reads_its_input_width_from_its_first_sized_layer():
+    for preset, width in (("FNN1", 4), ("DFNN3", 2), ("DFNN_WS", 24)):
+        assert nn.build_preset(preset, width, 0.1).width == width
+    assert nn.Network([nn.Relu(), nn.BatchNorm(4), nn.Dropout(0.5)]).width == 4
+    net = nn.build_preset("FNN1", 4, 0.1)
+    assert net.predict(np.zeros((3, 4))).shape == (3,)
+    # used to fail in numpy's matmul
+    with pytest.raises(ValueError, match=r"^features must hold finite real numbers in shape "
+                                         r"\(any, 4\), got float64 in shape \(3, 2\)$"):
+        net.predict(np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("index, name, value, message", [

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wallfollow import tree_models as tm
+from wallfollow.dataset import shuffle_split
 from wallfollow.rng import (
     GOLDEN,
     LANES,
@@ -63,6 +65,31 @@ def test_derive_seed_is_deterministic_and_spreads():
     assert seeds == [derive_seed(42, i) for i in range(100)]
     assert len(set(seeds)) == 100
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64])
+def test_a_numpy_integer_seed_draws_as_the_equal_int(synth_d4, kind):
+    # np.int64 used to raise OverflowError and np.uint64 an overflow warning
+    seed = kind(3)
+    assert derive_seed(seed, 5) == derive_seed(3, 5)
+    assert splitmix64_stream(seed, 4) == splitmix64_stream(3, 4)
+    scalar, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(3)
+    assert [scalar.next_u64() for _ in range(4)] == [reference.next_u64() for _ in range(4)]
+    assert np.array_equal(XoshiroLanes(seed).u64(2 * LANES), XoshiroLanes(3).u64(2 * LANES))
+    assert np.array_equal(shuffle_split(synth_d4, seed).test_indices,
+                          shuffle_split(synth_d4, 3).test_indices)
+    params = tm.TreeParams(max_depth=3, min_samples_split=2)
+    forests = [tm.fit_random_forest(synth_d4.features, synth_d4.labels, 2, params, s)
+               for s in (seed, 3)]
+    assert np.array_equal(*(tm.predict_forest(f, synth_d4.features) for f in forests))
+
+
+def test_a_float_seed_is_refused():
+    for draw in (lambda: derive_seed(1.5, 0), lambda: Xoshiro256StarStar(3.0),
+                 lambda: XoshiroLanes(2.5)):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an "
+                                            "integer$"):
+            draw()
 
 
 def test_scalar_generator_determinism():

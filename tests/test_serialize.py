@@ -148,6 +148,16 @@ def test_network_document_without_a_4_wide_output_fails(layers):
         sz.decode_model(document)
 
 
+def test_network_document_whose_layers_do_not_chain_fails():
+    # used to load, and then fail in numpy's matmul at predict
+    document = sz.encode_model(nn.build_preset("DFNN3", 4, NET_HP["dropout"], init_seed=1))
+    second = document["payload"]["layers"][2]
+    assert (second["type"], second["n_in"], second["n_out"]) == ("dense", 16, 8)
+    second["n_in"], second["weight"] = 8, [[0.0] * 8] * 8
+    with pytest.raises(ValueError, match="^dense layer 2 reads 8 values, but gets 16$"):
+        sz.decode_model(document)
+
+
 def test_empty_forest_document_fails(synth_d4):
     # it used to load and predict class 0 for every row
     model = tm.fit_random_forest(synth_d4.features, synth_d4.labels, 2, DT_PARAMS, seed=2)
@@ -538,8 +548,8 @@ def test_svm_document_is_checked_at_load(synth_d4, edit, message):
 def test_svm_input_width_fails_by_name(synth_d4):
     # used to fail with an unnamed numpy broadcast error
     model = sz.decode_model(_svm_document(synth_d4))
-    with pytest.raises(ValueError, match="^the SVM's support vectors have 4 features, but the "
-                                         "input rows have 3$"):
+    with pytest.raises(ValueError, match=r"^features must hold finite real numbers in shape "
+                                         r"\(any, 4\), got float64 in shape \(400, 3\)$"):
         sm.predict_svm(model, synth_d4.features[:, :3])
 
 

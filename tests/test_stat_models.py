@@ -240,10 +240,10 @@ def test_knn_query_must_be_finite_and_as_wide_as_the_training_rows(bad):
     model = sm.fit_knn(np.eye(4), np.arange(4), k=2)
     queries = np.zeros((3, 4))
     queries[bad, 1] = np.nan
-    with pytest.raises(ValueError, match="^queries must hold finite real numbers in "
+    with pytest.raises(ValueError, match="^features must hold finite real numbers in "
                                          r"shape \(any, 4\), got non-finite values"):
         sm.predict_knn_batch(model, queries)
-    with pytest.raises(ValueError, match=r"^queries .* got float64 in shape \(3, 3\)"):
+    with pytest.raises(ValueError, match=r"^features .* got float64 in shape \(3, 3\)"):
         sm.predict_knn_batch(model, np.zeros((3, 3)))
 
 
