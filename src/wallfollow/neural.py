@@ -401,6 +401,7 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
     weight is no longer finite.
     """
     check_training_set(features, labels)
+    check_finite("features", features, (None, model.width))
     n = features.shape[0]
     has_bn = any(isinstance(layer, BatchNorm) for layer in model.layers)
     if has_bn and config.batch_size == 1:

@@ -59,11 +59,7 @@ def splitmix64_stream(seed: int, count: int) -> list[int]:
 
 def derive_seed(base: int, index: int) -> int:
     """Child seed for sub-stream ``index`` of ``base`` (e.g. CV iterations)."""
-    return splitmix64((operator.index(base) ^ index) & MASK64)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
+    return splitmix64((operator.index(base) ^ operator.index(index)) & MASK64)
 
 
 class Xoshiro256StarStar:
@@ -71,19 +67,6 @@ class Xoshiro256StarStar:
 
     def __init__(self, seed: int):
         self._s = splitmix64_stream(seed, 4)
-
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
-        t = (s1 << 17) & MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n): one ``below_each`` draw."""

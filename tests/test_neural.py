@@ -502,6 +502,16 @@ def test_inference_is_stateless():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("preset", ["FNN1", "DFNN_WS"])
+@pytest.mark.parametrize("width", [2, 6])
+def test_training_refuses_rows_of_another_width(preset, width):
+    net = nn.build_preset(preset, 4, dropout=0.1)
+    with pytest.raises(ValueError, match=r"^features must hold finite real numbers in shape "
+                                         rf"\(any, 4\), got float64 in shape \(8, {width}\)$"):
+        nn.train_network(net, np.zeros((8, width)), np.arange(8) % 4,
+                         nn.TrainConfig(batch_size=4, epochs=1, dropout=0.1))
+
+
 
 def _reference_inference(net, x):
     """Inference forward as each layer once spelled it, one expression per layer."""

@@ -24,6 +24,30 @@ SPLITMIX_SEED0 = (
 )
 
 
+class _ReferenceXoshiro:
+    """The xoshiro256** step written out word by word, seeded as the package's generators."""
+
+    def __init__(self, seed: int):
+        self._s = splitmix64_stream(seed, 4)
+
+    @staticmethod
+    def _rotl(x: int, k: int) -> int:
+        return ((x << k) | (x >> (64 - k))) & MASK64
+
+    def next_u64(self) -> int:
+        s0, s1, s2, s3 = self._s
+        result = (self._rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
+        t = (s1 << 17) & MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = self._rotl(s3, 45)
+        self._s = [s0, s1, s2, s3]
+        return result
+
+
 def test_splitmix64_reference_vectors():
     assert tuple(splitmix64_stream(0, 4)) == SPLITMIX_SEED0
     assert splitmix64(0) == SPLITMIX_SEED0[0]
@@ -54,7 +78,7 @@ def test_splitmix64_is_a_bijection_so_no_state_is_all_zero():
     # the seeds whose state holds that one zero word draw as any other
     scalar = Xoshiro256StarStar(root)
     assert scalar._s[0] == 0 and all(scalar._s[1:])
-    assert len({scalar.next_u64() for _ in range(8)}) == 8
+    assert len({scalar.below(1 << 64) for _ in range(8)}) == 8
     lanes = XoshiroLanes((root - 5 * GOLDEN) & MASK64)
     assert lanes._s[1, 1] == 0 and np.count_nonzero(lanes._s) == 4 * LANES - 1
     assert len(set(lanes.u64(8 * LANES).reshape(8, LANES)[:, 1].tolist())) == 8
@@ -72,9 +96,11 @@ def test_a_numpy_integer_seed_draws_as_the_equal_int(synth_d4, kind):
     # np.int64 used to raise OverflowError and np.uint64 an overflow warning
     seed = kind(3)
     assert derive_seed(seed, 5) == derive_seed(3, 5)
+    assert derive_seed(3, kind(5)) == derive_seed(3, 5)
     assert splitmix64_stream(seed, 4) == splitmix64_stream(3, 4)
     scalar, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(3)
-    assert [scalar.next_u64() for _ in range(4)] == [reference.next_u64() for _ in range(4)]
+    assert [scalar.below(1 << 64) for _ in range(4)] == [reference.below(1 << 64)
+                                                         for _ in range(4)]
     assert np.array_equal(XoshiroLanes(seed).u64(2 * LANES), XoshiroLanes(3).u64(2 * LANES))
     assert np.array_equal(shuffle_split(synth_d4, seed).test_indices,
                           shuffle_split(synth_d4, 3).test_indices)
@@ -95,7 +121,7 @@ def test_a_float_seed_is_refused():
 def test_scalar_generator_determinism():
     a = Xoshiro256StarStar(7)
     b = Xoshiro256StarStar(7)
-    assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
+    assert [a.below(1 << 64) for _ in range(20)] == [b.below(1 << 64) for _ in range(20)]
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=1000))
@@ -117,7 +143,7 @@ def test_shuffle_is_a_permutation(seed):
 
 
 def _reference_below(gen, n):
-    """One unbiased draw in [0, n): ``next_u64`` outputs at or above the largest
+    """One unbiased draw in [0, n): ``gen.next_u64`` outputs at or above the largest
     multiple of ``n`` under 2**64 are rejected, and an accepted ``u`` gives ``u % n``."""
     limit = 2**64 - 2**64 % n
     while True:
@@ -133,22 +159,23 @@ def _reference_below(gen, n):
     [1, 2**64, 3, 3, 2**64 - 1, 7],
 ], ids=["bootstrap", "shuffle", "rejection", "mixed"])
 def test_below_each_equals_repeated_below(bounds):
-    # both checked against a rejection sampler written here over next_u64
+    # both checked against a rejection sampler written here over the reference step
     for seed in range(4):
-        ref, bulk, single = (Xoshiro256StarStar(seed) for _ in range(3))
+        ref = _ReferenceXoshiro(seed)
+        bulk, single = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
         expected = [_reference_below(ref, n) for n in bounds]
         assert bulk.below_each(bounds) == expected
         assert [single.below(n) for n in bounds] == expected
         assert bulk._s == ref._s == single._s
     if bounds[0] == 2**63 + 1:
-        stepped = Xoshiro256StarStar(3)
+        stepped = _ReferenceXoshiro(3)
         for _ in bounds:
             stepped.next_u64()
         assert stepped._s != ref._s
 
 
 def test_below_each_keeps_the_draws_before_a_bad_bound():
-    ref, bulk = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    ref, bulk = _ReferenceXoshiro(5), Xoshiro256StarStar(5)
     _reference_below(ref, 3)
     with pytest.raises(ValueError, match="bound must be positive"):
         bulk.below_each([3, 0, 4])
@@ -166,7 +193,7 @@ def test_sample_indices_distinct():
 @pytest.mark.parametrize("n, k", [(24, 5), (4, 2), (5, 5), (7, 0), (1, 1)])
 def test_sample_indices_equals_per_draw_partial_fisher_yates(n, k):
     for seed in range(4):
-        ref, gen = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+        ref, gen = _ReferenceXoshiro(seed), Xoshiro256StarStar(seed)
         pool = list(range(n))
         for i in range(k):
             j = i + _reference_below(ref, n - i)
@@ -176,14 +203,12 @@ def test_sample_indices_equals_per_draw_partial_fisher_yates(n, k):
 
 
 def test_lanes_match_scalar_generators():
-    # lane l of the bank must replay a scalar generator seeded with the same
-    # splitmix64 quadruple
+    # lane l of the bank must replay the reference step seeded with splitmix64 outputs
+    # 4*l .. 4*l+3 of the bank's stream, which start at seed + 4*l * GOLDEN
     lanes = XoshiroLanes(12345)
-    words = splitmix64_stream(12345, 4 * LANES)
     blocks = lanes.u64(5 * LANES).reshape(5, LANES)
     for lane in range(LANES):
-        scalar = Xoshiro256StarStar.__new__(Xoshiro256StarStar)
-        scalar._s = words[4 * lane: 4 * lane + 4]
+        scalar = _ReferenceXoshiro((12345 + 4 * lane * GOLDEN) & MASK64)
         expected = [scalar.next_u64() for _ in range(5)]
         assert [int(block[lane]) for block in blocks] == expected
 
