@@ -8,7 +8,6 @@ breaking.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,16 +149,13 @@ def _sq_dists(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     """||a_i - b_j||^2 for the rows a_i of ``a`` and the columns b_j of ``b_t``.
 
     The per-feature terms are added in the order numpy's pairwise summation
-    adds a contiguous axis: left to right below 8 terms, eight strided
-    accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) plus the tail
-    up to 128, recursive halves above.  The result therefore equals
-    ``((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)`` bit for bit, and
-    kernel entries, SMO steps and accuracies do not depend on the blocking.
+    adds a contiguous axis of up to 128 terms: left to right below 8 terms,
+    else eight strided accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    plus the tail.  For d <= 128 the result therefore equals
+    ``((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)`` bit for bit (above,
+    to rounding); kernel entries, SMO steps and accuracies never depend on the blocking.
     """
     d = b_t.shape[0]
-    if d > 128:
-        half = d // 2 - (d // 2) % 8
-        return _sq_dists(a[:, :half], b_t[:half]) + _sq_dists(a[:, half:], b_t[half:])
     lanes = 8 if d >= 8 else 1
     tail = d - d % lanes
     acc = np.empty((lanes, a.shape[0], b_t.shape[1]))
@@ -183,6 +179,16 @@ def _sq_dists(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     for f in range(tail, d):
         total += square(f, term)
     return total
+
+
+def _row_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(rows, _sq_dists(a[rows], b.T))`` for consecutive row slices of ``a``,
+    each holding about ``_BLOCK`` distances; ``b`` is transposed once."""
+    b_t = np.ascontiguousarray(b.T)
+    step = _block_rows(b.shape[0])
+    for start in range(0, a.shape[0], step):
+        rows = slice(start, start + step)
+        yield rows, _sq_dists(a[rows], b_t)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +219,11 @@ def predict_knn_batch(model: KNNModel, features: np.ndarray) -> np.ndarray:
     Distance ties resolve to the lower training-row index (stable sort);
     vote ties resolve to the lowest class index.
     """
-    n, k = model.train_features.shape[0], model.k
+    k = model.k
     # a NaN distance would fall outside every ``d2 <= kth`` selection below
     check_finite("features", features, (None, model.train_features.shape[1]))
-    m = features.shape[0]
-    out = np.empty(m, dtype=np.int64)
-    train_t = np.ascontiguousarray(model.train_features.T)
-    step = _block_rows(n)
-    for start in range(0, m, step):
-        d2 = _sq_dists(features[start:start + step], train_t)
+    out = np.empty(features.shape[0], dtype=np.int64)
+    for rows, d2 in _row_blocks(features, model.train_features):
         # The k nearest are among the rows at or below the k-th distance;
         # sorting those by (query, distance), stably, keeps the lower
         # training row first on a tie, as a stable sort of each whole row would.
@@ -233,7 +235,7 @@ def predict_knn_batch(model: KNNModel, features: np.ndarray) -> np.ndarray:
         votes = np.zeros((d2.shape[0], N_CLASSES), dtype=np.int64)
         np.add.at(votes, (np.repeat(np.arange(d2.shape[0]), k),
                           model.train_labels[nearest].reshape(-1)), 1)
-        out[start:start + step] = votes.argmax(axis=1)
+        out[rows] = votes.argmax(axis=1)
     return out
 
 
@@ -249,25 +251,13 @@ class SMOResult:
     passes: int
 
 
-def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a_i - b_j||^2), computed block-wise."""
-    out = np.empty((a.shape[0], b.shape[0]))
-    b_t = np.ascontiguousarray(b.T)
-    step = _block_rows(b.shape[0])
-    for start in range(0, a.shape[0], step):
-        block = _sq_dists(a[start:start + step], b_t)
-        block *= -gamma
-        np.exp(block, out=out[start:start + step])
-    return out
-
-
 # Side of the square tiles in which ``rbf_kernel_symmetric`` mirrors its upper
 # triangle: a tile and its transpose, 512 KB each, stay in a core's L2 cache.
 _TILE = 256
 
 
 def rbf_kernel_symmetric(x: np.ndarray, gamma: float) -> np.ndarray:
-    """``rbf_kernel(x, x, gamma)``, computed on the upper triangle and mirrored.
+    """exp(-gamma * ||x_i - x_j||^2), computed on the upper triangle and mirrored.
 
     Exactly symmetric with a unit diagonal: (a - b)^2 == (b - a)^2 in IEEE
     arithmetic and both halves add their terms in the same order.  Each row
@@ -296,12 +286,19 @@ def scale_gamma(features: np.ndarray) -> float:
     return 1.0 / (features.shape[1] * mean_var)
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real number > 0."""
+    check_finite(name, value, ())
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
 def _check_smo_params(c: float, tol: float, max_passes: int) -> None:
     """Raise ``ValueError`` unless ``c`` > 0, ``tol`` >= 0 (both finite) and ``max_passes`` >= 1."""
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be finite and > 0, got {c!r}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_positive("c", c)
+    check_finite("tol", tol, ())
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     check_count("max_passes", max_passes, 1)
 
 
@@ -511,11 +508,8 @@ class SVMModel:
         for k, m in enumerate(self.machines):
             if np.ndim(m.support_vectors) == 2:
                 check_finite(f"machine {k}'s support_vectors", m.support_vectors, (None, *width))
-        for name in ("gamma", "c"):
-            value = getattr(self, name)
-            check_finite(name, value, ())
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+        _check_positive("gamma", self.gamma)
+        _check_positive("c", self.c)
 
 
 def fit_svm(
@@ -534,8 +528,8 @@ def fit_svm(
     recorded on the machine, not raised.
     """
     _check_classes_present(features, labels)
-    if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be None or finite and > 0, got {gamma!r}")
+    if gamma is not None:
+        _check_positive("gamma", gamma)
     _check_smo_params(c, tol, max_passes)
     if gamma is None:
         gamma = scale_gamma(features)
@@ -557,18 +551,19 @@ def fit_svm(
 
 
 def svm_decision_values(model: SVMModel, features: np.ndarray) -> np.ndarray:
-    """Each machine's ``rbf_kernel(features, support_vectors) @ dual_coef + bias``.
+    """Each machine's ``exp(-gamma * ||x - sv||^2) @ dual_coef + bias``.
 
     The machines share most of their support vectors, so the kernel is
-    computed once per row block on the distinct vectors of all machines, and
-    each block's columns are copied into each machine's own C-ordered kernel,
-    on which the product equals the one on ``rbf_kernel``'s bit for bit.  The
-    machines' kernels are all held until their products are taken, so the
-    peak is 8 bytes per input row and per support vector of every machine,
-    not per distinct one (about 38 MB on the test rows of a 4910-row fit).  No array
-    spans all the distinct vectors and all the rows: freeing one after each
-    prediction raised glibc's mmap threshold, and with it the peak RSS of a
-    process that predicts again and again by about 15 MB.
+    computed once per ``_row_blocks`` block on the distinct vectors of all
+    machines, and each block's columns are copied into each machine's own
+    C-ordered kernel, on which the product equals the one on that machine's
+    own cross-kernel bit for bit.  The machines' kernels are all held until
+    their products are taken, so the peak is 8 bytes per input row and per
+    support vector of every machine, not per distinct one (about 38 MB on the
+    test rows of a 4910-row fit).  No array spans all the distinct vectors and
+    all the rows: freeing one after each prediction raised glibc's mmap
+    threshold, and with it the peak RSS of a process that predicts again and
+    again by about 15 MB.
     """
     held = [k for k, m in enumerate(model.machines) if m.support_vectors.shape[0]]
     vectors = [model.machines[k].support_vectors for k in held]
@@ -579,12 +574,12 @@ def svm_decision_values(model: SVMModel, features: np.ndarray) -> np.ndarray:
         distinct, column = np.unique(np.concatenate(vectors), axis=0, return_inverse=True)
         columns = np.split(column.reshape(-1), np.cumsum([v.shape[0] for v in vectors])[:-1])
         kernels = {k: np.empty((features.shape[0], c.size)) for k, c in zip(held, columns)}
-        step = _block_rows(distinct.shape[0])
-        for start in range(0, features.shape[0], step):
-            block = rbf_kernel(features[start:start + step], distinct, model.gamma)
+        for rows, block in _row_blocks(features, distinct):
+            block *= -model.gamma
+            np.exp(block, out=block)
             for kernel, c in zip(kernels.values(), columns):
                 # the indices are in range; "clip" writes to ``out`` unbuffered
-                block.take(c, axis=1, out=kernel[start:start + step], mode="clip")
+                block.take(c, axis=1, out=kernel[rows], mode="clip")
     for k, machine in enumerate(model.machines):
         values[:, k] = (kernels.pop(k) @ machine.dual_coef + machine.bias if k in kernels
                         else machine.bias)

@@ -428,8 +428,9 @@ def fit_gradient_boost(
     the stage; the grower sets each leaf to the shrunk one-step Newton step
     ``learning_rate * (K-1)/K * sum(r) / sum(p (1 - p))`` over the leaf's rows.
     """
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
+    check_finite("learning_rate", learning_rate, ())
+    if learning_rate <= 0:
+        raise ValueError(f"learning_rate must be > 0, got {learning_rate!r}")
     check_count("n_stages", n_stages, 0)
     check_training_set(features, labels)
     n = features.shape[0]

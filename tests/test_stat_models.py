@@ -541,6 +541,8 @@ def test_smo_bitwise_equal_to_reference_property(n, levels, d, c, tol, max_passe
     ({"c": 0.0}, "c"), ({"c": -1.0}, "c"), ({"c": math.nan}, "c"), ({"c": math.inf}, "c"),
     ({"tol": -1e-3}, "tol"), ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
     ({"max_passes": 0}, "max_passes"), ({"max_passes": 2.5}, "max_passes"),
+    ({"c": True}, "c"), ({"c": False}, "c"), ({"c": "1"}, "c"),
+    ({"tol": True}, "tol"), ({"tol": False}, "tol"), ({"tol": "1"}, "tol"),
 ])
 def test_smo_rejects_misused_hyperparameters(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must"):
@@ -552,6 +554,9 @@ def test_smo_rejects_misused_hyperparameters(kwargs, name):
     ({"c": 0.0}, "c"), ({"c": -1.0}, "c"), ({"c": math.nan}, "c"),
     ({"gamma": 0.0}, "gamma"), ({"gamma": -1.0}, "gamma"), ({"gamma": math.nan}, "gamma"),
     ({"gamma": math.inf}, "gamma"), ({"max_passes": 2.5}, "max_passes"),
+    ({"c": True}, "c"), ({"c": False}, "c"), ({"c": "1"}, "c"),
+    ({"gamma": True}, "gamma"), ({"gamma": False}, "gamma"), ({"gamma": "1"}, "gamma"),
+    ({"tol": True}, "tol"), ({"tol": False}, "tol"), ({"tol": "1"}, "tol"),
 ])
 def test_fit_svm_rejects_misused_hyperparameters(synth_d4, kwargs, name):
     # unchecked, c <= 0 and gamma == 0 fit all-zero machines flagged converged,
@@ -562,6 +567,7 @@ def test_fit_svm_rejects_misused_hyperparameters(synth_d4, kwargs, name):
 
 @pytest.mark.parametrize("kwargs, name", [
     ({"c": 0.0}, "c"), ({"tol": -1}, "tol"), ({"max_passes": 0}, "max_passes"),
+    ({"c": True}, "c"), ({"gamma": True}, "gamma"),
 ])
 def test_fit_svm_checks_solver_parameters_before_the_gram(monkeypatch, synth_d4, kwargs, name):
     # the Gram matrix is the costly part of a fit: 193 MB and about 1 s on 4910 rows
@@ -650,7 +656,8 @@ def _reference_rbf_kernel_symmetric(x, gamma):
     return k
 
 
-SUM_ORDER_WIDTHS = (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 130, 257, 300)
+# numpy's pairwise sum adds up to 128 terms in the order ``_sq_dists`` follows
+SUM_ORDER_WIDTHS = (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 24, 127, 128)
 
 
 @pytest.mark.parametrize("d", SUM_ORDER_WIDTHS)
@@ -662,26 +669,54 @@ def test_sq_dists_bitwise_equal_to_broadcast_reference(d):
     assert np.array_equal(got, _reference_sq_dists(a, b))
 
 
-@pytest.mark.parametrize("d", (3, 24, 130))
-def test_rbf_kernel_bitwise_equal_across_row_blocks(d):
+@pytest.mark.parametrize("d", (129, 130, 257, 300))
+def test_sq_dists_above_128_within_rounding_of_broadcast_reference(d):
+    # numpy splits an axis longer than 128 into halves; ``_sq_dists`` keeps
+    # its eight accumulators, so the sums agree to rounding, not bit for bit
+    rng = XoshiroLanes(1000 + d)
+    a = rng.uniform(-3, 3, (7, d))
+    b = rng.uniform(-3, 3, (13, d))
+    got = sm._sq_dists(a, np.ascontiguousarray(b.T))
+    np.testing.assert_allclose(got, _reference_sq_dists(a, b), rtol=1e-14, atol=0)
+
+
+def _row_block_rows(b):
+    """One row, a non-multiple of the block rows, and more than one block."""
+    step = sm._block_rows(b.shape[0])
+    return (1, step - 3, 2 * step + 5)
+
+
+@pytest.mark.parametrize("d", (3, 24, 128))
+def test_row_blocks_bitwise_equal_to_broadcast_reference(d):
     rng = XoshiroLanes(50 + d)
     b = rng.uniform(-2, 2, (37, d))
-    step = sm._block_rows(b.shape[0])
-    # one row, a non-multiple of the block rows, and more than one block
-    for rows in (1, step - 3, 2 * step + 5):
+    for rows in _row_block_rows(b):
         a = rng.uniform(-2, 2, (rows, d))
-        got = sm.rbf_kernel(a, b, 0.3)
+        blocks = list(sm._row_blocks(a, b))
+        assert [r.start for r, _ in blocks] == list(range(0, rows, sm._block_rows(b.shape[0])))
+        got = np.concatenate([block for _, block in blocks])
         assert got.shape == (rows, 37)
-        assert np.array_equal(got, _reference_rbf_kernel(a, b, 0.3))
+        assert np.array_equal(got, _reference_sq_dists(a, b))
 
 
-@pytest.mark.parametrize("d", (2, 24, 129))
+@pytest.mark.parametrize("d", (3, 24, 129, 300))
+def test_row_blocks_bitwise_equal_to_one_unblocked_pass(d):
+    # every width, above 128 too: a row's distances do not depend on its block
+    rng = XoshiroLanes(70 + d)
+    b = rng.uniform(-2, 2, (37, d))
+    for rows in _row_block_rows(b):
+        a = rng.uniform(-2, 2, (rows, d))
+        got = np.concatenate([block for _, block in sm._row_blocks(a, b)])
+        assert np.array_equal(got, sm._sq_dists(a, np.ascontiguousarray(b.T)))
+
+
+@pytest.mark.parametrize("d", (2, 24, 128))
 def test_rbf_kernel_symmetric_bitwise_equal_to_rbf_kernel(d):
     rng = XoshiroLanes(90 + d)
     x = rng.uniform(-2, 2, (300, d))
     assert 300 % sm._block_rows(300) and 300 > sm._block_rows(300)
     kernel = sm.rbf_kernel_symmetric(x, 0.05)
-    assert np.array_equal(kernel, sm.rbf_kernel(x, x, 0.05))
+    assert np.array_equal(kernel, _reference_rbf_kernel(x, x, 0.05))
     assert np.array_equal(kernel, _reference_rbf_kernel_symmetric(x, 0.05))
     assert np.array_equal(kernel, kernel.T)
     assert (np.diag(kernel) == 1.0).all()
@@ -692,7 +727,6 @@ def test_fit_svm_bitwise_equal_with_reference_kernel(synth_full, monkeypatch):
     queries = x[::3] + 0.01
     blocked = sm.fit_svm(x, y, **SVM_HP, seed=6)
     blocked_values = sm.svm_decision_values(blocked, queries)
-    monkeypatch.setattr(sm, "rbf_kernel", _reference_rbf_kernel)
     monkeypatch.setattr(sm, "rbf_kernel_symmetric", _reference_rbf_kernel_symmetric)
     reference = sm.fit_svm(x, y, **SVM_HP, seed=6)
     for got, want in zip(blocked.machines, reference.machines):
@@ -707,7 +741,7 @@ def _machine_values(machine, queries, gamma):
     """One machine's decision values through its own cross-kernel."""
     if machine.support_vectors.shape[0] == 0:
         return np.full(queries.shape[0], machine.bias)
-    return sm.rbf_kernel(queries, machine.support_vectors, gamma) @ machine.dual_coef \
+    return _reference_rbf_kernel(queries, machine.support_vectors, gamma) @ machine.dual_coef \
         + machine.bias
 
 

@@ -355,7 +355,7 @@ def test_boost_sets_leaves_in_the_grower_without_routing(synth_d4, monkeypatch):
 
 def test_boost_validates_arguments(synth_d4):
     # a NaN or infinite rate used to fit and then predict one class
-    for rate in (0.0, -0.1, math.nan, math.inf):
+    for rate in (0.0, -0.1, math.nan, math.inf, True, False, "1"):
         with pytest.raises(ValueError, match="^learning_rate must"):
             tm.fit_gradient_boost(synth_d4.features, synth_d4.labels, 100, rate, 3)
     with pytest.raises(ValueError):
