@@ -70,6 +70,13 @@ def check_finite(name: str, value, shape: tuple) -> None:
                          f"{'non-finite values' if fits else array.dtype} in shape {array.shape}")
 
 
+def check_positive(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real number > 0."""
+    check_finite(name, value, ())
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
 def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``features`` is a finite matrix with at least one row and
     one column and ``labels`` holds one class in ``0..N_CLASSES-1`` per row.  ``Dataset``
@@ -93,6 +100,15 @@ def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
         raise ValueError(f"labels must lie in 0..{N_CLASSES - 1}")
 
 
+def check_paired(full: Dataset, reduced: Dataset) -> None:
+    """Raise ``ArcCalibrationError`` unless ``reduced`` has the row count and labels of ``full``."""
+    if full.n != reduced.n:
+        raise ArcCalibrationError(f"row counts differ: {full.n} vs {reduced.n}")
+    if not np.array_equal(full.labels, reduced.labels):
+        raise ArcCalibrationError(
+            f"label sequences differ between the full and {int(reduced.width)}-sensor files")
+
+
 class Width(enum.IntEnum):
     """Dataset width tag; the value is the feature count."""
 
@@ -106,7 +122,7 @@ class DataFormatError(ValueError):
 
 
 class ArcCalibrationError(ValueError):
-    """The 24- and 4-sensor data do not pair up, or no unique arc map reproduces the latter."""
+    """Reduced and full data do not pair up, or no unique arc map reproduces the 4-sensor data."""
 
 
 ARC_DIRECTIONS = ("front", "left", "right", "back")
@@ -260,10 +276,7 @@ def calibrate_arc_map(full: Dataset, published4: Dataset) -> ArcMap:
     """
     if full.width is not Width.FULL24 or published4.width is not Width.SIMPLIFIED4:
         raise ArcCalibrationError("calibrate_arc_map needs a FULL24 and a SIMPLIFIED4 dataset")
-    if full.n != published4.n:
-        raise ArcCalibrationError(f"row counts differ: {full.n} vs {published4.n}")
-    if not np.array_equal(full.labels, published4.labels):
-        raise ArcCalibrationError("label sequences differ between the full and 4-sensor files")
+    check_paired(full, published4)
 
     mins = np.stack([full.features[:, w].min(axis=1) for w in ARC_WINDOWS])
     assigned = []

@@ -12,16 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_CLASSES, check_count, check_finite, check_training_set
+from .dataset import N_CLASSES, check_count, check_finite, check_positive, check_training_set
 from .rng import Xoshiro256StarStar, derive_seed
 
 LDA_RIDGE = 1e-8
 GNB_SMOOTHING = 1e-9
 
 
-def _check_classes_present(features: np.ndarray, labels: np.ndarray,
-                           min_rows: int = 1) -> np.ndarray:
-    """Per-class row counts of a valid training set that holds every class."""
+def _class_rows(features: np.ndarray, labels: np.ndarray, min_rows: int = 1):
+    """``(counts, rows, means)``: each class's row count, rows of ``features`` and their column
+    means stacked (K, d), of a valid training set that holds every class."""
     check_training_set(features, labels)
     counts = np.bincount(labels, minlength=N_CLASSES)
     for k in range(N_CLASSES):
@@ -29,7 +29,8 @@ def _check_classes_present(features: np.ndarray, labels: np.ndarray,
             raise ValueError(f"class {k} absent from training data")
         if counts[k] < min_rows:
             raise ValueError(f"class {k} has fewer than {min_rows} training rows")
-    return counts
+    classes = [features[labels == k] for k in range(N_CLASSES)]
+    return counts, classes, np.stack([rows.mean(axis=0) for rows in classes])
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +54,8 @@ def fit_lda(features: np.ndarray, labels: np.ndarray) -> LDAModel:
     with S the pooled within-class covariance over n - K degrees of freedom,
     regularized by (1e-8 * trace(S) / d) I.
     """
-    counts = _check_classes_present(features, labels, min_rows=2)
+    counts, classes, means = _class_rows(features, labels, min_rows=2)
     n, d = features.shape
-    classes = [features[labels == k] for k in range(N_CLASSES)]
-    means = np.stack([rows.mean(axis=0) for rows in classes])
     pooled = np.zeros((d, d))
     for rows, mean in zip(classes, means):
         centered = rows - mean
@@ -105,11 +104,9 @@ class GNBModel:
 
 def fit_gnb(features: np.ndarray, labels: np.ndarray) -> GNBModel:
     """Per-class Gaussian fit; variances smoothed by 1e-9 * max feature variance."""
-    counts = _check_classes_present(features, labels)
+    counts, classes, means = _class_rows(features, labels)
     n = features.shape[0]
     smoothing = GNB_SMOOTHING * float(features.var(axis=0).max())
-    classes = [features[labels == k] for k in range(N_CLASSES)]
-    means = np.stack([rows.mean(axis=0) for rows in classes])
     variances = np.stack([rows.var(axis=0) + smoothing for rows in classes])
     return GNBModel(priors=counts / n, means=means, variances=variances)
 
@@ -286,16 +283,9 @@ def scale_gamma(features: np.ndarray) -> float:
     return 1.0 / (features.shape[1] * mean_var)
 
 
-def _check_positive(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real number > 0."""
-    check_finite(name, value, ())
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-
-
 def _check_smo_params(c: float, tol: float, max_passes: int) -> None:
     """Raise ``ValueError`` unless ``c`` > 0, ``tol`` >= 0 (both finite) and ``max_passes`` >= 1."""
-    _check_positive("c", c)
+    check_positive("c", c)
     check_finite("tol", tol, ())
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
@@ -508,8 +498,8 @@ class SVMModel:
         for k, m in enumerate(self.machines):
             if np.ndim(m.support_vectors) == 2:
                 check_finite(f"machine {k}'s support_vectors", m.support_vectors, (None, *width))
-        _check_positive("gamma", self.gamma)
-        _check_positive("c", self.c)
+        check_positive("gamma", self.gamma)
+        check_positive("c", self.c)
 
 
 def fit_svm(
@@ -527,9 +517,9 @@ def fit_svm(
     computed once and shared by the four solvers.  Non-convergence is
     recorded on the machine, not raised.
     """
-    _check_classes_present(features, labels)
+    _class_rows(features, labels)  # refuses a training set that lacks a class
     if gamma is not None:
-        _check_positive("gamma", gamma)
+        check_positive("gamma", gamma)
     _check_smo_params(c, tol, max_passes)
     if gamma is None:
         gamma = scale_gamma(features)

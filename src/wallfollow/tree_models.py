@@ -35,7 +35,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .dataset import CLASS_NAMES, N_CLASSES, check_count, check_finite, check_training_set, one_hot
+from .dataset import (CLASS_NAMES, N_CLASSES, check_count, check_finite, check_positive,
+                      check_training_set, one_hot)
 from .neural import softmax
 from .rng import Xoshiro256StarStar, derive_seed
 
@@ -428,9 +429,7 @@ def fit_gradient_boost(
     the stage; the grower sets each leaf to the shrunk one-step Newton step
     ``learning_rate * (K-1)/K * sum(r) / sum(p (1 - p))`` over the leaf's rows.
     """
-    check_finite("learning_rate", learning_rate, ())
-    if learning_rate <= 0:
-        raise ValueError(f"learning_rate must be > 0, got {learning_rate!r}")
+    check_positive("learning_rate", learning_rate)
     check_count("n_stages", n_stages, 0)
     check_training_set(features, labels)
     n = features.shape[0]

@@ -82,26 +82,32 @@ def test_derive_exact_match(published_like_dir, tmp_path, capsys):
     assert capsys.readouterr().out == out
 
 
-def test_derive_detects_corruption(published_like_dir, tmp_path, capsys):
+@pytest.mark.parametrize("field, edit, message", [
+    (0, lambda value: repr(float(value) + 0.25), "error: 2-sensor: 1 mismatched cells"),
+    (2, lambda token: "Sharp-Right-Turn" if token == "Move-Forward" else "Move-Forward",
+     "error: label sequences differ between the full and 2-sensor files"),
+], ids=["cell", "label"])
+def test_derive_detects_corruption(published_like_dir, tmp_path, capsys, field, edit, message):
     for name in DATA_FILES:
         (tmp_path / name).write_text((published_like_dir / name).read_text())
     path = tmp_path / "sensor_readings_2.data"
     lines = path.read_text().splitlines()
     fields = lines[0].split(",")
-    fields[0] = repr(float(fields[0]) + 0.25)
+    fields[field] = edit(fields[field])
     lines[0] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     assert run_cli("data", "derive", "--data-dir", str(tmp_path)) == cli.EXIT_DATA
-    assert "mismatched cells" in capsys.readouterr().err
+    assert capsys.readouterr().err == message + "\n"
 
 
-def test_derive_rejects_files_of_different_lengths(published_like_dir, tmp_path, capsys):
+@pytest.mark.parametrize("width", [4, 2])
+def test_derive_rejects_files_of_different_lengths(published_like_dir, tmp_path, capsys, width):
     for name in DATA_FILES:
         (tmp_path / name).write_text((published_like_dir / name).read_text())
-    path = tmp_path / "sensor_readings_4.data"
-    path.write_text("\n".join(path.read_text().splitlines()[:-10]) + "\n")
+    path = tmp_path / f"sensor_readings_{width}.data"
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
     assert run_cli("data", "derive", "--data-dir", str(tmp_path)) == cli.EXIT_DATA
-    assert "row counts differ" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: row counts differ: 5456 vs 5455\n"
 
 
 # ---------------------------------------------------------------------------

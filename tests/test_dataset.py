@@ -17,6 +17,7 @@ from wallfollow.dataset import (
     Dataset,
     Width,
     calibrate_arc_map,
+    check_paired,
     check_training_set,
     derive_simplified2,
     derive_simplified4,
@@ -300,10 +301,14 @@ def test_calibrate_constant_dataset_is_ambiguous():
         calibrate_arc_map(full, d4)
 
 
-def test_calibrate_mismatched_labels(synth_full, synth_d4):
-    rolled = Dataset(synth_d4.features, np.roll(synth_d4.labels, 1))
-    with pytest.raises(ValueError, match="label sequences differ"):
-        calibrate_arc_map(synth_full, rolled)
+@pytest.mark.parametrize("check, reduced", [(calibrate_arc_map, "synth_d4"),
+                                             (check_paired, "synth_d2")], ids=["4", "2"])
+def test_calibrate_mismatched_labels(synth_full, request, check, reduced):
+    reduced = request.getfixturevalue(reduced)
+    rolled = Dataset(reduced.features, np.roll(reduced.labels, 1))
+    with pytest.raises(ArcCalibrationError, match="label sequences differ between the full and "
+                                                  f"{reduced.width.value}-sensor files"):
+        check(synth_full, rolled)
 
 
 def test_calibrate_unreproducible_column(synth_full, synth_d4):
