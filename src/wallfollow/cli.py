@@ -237,17 +237,18 @@ def _parse_restrict(text: str, width: Width) -> list[int]:
 def cmd_export_tree(args) -> int:
     if args.width is None:
         raise UsageError("export-tree needs --width (24, 4 or 2)")
-    restrict = _parse_restrict(args.restrict, args.width) if args.restrict else None
+    # the tree grows on the chosen columns only, and its labels keep their file indices
+    columns = (_parse_restrict(args.restrict, args.width) if args.restrict
+               else list(range(int(args.width))))
     ds = _load_width(args.data_dir, args.width)
     split = shuffle_split(ds, args.seed)
     root = tree_models.fit_decision_tree(
-        ds.features[split.train_indices], ds.labels[split.train_indices],
-        tree_models.TreeParams(**evaluation.MODELS["dt"].defaults), allowed_features=restrict,
+        ds.features[split.train_indices][:, columns], ds.labels[split.train_indices],
+        tree_models.TreeParams(**evaluation.MODELS["dt"].defaults),
     )
-    predicted = tree_models.predict_tree(root, ds.features[split.test_indices])
+    predicted = tree_models.predict_tree(root, ds.features[split.test_indices][:, columns])
     test_accuracy = accuracy(predicted, ds.labels[split.test_indices])
-    names = [f"X_{i}" for i in range(int(args.width))]
-    text = tree_models.export_tree_text(root, names)
+    text = tree_models.export_tree_text(root, [f"X_{i}" for i in columns])
     _write_atomic(args.out, text.encode("utf-8"))
     print(f"wrote {args.out}")
     print(f"test accuracy (seed {args.seed}): {100.0 * test_accuracy:.2f}%")

@@ -78,18 +78,15 @@ def check_positive(name: str, value) -> None:
 
 
 def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
-    """Raise ``ValueError`` unless ``features`` is a finite matrix with at least one row and
-    one column and ``labels`` holds one class in ``0..N_CLASSES-1`` per row.  ``Dataset``
-    and every model's fit apply this one training-set contract.
+    """Raise ``ValueError`` unless ``features`` is a matrix of finite real numbers with at
+    least one row and one column and ``labels`` holds one class in ``0..N_CLASSES-1`` per
+    row.  ``Dataset`` and every model's fit apply this one training-set contract.
     """
-    if features.ndim != 2:
-        raise ValueError(f"features must be a 2-D matrix, got {features.ndim} dimensions")
+    check_finite("features", features, (None, None))
     if features.shape[0] == 0:
         raise ValueError("empty training set")
     if features.shape[1] == 0:
         raise ValueError("features has no columns")
-    if not np.isfinite(features).all():
-        raise ValueError("features contain non-finite values")
     if labels.ndim != 1:
         raise ValueError(f"labels must be a vector, got shape {labels.shape}")
     if labels.dtype.kind not in ("i", "u"):

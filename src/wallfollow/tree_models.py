@@ -90,7 +90,7 @@ def tree_to_lists(root: TreeNode) -> dict:
 
 
 def _leaf_value(i: int, leaf, regression: bool):
-    """Leaf ``i``'s finite regression score, or its class counts (``N_CLASSES`` integers >= 0)."""
+    """Leaf ``i``'s finite regression score, or its class counts (``N_CLASSES`` int64s >= 0)."""
     if regression:
         check_finite(f"tree node {i}'s value", leaf, ())
         return leaf
@@ -99,6 +99,8 @@ def _leaf_value(i: int, leaf, regression: bool):
                          f"integers, got {leaf!r}")
     for count in leaf:
         check_count(f"tree node {i}'s class count", count, 0)
+        if count > np.iinfo(np.int64).max:
+            raise ValueError(f"tree node {i}'s class count {count} is beyond the int64 range")
     return np.array(leaf, dtype=np.int64)
 
 
@@ -329,21 +331,13 @@ def fit_decision_tree(
     labels: np.ndarray,
     params: TreeParams,
     seed: int = 0,
-    allowed_features=None,
 ) -> TreeNode:
-    """Grow a CART classification tree; ``allowed_features`` restricts the candidate features."""
+    """Grow a CART classification tree on every column of ``features``."""
     del seed  # the fit draws nothing
     check_training_set(features, labels)
-    d = features.shape[1]
-    pool = list(range(d)) if allowed_features is None else list(allowed_features)
-    for f in pool:
-        check_count("allowed_features", f, 0)
-        if f >= d:
-            raise ValueError(f"allowed_features must lie in 0..{d - 1}, got {f!r}")
-    if not pool:
-        raise ValueError("allowed_features must name at least one feature")
     sorted_rows = _presort(np.ascontiguousarray(features.T), _rank_table(features))
-    return _grow(*sorted_rows, one_hot(labels), params, _gini_gain, _class_counts, lambda: pool)
+    return _grow(*sorted_rows, one_hot(labels), params, _gini_gain, _class_counts,
+                 lambda: range(features.shape[1]))
 
 
 def _route(root: TreeNode, features: np.ndarray):

@@ -44,6 +44,12 @@ def synth_full_dataset(n: int, seed: int = 1234) -> dsm.Dataset:
     return dsm.Dataset(features, labels)
 
 
+def contract_set(ds: dsm.Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """32 rows of ``ds``, eight of each class, so that every model can fit them."""
+    rows = np.concatenate([np.flatnonzero(ds.labels == k)[:8] for k in range(4)])
+    return ds.features[rows], ds.labels[rows]
+
+
 def forest_bootstrap_rows(n: int, seed: int, tree: int) -> np.ndarray:
     """The ``n`` rows that tree ``tree`` of ``fit_random_forest(..., seed=seed)`` grows on."""
     rng = Xoshiro256StarStar(derive_seed(derive_seed(seed, tree), 0))

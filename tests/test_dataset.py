@@ -257,7 +257,9 @@ def test_dataset_rejects_nonfinite():
 
 
 @pytest.mark.parametrize("features, labels, match", [
-    pytest.param(np.ones(3), np.zeros(3, dtype=np.int64), "2-D matrix", id="features-1d"),
+    pytest.param(np.ones(3), np.zeros(3, dtype=np.int64),
+                 r"^features must hold finite real numbers in shape \(any, any\), "
+                 r"got float64 in shape \(3,\)$", id="features-1d"),
     pytest.param(np.ones((3, 2)), np.zeros((3, 1), dtype=np.int64), "vector", id="labels-2d"),
     pytest.param(np.ones((3, 2)), np.array([0, 1, 4]), r"0\.\.3", id="label-above"),
     pytest.param(np.ones((3, 2)), np.zeros(4, dtype=np.int64),

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import contract_set
 from wallfollow import evaluation as ev
 from wallfollow import neural as nn
 from wallfollow import stat_models as sm
@@ -96,19 +97,19 @@ def _with(a, index, value):
 # Each malformed training set, made from a valid (x, y), with the message the
 # contract gives it.  A network meets a zero-column set in ``build_preset``.
 _MALFORMED = {
-    "nan-feature": (lambda x, y: (_with(x, (3, 1), np.nan), y), "features contain non-finite"),
+    "nan-feature": (lambda x, y: (_with(x, (3, 1), np.nan), y),
+                    r"^features must hold finite real numbers in shape \(any, any\), "
+                    r"got non-finite values in shape \(32, 4\)$"),
+    # used to raise numpy's TypeError "ufunc 'isfinite' not supported"
+    "string-features": (lambda x, y: (x.astype(str), y),
+                        r"^features must hold finite real numbers in shape \(any, any\), "
+                        r"got <U\d+ in shape \(32, 4\)$"),
     "label-4": (lambda x, y: (x, _with(y, 0, 4)), r"labels must lie in 0\.\.3"),
     "label-minus-1": (lambda x, y: (x, _with(y, 0, -1)), r"labels must lie in 0\.\.3"),
     "one-label-too-few": (lambda x, y: (x, y[:-1]), "labels has 31 rows but features has 32"),
     "zero-rows": (lambda x, y: (x[:0], y[:0]), "empty"),
     "zero-columns": (lambda x, y: (x[:, :0], y), "no columns|input_width must be >= 1"),
 }
-
-
-def _contract_set(ds):
-    """32 rows of ``ds``, eight of each class, so that every model can fit them."""
-    rows = np.concatenate([np.flatnonzero(ds.labels == k)[:8] for k in range(4)])
-    return ds.features[rows], ds.labels[rows]
 
 
 def _small_hp(tag):
@@ -121,7 +122,7 @@ def _small_hp(tag):
 def test_every_model_rejects_a_malformed_training_set(synth_d4, tag, case):
     # the one contract, dataset.check_training_set, applies to all ten fits
     make, match = _MALFORMED[case]
-    x, y = make(*_contract_set(synth_d4))
+    x, y = make(*contract_set(synth_d4))
     with pytest.raises(ValueError, match=match):
         ev.MODELS[tag].fit(x, y, _small_hp(tag), 0)
 

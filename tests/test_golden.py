@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from wallfollow import cli
 from wallfollow import dataset as dsm
 from wallfollow import evaluation as ev
 from wallfollow import neural as nn
@@ -110,3 +111,18 @@ def test_network_document_fingerprint(synth_d4):
                      nn.TrainConfig(batch_size=32, epochs=2, dropout=0.1, seed=3))
     assert _document_sha256(net) == (
         "3fc4f714e478227c3929dd87c80a029a7bdc676fba5f8a6d057f8afd5cd1f706")
+
+
+@pytest.mark.parametrize("width, restrict, digest", [
+    ("4", ["--restrict", "front,left"],
+     "55198bcf1987b7d02aaa7abe364e2557d44aedf03c8bb7bc7ab388fd1e5f8cb0"),
+    ("24", ["--restrict", "0,5,11,23"],
+     "d517597209a92df05eac369978a1c1ccacb604b0f7dff02c771f8a205fef6cdc"),
+    # the same tree as front,left at width 4: the 2-sensor file holds those two columns
+    ("2", [], "55198bcf1987b7d02aaa7abe364e2557d44aedf03c8bb7bc7ab388fd1e5f8cb0"),
+], ids=["4-front-left", "24-restricted", "2"])
+def test_export_tree_dot_fingerprint(published_like_dir, tmp_path, width, restrict, digest):
+    out = tmp_path / "tree.dot"
+    assert cli.main(["export-tree", "--data-dir", str(published_like_dir), "--width", width,
+                     *restrict, "--out", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,12 +1,14 @@
+import copy
 import inspect
 import json
+import random
 import re
 import typing
 
 import numpy as np
 import pytest
 
-from conftest import DT_PARAMS, GBC_HP, NET_HP, SVM_HP
+from conftest import DT_PARAMS, GBC_HP, NET_HP, SVM_HP, contract_set
 from wallfollow import neural as nn
 from wallfollow import serialize as sz
 from wallfollow import stat_models as sm
@@ -281,6 +283,9 @@ def test_rejects_foreign_documents(synth_d2):
                                         r"got \[1, 0, 0\]"),
                             ([1, 0, 0, 1.5], "class count must be an integer, got 1.5"),
                             ([1, 0, -2, 0], "class count must be >= 0, got -2"),
+                            # used to raise an OverflowError, converting to int64
+                            ([1, 0, 10**30, 0],
+                             f"class count {10**30} is beyond the int64 range"),
                             # a scalar leaf used to load and predict class 0 for every row
                             (0.5, r"class counts must be a list of 4 integers, got 0\.5")):
         bad = json.loads(json.dumps(document))
@@ -460,7 +465,10 @@ def test_boost_document_with_three_classes_fails_at_load(synth_d4, edit, message
     (lambda payload: payload["train_labels"].pop(), "^labels has 59 rows but features has 60$"),
     (lambda payload: payload["train_labels"].__setitem__(0, 1.5),
      "^labels must be integers, got dtype float64$"),
-], ids=["k0", "k-fraction", "label7", "label-missing", "label-fraction"])
+    # used to raise numpy's TypeError "ufunc 'isfinite' not supported"
+    (lambda payload: payload["train_features"][3].__setitem__(1, "1"),
+     rf"^features {REAL} \(any, any\), got <U\d+ in shape \(60, 2\)$"),
+], ids=["k0", "k-fraction", "label7", "label-missing", "label-fraction", "feature-string"])
 def test_knn_document_is_checked_as_a_fit(synth_d2, edit, message):
     document = sz.encode_model(sm.fit_knn(synth_d2.features[:60], synth_d2.labels[:60], 5))
     edit(document["payload"])
@@ -587,3 +595,74 @@ def test_lda_document_is_checked_at_load(synth_d4, edit, message):
     edit(document["payload"])
     with pytest.raises(ValueError, match=message):
         sz.decode_model(document)
+
+
+# ---------------------------------------------------------------------------
+# seeded mutations: a malformed document fails with ValueError or works
+# ---------------------------------------------------------------------------
+
+# One small model of each kind, 2 features wide (the network untrained), and its prediction.
+FUZZ_MODELS = {
+    "decision_tree": (lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS), tm.predict_tree),
+    "random_forest": (lambda x, y: tm.fit_random_forest(x, y, 2, DT_PARAMS, seed=1),
+                      tm.predict_forest),
+    "gradient_boost": (lambda x, y: tm.fit_gradient_boost(x, y, **(GBC_HP | {"n_stages": 2})),
+                       tm.predict_boost),
+    "lda": (sm.fit_lda, sm.predict_lda),
+    "gnb": (sm.fit_gnb, sm.predict_gnb),
+    "knn": (lambda x, y: sm.fit_knn(x, y, 5), sm.predict_knn_batch),
+    "svm": (lambda x, y: sm.fit_svm(x, y, **SVM_HP, seed=1), sm.predict_svm),
+    "network": (lambda x, y: nn.build_preset("DFNN_WS", 2, NET_HP["dropout"], init_seed=1),
+                lambda net, x: net.predict(x)),
+}
+
+# What a mutation writes in place of a value; a ragged list, and a key deleted, besides.
+FUZZ_VALUES = (True, 0, -1, 2.5, 1e308, 10**30, "1", [], {}, [[1.0], [1.0, 2.0]], None)
+
+
+def _value_paths(value, path=()):
+    """The key path of every value nested in ``value``, a JSON document."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _value_paths(item, path + (key,))
+
+
+def _mutate(document, paths, rng):
+    """A copy of ``document`` with one or two of its ``paths`` replaced or deleted."""
+    bad = copy.deepcopy(document)
+    for path in rng.sample(paths, rng.choice((1, 2))):
+        parent = bad
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # the first mutation replaced or deleted a step of this path
+        if not isinstance(parent, (dict, list)):
+            continue  # the first mutation put a string on the path
+        if rng.random() < 0.1:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return bad
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_MODELS))
+def test_mutated_documents_fail_with_value_error_or_predict(synth_d2, kind):
+    fit, predict = FUZZ_MODELS[kind]
+    x, y = contract_set(synth_d2)
+    document = sz.encode_model(fit(x, y))
+    paths = list(_value_paths(document))
+    rng = random.Random(0)
+    for _ in range(200):
+        bad = _mutate(document, paths, rng)
+        try:
+            with np.errstate(all="ignore"):  # a finite 1e308 may overflow on the way
+                predicted = predict(sz.decode_model(bad), x)
+        except ValueError:
+            continue
+        except Exception as exc:
+            raise AssertionError(f"{type(exc).__name__} from {bad}") from exc
+        assert predicted.shape == y.shape and set(predicted.tolist()) <= set(range(4)), bad

@@ -252,18 +252,6 @@ def test_tree_determinism(synth_d4):
     assert tm.export_tree_text(a, names) == tm.export_tree_text(b, names)
 
 
-def test_allowed_features_restriction(synth_d4):
-    root = tm.fit_decision_tree(synth_d4.features, synth_d4.labels, DT_PARAMS,
-                                allowed_features=[0, 1])
-
-    def features_used(node):
-        if node.is_leaf:
-            return set()
-        return {node.feature} | features_used(node.left) | features_used(node.right)
-
-    assert features_used(root) <= {0, 1}
-
-
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------
@@ -363,17 +351,6 @@ def test_boost_validates_arguments(synth_d4):
 
 
 @pytest.mark.parametrize("fit, match", [
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[]),
-                 "allowed_features", id="dt-allowed_features-empty"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[0, 4]),
-                 "allowed_features", id="dt-allowed_features-above-range"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[-1, 2]),
-                 "allowed_features", id="dt-allowed_features-negative"),
-    # a fraction used to raise an IndexError, and True was read as feature 1
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[0.5]),
-                 "^allowed_features must be an integer", id="dt-allowed_features-fraction"),
-    pytest.param(lambda x, y: tm.fit_decision_tree(x, y, DT_PARAMS, allowed_features=[True, 1]),
-                 "^allowed_features must be an integer", id="dt-allowed_features-bool"),
     pytest.param(lambda x, y: tm.fit_decision_tree(x, y, tm.TreeParams(-2, 2)),
                  "max_depth", id="dt-max_depth-negative"),
     pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, 100, 0.1, -1),
@@ -638,11 +615,16 @@ def test_decision_tree_documents_equal_reference_grower(make, seed, n, d):
     features, labels = make(seed, n, d)
     for params in (DT_PARAMS, tm.TreeParams(1, 2), tm.TreeParams(3, 2), tm.TreeParams(None, 9),
                    tm.TreeParams(4, 5)):
-        for kwargs in ({}, {"allowed_features": list(range(0, d, 2))},
-                       {"allowed_features": [d - 1, 0]}):
-            expected = _reference_decision_tree(features, labels, params, **kwargs)
-            actual = tm.fit_decision_tree(features, labels, params, **kwargs)
-            assert _document(actual) == _document(expected), (params, kwargs)
+        assert (_document(tm.fit_decision_tree(features, labels, params))
+                == _document(_reference_decision_tree(features, labels, params))), params
+        # a fit on chosen columns, as ``export-tree --restrict`` makes it, is the reference
+        # tree restricted to them, its features renumbered from column positions
+        for columns in (list(range(0, d, 2)), sorted({d - 1, 0})):
+            actual = tm.tree_to_lists(tm.fit_decision_tree(features[:, columns], labels, params))
+            actual["feature"] = [-1 if f == -1 else columns[f] for f in actual["feature"]]
+            expected = _reference_decision_tree(features, labels, params,
+                                                allowed_features=columns)
+            assert actual == tm.tree_to_lists(expected), (params, columns)
 
 
 @pytest.mark.parametrize("make, n, d, max_depth", [
