@@ -51,7 +51,8 @@ class UsageError(Exception):
 
 def exit_code(exc: Exception) -> int:
     """The exit code of a command that raised ``exc``."""
-    if isinstance(exc, UsageError):
+    # an ArgumentTypeError here is a list rule (``_distinct``) applied after argparse
+    if isinstance(exc, (UsageError, argparse.ArgumentTypeError)):
         return EXIT_USAGE
     if isinstance(exc, (DataFormatError, ArcCalibrationError, OSError)):
         return EXIT_DATA
@@ -223,23 +224,22 @@ def cmd_bench(args) -> int:
 def _parse_restrict(text: str, width: Width) -> list[int]:
     names = () if width is Width.FULL24 else ARC_DIRECTIONS[:width]
     out = []
-    for token in text.split(","):
-        token = token.strip().lower()
+    for token in (t.strip().lower() for t in text.split(",") if t.strip()):
         if token in names:
             out.append(names.index(token))
         elif token.isascii() and token.isdigit() and int(token) < int(width):
             out.append(int(token))
         else:
             raise UsageError(f"cannot restrict to feature {token!r} at width {int(width)}")
-    return sorted(set(out))
+    return sorted(_distinct(text, out, "feature"))
 
 
 def cmd_export_tree(args) -> int:
     if args.width is None:
         raise UsageError("export-tree needs --width (24, 4 or 2)")
     # the tree grows on the chosen columns only, and its labels keep their file indices
-    columns = (_parse_restrict(args.restrict, args.width) if args.restrict
-               else list(range(int(args.width))))
+    columns = (list(range(int(args.width))) if args.restrict is None
+               else _parse_restrict(args.restrict, args.width))
     ds = _load_width(args.data_dir, args.width)
     split = shuffle_split(ds, args.seed)
     root = tree_models.fit_decision_tree(

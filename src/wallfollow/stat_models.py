@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import N_CLASSES, check_count, check_finite, check_positive, check_training_set
+from .parallel import fork_map
 from .rng import Xoshiro256StarStar, derive_seed
 
 LDA_RIDGE = 1e-8
@@ -514,8 +515,8 @@ def fit_svm(
     """One RBF binary machine per class (one-vs-rest), trained by SMO.
 
     ``gamma`` None takes ``scale_gamma(features)``.  The Gram matrix is
-    computed once and shared by the four solvers.  Non-convergence is
-    recorded on the machine, not raised.
+    computed once and shared by the four solvers, which ``fork_map`` runs
+    in forked workers.  Non-convergence is recorded on the machine, not raised.
     """
     _class_rows(features, labels)  # refuses a training set that lacks a class
     if gamma is not None:
@@ -524,10 +525,11 @@ def fit_svm(
     if gamma is None:
         gamma = scale_gamma(features)
     kernel = rbf_kernel_symmetric(features, gamma)
+    targets = [np.where(labels == k, 1.0, -1.0) for k in range(N_CLASSES)]
+    results = fork_map(lambda k: smo_solve(targets[k], kernel, c, tol, max_passes,
+                                           derive_seed(seed, k)), range(N_CLASSES))
     machines = []
-    for k in range(N_CLASSES):
-        yk = np.where(labels == k, 1.0, -1.0)
-        result = smo_solve(yk, kernel, c, tol, max_passes, derive_seed(seed, k))
+    for yk, result in zip(targets, results):
         support = np.nonzero(result.alpha > 0)[0]
         machines.append(
             BinaryMachine(

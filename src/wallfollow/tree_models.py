@@ -38,6 +38,7 @@ import numpy as np
 from .dataset import (CLASS_NAMES, N_CLASSES, check_count, check_finite, check_positive,
                       check_training_set, one_hot)
 from .neural import softmax
+from .parallel import fork_map
 from .rng import Xoshiro256StarStar, derive_seed
 
 
@@ -89,6 +90,10 @@ def tree_to_lists(root: TreeNode) -> dict:
     }
 
 
+# read once: every forest fit rebuilds each leaf through ``_leaf_value``
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _leaf_value(i: int, leaf, regression: bool):
     """Leaf ``i``'s finite regression score, or its class counts (``N_CLASSES`` int64s >= 0)."""
     if regression:
@@ -99,7 +104,7 @@ def _leaf_value(i: int, leaf, regression: bool):
                          f"integers, got {leaf!r}")
     for count in leaf:
         check_count(f"tree node {i}'s class count", count, 0)
-        if count > np.iinfo(np.int64).max:
+        if count > _INT64_MAX:
             raise ValueError(f"tree node {i}'s class count {count} is beyond the int64 range")
     return np.array(leaf, dtype=np.int64)
 
@@ -376,15 +381,20 @@ def fit_random_forest(
     params: TreeParams,
     seed: int = 0,
 ) -> ForestModel:
-    """Bagged CART trees, each split choosing among ceil(sqrt(d)) random features."""
+    """Bagged CART trees, each split choosing among ceil(sqrt(d)) random features.
+
+    Tree ``t`` draws only from seeds derived from ``(seed, t)``, so ``fork_map``
+    grows the trees in forked workers.  A tree comes back as its
+    ``tree_to_lists`` form, since pickle recurses once per tree level.
+    """
     check_count("n_trees", n_trees, 1)
     check_training_set(features, labels)
     n, d = features.shape
     m = math.ceil(math.sqrt(d))
     columns = np.ascontiguousarray(features.T)
     ranks = _rank_table(features)
-    trees = []
-    for t in range(n_trees):
+
+    def grow(t: int) -> dict:
         tree_seed = derive_seed(seed, t)
         rows = np.array(Xoshiro256StarStar(derive_seed(tree_seed, 0)).below_each([n] * n),
                         dtype=np.int64)
@@ -394,9 +404,11 @@ def fit_random_forest(
             return draw.sample_indices(d, m) if m < d else range(d)
 
         sorted_rows = _presort(columns.take(rows, axis=1), ranks.take(rows, axis=1))
-        trees.append(_grow(*sorted_rows, one_hot(labels[rows]), params, _gini_gain,
-                           _class_counts, candidates))
-    return ForestModel(trees=trees)
+        return tree_to_lists(_grow(*sorted_rows, one_hot(labels[rows]), params, _gini_gain,
+                                   _class_counts, candidates))
+
+    return ForestModel(trees=[tree_from_lists(tree, regression=False)
+                              for tree in fork_map(grow, range(n_trees))])
 
 
 def predict_forest(model: ForestModel, features: np.ndarray) -> np.ndarray:

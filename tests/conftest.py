@@ -56,6 +56,14 @@ def forest_bootstrap_rows(n: int, seed: int, tree: int) -> np.ndarray:
     return np.array([rng.below(n) for _ in range(n)], dtype=np.int64)
 
 
+def deep_tree_rows() -> tuple[np.ndarray, np.ndarray]:
+    """1200 rows whose labels alternate along one rising sensor: a DT of depth 1199,
+    deeper than the recursion limit."""
+    features = np.zeros((1200, 4))
+    features[:, 0] = np.arange(1200)
+    return features, np.arange(1200) % 2
+
+
 def write_dataset_file(ds: dsm.Dataset, path: Path) -> None:
     lines = [
         ",".join(repr(float(v)) for v in row) + "," + TOKENS[label]
@@ -70,6 +78,15 @@ def write_trio(full: dsm.Dataset, directory: Path) -> None:
     d2 = dsm.derive_simplified2(d4)
     for ds, name in zip((full, d4, d2), DATA_FILES):
         write_dataset_file(ds, directory / name)
+
+
+@pytest.fixture
+def fit_path(monkeypatch):
+    """``fit_path(fork)`` makes ``fork_map`` fork two workers (True) or run its loop in this
+    process (False), whatever CPUs the host has: it sets the CPUs this process may use."""
+    def force(fork: bool) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if fork else {0})
+    return force
 
 
 @pytest.fixture(scope="session")

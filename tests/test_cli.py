@@ -385,6 +385,31 @@ def test_export_tree_bad_restrict(published_like_dir, tmp_path, capsys):
     assert not (tmp_path / "t.dot").exists()
 
 
+def test_export_tree_empty_restrict_is_a_usage_error(published_like_dir, tmp_path, capsys):
+    config = tmp_path / "export.cfg"
+    config.write_text("restrict =\n", encoding="utf-8")
+    for argv in (["--restrict", ""], ["--restrict", " , "]):
+        rc = run_cli("export-tree", "--data-dir", str(published_like_dir), "--width", "4", *argv,
+                     "--out", str(tmp_path / "t.dot"))
+        assert rc == cli.EXIT_USAGE
+        assert f"no feature in {argv[1]!r}" in capsys.readouterr().err
+    rc = run_cli("--config", str(config), "export-tree", "--data-dir", str(published_like_dir),
+                 "--width", "4", "--out", str(tmp_path / "t.dot"))
+    assert rc == cli.EXIT_USAGE
+    assert "no feature in ''" in capsys.readouterr().err
+    assert not (tmp_path / "t.dot").exists()
+
+
+def test_export_tree_repeated_restrict_is_a_usage_error(published_like_dir, tmp_path, capsys):
+    # a name and an index of one feature repeat it too, as --widths 4,4 repeats a width
+    for token in ("1,1", "front,0", "left, LEFT"):
+        rc = run_cli("export-tree", "--data-dir", str(published_like_dir), "--width", "4",
+                     "--restrict", token, "--out", str(tmp_path / "t.dot"))
+        assert rc == cli.EXIT_USAGE
+        assert f"repeated feature in {token!r}" in capsys.readouterr().err
+    assert not (tmp_path / "t.dot").exists()
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     assert run_cli("no-such-command") == cli.EXIT_USAGE
     assert run_cli() == cli.EXIT_USAGE

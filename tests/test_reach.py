@@ -3,7 +3,9 @@
 The test runs ``cli.main`` in-process on a small synthetic trio under a ``sys.settrace``
 tracer that records only ``call`` events, and compares the package functions never entered
 with ``UNREACHED``.  A new function that only tests reach fails it, and so does a listed
-function that starts to run, which must then leave the list.
+function that starts to run, which must then leave the list.  The fits that ``fork_map``
+spreads over forked workers run there unseen, so the runs take both of its paths: forked,
+and in turn as on one usable CPU.
 """
 
 import ast
@@ -18,12 +20,14 @@ from conftest import synth_full_dataset, write_trio
 PACKAGE = Path(wallfollow.__file__).parent  # unresolved, as the code objects name their files
 
 _PUBLIC_SAVE_LOAD = "the public save/load API, which no CLI command calls"
+_IN_WORKERS = "runs only in pool workers, which are other processes"
 
 # Package functions that no traced command enters, each with the reason.
 UNREACHED = {
     "cli._download": "network fetch (`data fetch`)",
-    "evaluation._pool_init": "the `--jobs` pool, whose workers run in other processes",
-    "evaluation._pool_task": "the `--jobs` pool, whose workers run in other processes",
+    "evaluation._pool_init": _IN_WORKERS,
+    "evaluation._pool_task": _IN_WORKERS,
+    "parallel._fork_task": _IN_WORKERS,
     "evaluation._future_row": "the `--jobs` pool, whose workers run in other processes",
     "evaluation._task_error": "the error text of a cell whose fit or prediction raised",
     "neural.adadelta_step": "called only by perfbench/replay.py, whose epoch replay times it",
@@ -31,8 +35,7 @@ UNREACHED = {
     **dict.fromkeys(
         [f"serialize.{name}" for name in ("_fields", "_array", "_encode", "_decode",
                                           "encode_model", "decode_model", "save_model",
-                                          "load_model")]
-        + ["tree_models.tree_from_lists", "tree_models._leaf_value"],
+                                          "load_model")],
         _PUBLIC_SAVE_LOAD),
 }
 
@@ -57,7 +60,7 @@ def _inventory() -> dict:
                                              path.stem)}
 
 
-def _traced_cli_runs(tmp_path) -> set:
+def _traced_cli_runs(tmp_path, fit_path) -> set:
     """The inventory keys of the functions the CLI commands below enter."""
     data, bad = tmp_path / "data", tmp_path / "bad"
     full = synth_full_dataset(120, seed=1)  # every class has at least 4 rows, so every cell fits
@@ -66,17 +69,19 @@ def _traced_cli_runs(tmp_path) -> set:
     (bad / "sensor_readings_4.data").write_text("1.0,2.0,Move-Forward\n", encoding="utf-8")
     config = tmp_path / "bench.cfg"
     config.write_text(f"data-dir = {data}\nout = {tmp_path / 'config-run'}\n", encoding="utf-8")
-    runs = [
-        (["data", "verify", "--data-dir", str(data)], cli.EXIT_DATA),  # 120 rows, not 5456
-        (["data", "derive", "--data-dir", str(data)], cli.EXIT_OK),
-        # width 4, where a forest draws 2 of 4 candidate features by `sample_indices`
-        (["--config", str(config), "bench", "--iters", "1", "--widths", "4"], cli.EXIT_OK),
+    # width 4, where a forest draws 2 of 4 candidate features by `sample_indices`
+    every_model = ["--config", str(config), "bench", "--iters", "1", "--widths", "4"]
+    runs = [  # (argv, exit code, whether fork_map forks)
+        (["data", "verify", "--data-dir", str(data)], cli.EXIT_DATA, True),  # 120 rows, not 5456
+        (["data", "derive", "--data-dir", str(data)], cli.EXIT_OK, True),
+        (every_model, cli.EXIT_OK, True),
+        (every_model, cli.EXIT_OK, False),
         (["bench", "--data-dir", str(data), "--out", str(tmp_path / "table2-run"), "--iters",
-          "1", "--models", "dt,gbc"], cli.EXIT_OK),  # every cell of table 2
+          "1", "--models", "dt,gbc"], cli.EXIT_OK, True),  # every cell of table 2
         (["export-tree", "--data-dir", str(data), "--out", str(tmp_path / "tree.dot"),
-          "--width", "4", "--restrict", "front,left"], cli.EXIT_OK),
-        (["data", "verify", "--data-dir", str(bad)], cli.EXIT_DATA),
-        (["bench", "--data-dir", str(data), "--iters", "0"], cli.EXIT_USAGE),
+          "--width", "4", "--restrict", "front,left"], cli.EXIT_OK, True),
+        (["data", "verify", "--data-dir", str(bad)], cli.EXIT_DATA, True),
+        (["bench", "--data-dir", str(data), "--iters", "0"], cli.EXIT_USAGE, True),
     ]
     entered = set()
     outer = sys.gettrace()
@@ -89,18 +94,19 @@ def _traced_cli_runs(tmp_path) -> set:
     codes = []
     sys.settrace(record)
     try:
-        for argv, _ in runs:
+        for argv, _, fork in runs:
+            fit_path(fork)
             codes.append(cli.main(argv))
     finally:
         sys.settrace(outer)
-    assert codes == [code for _, code in runs]
+    assert codes == [code for _, code, _ in runs]
     return entered
 
 
-def test_every_package_function_runs_in_the_cli_or_is_listed_with_a_reason(tmp_path):
+def test_every_package_function_runs_in_the_cli_or_is_listed_with_a_reason(tmp_path, fit_path):
     assert all(isinstance(reason, str) and reason for reason in UNREACHED.values())
     inventory = _inventory()
-    entered = _traced_cli_runs(tmp_path)
+    entered = _traced_cli_runs(tmp_path, fit_path)
     never = {name for key, name in inventory.items() if key not in entered}
     assert sorted(never - UNREACHED.keys()) == [], "reached only by tests: move to tests/ or list"
     assert sorted(UNREACHED.keys() - never) == [], "listed, but runs or is gone: unlist"

@@ -8,7 +8,7 @@ import typing
 import numpy as np
 import pytest
 
-from conftest import DT_PARAMS, GBC_HP, NET_HP, SVM_HP, contract_set
+from conftest import DT_PARAMS, GBC_HP, NET_HP, SVM_HP, contract_set, deep_tree_rows
 from wallfollow import neural as nn
 from wallfollow import serialize as sz
 from wallfollow import stat_models as sm
@@ -29,16 +29,8 @@ def _round_trip(model, tmp_path):
     return loaded
 
 
-def _deep_tree_rows():
-    """1200 rows whose labels alternate along one rising sensor: a DT of depth 1199,
-    deeper than the recursion limit."""
-    features = np.zeros((1200, 4))
-    features[:, 0] = np.arange(1200)
-    return features, np.arange(1200) % 2
-
-
 def test_decision_tree_round_trip(tmp_path, synth_d4):
-    for features, labels in ((synth_d4.features, synth_d4.labels), _deep_tree_rows()):
+    for features, labels in ((synth_d4.features, synth_d4.labels), deep_tree_rows()):
         model = tm.fit_decision_tree(features, labels, DT_PARAMS)
         loaded = _round_trip(model, tmp_path)
         assert np.array_equal(tm.predict_tree(loaded, features),

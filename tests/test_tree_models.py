@@ -384,16 +384,19 @@ def test_tree_fits_reject_bad_arguments(synth_d4, fit, match):
 
 
 class _CountingNumpy:
-    """numpy, counting the ``argsort`` calls made through it."""
+    """numpy, adding one byte to the file ``calls`` per ``argsort`` call made through it, so
+    that the calls of forked workers count too."""
 
-    def __init__(self):
-        self.argsorts = 0
+    def __init__(self, calls):
+        self.calls = calls
+        calls.write_bytes(b"")
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def argsort(self, *args, **kwargs):
-        self.argsorts += 1
+        with open(self.calls, "ab") as calls:
+            calls.write(b".")
         return np.argsort(*args, **kwargs)
 
 
@@ -402,11 +405,13 @@ class _CountingNumpy:
     pytest.param(lambda x, y: tm.fit_gradient_boost(x, y, 3, 0.1, 3), 1, id="gbc"),
     pytest.param(lambda x, y: tm.fit_random_forest(x, y, 5, DT_PARAMS, seed=2), 5, id="rfc"),
 ])
-def test_each_fit_sorts_its_columns_once(synth_d4, monkeypatch, fit, sorts):
-    counting = _CountingNumpy()
-    monkeypatch.setattr(tm, "np", counting)
-    fit(synth_d4.features, synth_d4.labels)
-    assert counting.argsorts == sorts
+def test_each_fit_sorts_its_columns_once(synth_d4, monkeypatch, fit_path, tmp_path, fit, sorts):
+    for fork in (True, False):  # the forest's trees grow in forked workers, then in turn
+        fit_path(fork)
+        counting = _CountingNumpy(tmp_path / "argsorts")
+        monkeypatch.setattr(tm, "np", counting)
+        fit(synth_d4.features, synth_d4.labels)
+        assert counting.calls.stat().st_size == sorts, f"fork_map forking: {fork}"
 
 
 # ---------------------------------------------------------------------------
