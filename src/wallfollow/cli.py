@@ -65,7 +65,7 @@ def read_config_file(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    values = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -73,7 +73,11 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise argparse.ArgumentTypeError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in lines:  # a later line would silently win
+            raise argparse.ArgumentTypeError(
+                f"{path}: lines {lines[key]} and {lineno} both set {key!r}")
+        values[key], lines[key] = value.strip(), lineno
     return values
 
 

@@ -19,11 +19,13 @@ is deterministic given the initialization seed and the training seed.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .dataset import N_CLASSES, check_count, check_finite, check_training_set, one_hot
 from .rng import XoshiroLanes
 
@@ -238,6 +240,7 @@ class Network:
 
     def __post_init__(self):
         self.width = width = None  # read by the first sized layer, made by the last
+        reads_each = []
         for i, layer in enumerate(self.layers):
             reads = makes = width  # relu and dropout pass their input on
             if isinstance(layer, Layer):  # the encoder names what is not a layer
@@ -257,10 +260,13 @@ class Network:
                 reads, makes = layer.d, layer.d * layer.d
             if width is not None and reads != width:
                 raise ValueError(f"{layer.KIND} layer {i} reads {reads} values, but gets {width}")
+            reads_each.append(reads)
             self.width, width = self.width or reads, makes
         if width != N_CLASSES:
             raise ValueError(f"a network's last dense, shared or batchnorm layer must be "
                              f"{N_CLASSES} wide, got {width}")
+        # each layer's input row width; one before the first sized layer reads the network's
+        self.reads = [self.width if reads is None else reads for reads in reads_each]
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         for layer in self.layers:
@@ -385,6 +391,48 @@ def build_preset(name: str, input_width: int, dropout: float, init_seed: int = 0
     return net
 
 
+def _kept_batches(n: int, batch_size: int, has_bn: bool) -> list[slice]:
+    """The slices of every epoch's permutation that train, in order.  A singleton
+    remainder batch cannot be batch-normalized, so a network with batch norm skips it."""
+    batches = []
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        if stop - start > 1 or not has_bn or n == 1:
+            batches.append(slice(start, stop))
+    return batches
+
+
+def _draw_plan(model: Network, n: int, epochs: int, batches: list[slice]) -> list[tuple]:
+    """The shapes of a training run's lane draws, in order: ``(n,)`` for each epoch's
+    permutation keys, then ``(rows, width)`` for each dropout layer with a rate above
+    0, for each kept batch."""
+    widths = [reads for layer, reads in zip(model.layers, model.reads)
+              if isinstance(layer, Dropout) and layer.rate > 0]
+    epoch = [(n,)] + [(rows.stop - rows.start, w) for rows in batches for w in widths]
+    return epoch * epochs  # every epoch shares one epoch's shape tuples
+
+
+class _PlannedDraws:
+    """A training run's lane draws, handed out in its plan's order; ``arrays`` yields
+    each planned shape's uniform doubles.  A request off the plan raises."""
+
+    def __init__(self, plan: list[tuple], arrays):
+        self._plan = enumerate(plan, 1)
+        self._past = len(plan) + 1, None
+        self._arrays = arrays
+
+    def doubles(self, shape) -> np.ndarray:
+        shape = shape if isinstance(shape, tuple) else (shape,)
+        k, planned = next(self._plan, self._past)
+        if shape != planned:
+            raise ValueError(f"lane draw {k} asks for shape {shape}, but the plan's is "
+                             f"{planned}")
+        return next(self._arrays)
+
+    # the lanes' own: a stable sort of n planned keys
+    permutation = XoshiroLanes.permutation
+
+
 def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
                   config: TrainConfig, log=None) -> Network:
     """Seeded mini-batch training with Adadelta on mean cross-entropy.
@@ -399,6 +447,11 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
     model before training keep the old values and no longer alias the
     trained weights.  Raises ``ValueError`` naming the epoch after which a
     weight is no longer finite.
+
+    The lane draws depend only on the seed and the batch plan, so their shapes
+    are planned first (``_draw_plan``).  When the plan holds a dropout mask,
+    ``parallel.made_ahead`` may make them in a forked worker, ahead of the
+    batches that read them; a worker that dies raises ``ValueError``.
     """
     check_training_set(features, labels)
     check_finite("features", features, (None, model.width))
@@ -418,26 +471,31 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
         setattr(layer, name, view)
     state = AdadeltaState(shapes=shapes)
     onehot = one_hot(labels)
-    rng = XoshiroLanes(config.seed)
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        loss_sum = 0.0
-        hits = 0
-        seen = 0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            # a singleton remainder batch cannot be batch-normalized; skip it
-            if idx.shape[0] == 1 and has_bn and n > 1:
-                continue
-            x, y = features[idx], onehot[idx]
-            probs, grads = backprop(model, x, y, rng=rng)
+    batches = _kept_batches(n, config.batch_size, has_bn)
+    plan = _draw_plan(model, n, config.epochs, batches)
+    lanes = XoshiroLanes(config.seed)
+    if any(len(shape) == 2 for shape in plan):
+        draws = parallel.made_ahead(lanes.doubles, plan)
+    else:  # one permutation an epoch: a worker would cost more than it saves
+        draws = contextlib.nullcontext(map(lanes.doubles, plan))
+    with draws as arrays:
+        rng = _PlannedDraws(plan, arrays)
+        for epoch in range(config.epochs):
+            perm = rng.permutation(n)
+            loss_sum = 0.0
+            hits = 0
+            seen = 0
+            for rows in batches:
+                idx = perm[rows]
+                x, y = features[idx], onehot[idx]
+                probs, grads = backprop(model, x, y, rng=rng)
+                if log is not None:
+                    loss_sum += cross_entropy(probs, y) * idx.shape[0]
+                    hits += int((probs.argmax(axis=1) == labels[idx]).sum())
+                    seen += idx.shape[0]
+                theta += state.step(_flatten(grads))
+            if not np.isfinite(theta).all():
+                raise ValueError(f"training diverged: non-finite weights after epoch {epoch + 1}")
             if log is not None:
-                loss_sum += cross_entropy(probs, y) * idx.shape[0]
-                hits += int((probs.argmax(axis=1) == labels[idx]).sum())
-                seen += idx.shape[0]
-            theta += state.step(_flatten(grads))
-        if not np.isfinite(theta).all():
-            raise ValueError(f"training diverged: non-finite weights after epoch {epoch + 1}")
-        if log is not None:
-            log.write(f"epoch={epoch + 1} loss={loss_sum / seen:.6f} acc={hits / seen:.4f}\n")
+                log.write(f"epoch={epoch + 1} loss={loss_sum / seen:.6f} acc={hits / seen:.4f}\n")
     return model

@@ -82,8 +82,9 @@ def write_trio(full: dsm.Dataset, directory: Path) -> None:
 
 @pytest.fixture
 def fit_path(monkeypatch):
-    """``fit_path(fork)`` makes ``fork_map`` fork two workers (True) or run its loop in this
-    process (False), whatever CPUs the host has: it sets the CPUs this process may use."""
+    """``fit_path(fork)`` makes ``fork_map`` fork two workers and ``made_ahead`` one (True),
+    or both run in this process (False), whatever CPUs the host has: it sets the CPUs this
+    process may use."""
     def force(fork: bool) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if fork else {0})
     return force

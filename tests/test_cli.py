@@ -280,6 +280,11 @@ BENCH_USAGE_ERRORS = [
                  id="seed-x-config"),
     pytest.param("config", "iterations=3", "unknown config key 'iterations'",
                  id="unknown-key-config"),
+    # a repeated key used to run with its last value and exit 0
+    pytest.param("config", "seed=1\nseed=2", "lines 1 and 2 both set 'seed'",
+                 id="repeated-key-config"),
+    pytest.param("config", "data-dir=a\n# a comment\ndata_dir=b",
+                 "lines 1 and 3 both set 'data_dir'", id="repeated-spelling-config"),
     *(pytest.param(source, setting, message, id=f"{name}-{source}")
       for name, setting, message in (
           ("no-models", "models=,", "no model tag in ','"),

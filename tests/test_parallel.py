@@ -1,7 +1,10 @@
 """``fork_map``: the SVM's solves and the forest's trees give the same bits forked or in turn,
-a failure in a worker fails only its cell, and no worker outlives a fit."""
+a failure in a worker fails only its cell, and no worker outlives a fit.  ``made_ahead``: a
+network trains to the same bits with its lane draws made in a forked worker or in turn,
+forks only when its plan holds a dropout mask, and no draw worker outlives a training run."""
 
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -15,13 +18,14 @@ import pytest
 
 from conftest import DT_PARAMS, SVM_HP, deep_tree_rows
 from wallfollow import evaluation as ev
+from wallfollow import neural as nn
 from wallfollow import parallel
 from wallfollow import serialize as sz
 from wallfollow import stat_models as sm
 from wallfollow import tree_models as tm
 from wallfollow.dataset import Width
 from wallfollow.parallel import fork_map
-from wallfollow.rng import derive_seed
+from wallfollow.rng import XoshiroLanes, derive_seed
 
 pytestmark = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="fork_map forks only where the platform can")
@@ -147,3 +151,204 @@ def test_a_raising_solver_keeps_the_serial_message(synth_d2, monkeypatch, fit_pa
     seed = derive_seed(3, 0)
     assert forked == (f"svm/2 failed at iteration 0 (seed {seed}): solver diverged at seed "
                       f"{derive_seed(derive_seed(seed, 1), 0)}")
+
+
+# ---------------------------------------------------------------------------
+# a network's lane draws, made ahead in a forked worker
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls this process makes from here on, counted."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _rows(n, width, seed=0):
+    rng = XoshiroLanes(1000 + width + seed)
+    return rng.uniform(-2, 2, (n, width)), (rng.doubles(n) * 4).astype(np.int64)
+
+
+def _no_batch_norm_net(width):
+    """Dense -> relu -> dropout -> dense: dropout masks, and a singleton batch that trains."""
+    net = nn.Network([nn.Dense(width, 8), nn.Relu(), nn.Dropout(0.1), nn.Dense(8, 4)])
+    net.init_params(2)
+    return net
+
+
+def _state(net):
+    running = [a for layer in net.layers if isinstance(layer, nn.BatchNorm)
+               for a in (layer.running_mean, layer.running_var)]
+    return net.parameters() + running
+
+
+def _train_both_ways(fit_path, forks, build, features, labels, config):
+    """The trained state and log of ``build()`` with the draws forced into a worker, then
+    forced in process, and the forks each made."""
+    runs = []
+    for fork in (True, False):
+        fit_path(fork)
+        before = len(forks)
+        log = io.StringIO()
+        net = nn.train_network(build(), features, labels, config, log=log)
+        assert multiprocessing.active_children() == []
+        runs.append((_state(net), log.getvalue(), len(forks) - before))
+    (forked, forked_log, forked_forks), (serial, serial_log, serial_forks) = runs
+    assert len(forked) == len(serial)
+    assert all(np.array_equal(a, b) for a, b in zip(forked, serial))
+    assert forked_log == serial_log
+    assert len(forked_log.splitlines()) == config.epochs
+    assert serial_forks == 0
+    return forked_forks
+
+
+@pytest.mark.parametrize("width", [24, 4, 2])
+@pytest.mark.parametrize("preset", nn.PRESET_NAMES)
+def test_draws_made_ahead_train_the_same_network(fit_path, forks, preset, width):
+    features, labels = _rows(75, width)  # two full batches and an 11-row tail
+    config = nn.TrainConfig(batch_size=32, epochs=2, dropout=0.1, seed=17)
+    made = _train_both_ways(fit_path, forks,
+                            lambda: nn.build_preset(preset, width, 0.1, init_seed=6),
+                            features, labels, config)
+    # only DFNN_WS has dropout layers: DFNN3 and FNN1 draw one permutation an epoch
+    assert made == (preset == "DFNN_WS")
+
+
+@pytest.mark.parametrize("rows, batch_size, epochs, dropout", [
+    (75, 32, 2, 0.0),  # no mask
+    (75, 32, 0, 0.1),  # no draw at all
+    (75, 32, 1, 0.1),
+    (65, 32, 2, 0.1),  # a one-row remainder batch
+    (9, 4, 3, 0.5),
+])
+@pytest.mark.parametrize("batch_norm", [True, False])
+def test_draws_made_ahead_train_the_same_network_in_every_plan(
+        fit_path, forks, rows, batch_size, epochs, dropout, batch_norm):
+    features, labels = _rows(rows, 4, seed=rows)
+    config = nn.TrainConfig(batch_size=batch_size, epochs=epochs, dropout=dropout, seed=3)
+    if batch_norm:  # skips the singleton batch
+        def build():
+            return nn.build_preset("DFNN_WS", 4, 0.1, init_seed=5)
+    else:  # trains on it, with a one-row mask
+        def build():
+            return _no_batch_norm_net(4)
+    made = _train_both_ways(fit_path, forks, build, features, labels, config)
+    assert made == (epochs > 0 and dropout > 0)
+
+
+def test_a_dead_draw_worker_fails_the_training_run(fit_path, monkeypatch):
+    def exit_worker(*args):
+        os._exit(1)
+
+    monkeypatch.setattr(parallel, "_make_ahead", exit_worker)
+    features, labels = _rows(75, 4)
+    fit_path(True)
+    with pytest.raises(ValueError, match=r"^the draw worker exited \(code 1\) before making "
+                                         r"draw 1 of \d+$"):
+        nn.train_network(nn.build_preset("DFNN_WS", 4, 0.1), features, labels,
+                         nn.TrainConfig(batch_size=32, epochs=2, dropout=0.1, seed=1))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_draw_worker_fails_only_its_grid_cell(synth_d2, fit_path, monkeypatch):
+    def exit_worker(*args):
+        os._exit(1)
+
+    monkeypatch.setattr(parallel, "_make_ahead", exit_worker)
+    fit_path(True)
+    cfg = ev.CVConfig(iterations=2, master_seed=3)
+    report = ev.run_table1({Width.SIMPLIFIED2: synth_d2}, cfg, ["dt", "dfnn_ws", "fnn1"],
+                           overrides={"dfnn_ws": {"epochs": 1}, "fnn1": {"epochs": 1}})
+    assert multiprocessing.active_children() == []
+    assert [tag for (tag, _), cell in report.cells.items() if cell.error] == ["dfnn_ws"]
+    assert re.fullmatch(rf"dfnn_ws/2 failed at iteration 0 \(seed {derive_seed(3, 0)}\): "
+                        r"the draw worker exited \(code 1\) .+",
+                        report.cells[("dfnn_ws", 2)].error)
+
+
+def _overflowing_dense_init(self, rng):
+    # weights so large that the second dense layer overflows to inf
+    self.weight = 1e200 * rng.uniform(-1, 1, (self.n_out, self.n_in))
+    self.bias = np.zeros(self.n_out)
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_a_diverging_run_keeps_its_message_and_leaves_no_worker(fit_path, forks, monkeypatch,
+                                                                fork):
+    monkeypatch.setattr(nn.Dense, "init_params", _overflowing_dense_init)
+    features, labels = _rows(75, 4)
+    fit_path(fork)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite weights after epoch 1$"):
+        nn.train_network(_no_batch_norm_net(4), features, labels,
+                         nn.TrainConfig(batch_size=8, epochs=3, dropout=0.1, seed=1))
+    assert len(forks) == fork  # the worker was still drawing epochs 2 and 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_a_draw_off_the_plan_raises(fit_path, monkeypatch, fork):
+    planned = nn._draw_plan
+
+    def off_by_one(*args):
+        plan = planned(*args)
+        plan[2] = (plan[2][0], plan[2][1] + 1)  # the second mask of the first batch
+        return plan
+
+    monkeypatch.setattr(nn, "_draw_plan", off_by_one)
+    features, labels = _rows(75, 4)
+    fit_path(fork)
+    with pytest.raises(ValueError, match=r"^lane draw 3 asks for shape \(32, 16\), but the "
+                                         r"plan's is \(32, 17\)$"):
+        nn.train_network(nn.build_preset("DFNN_WS", 4, 0.1), features, labels,
+                         nn.TrainConfig(batch_size=32, epochs=2, dropout=0.1, seed=1))
+    assert multiprocessing.active_children() == []
+
+
+# shapes larger than a slot's 512 KB floor and runs of small ones that share a slot, so
+# that the ring wraps several times
+RING_SHAPES = [(300, 300), (7,), (3, 5)] * 12 + [(40000, 3)] * 6
+
+
+def test_made_ahead_wraps_its_ring_and_keeps_the_order(fit_path, forks):
+    fit_path(True)
+    with parallel.made_ahead(XoshiroLanes(5).doubles, RING_SHAPES) as arrays:
+        forked = list(arrays)
+    assert len(forks) == 1 and multiprocessing.active_children() == []
+    lanes = XoshiroLanes(5)
+    assert all(np.array_equal(a, lanes.doubles(shape))
+               for a, shape in zip(forked, RING_SHAPES, strict=True))
+
+
+def test_a_reader_that_stops_early_leaves_no_worker(fit_path):
+    fit_path(True)
+    with parallel.made_ahead(XoshiroLanes(5).doubles, RING_SHAPES) as arrays:
+        first = next(arrays)
+    assert multiprocessing.active_children() == []
+    assert np.array_equal(first, XoshiroLanes(5).doubles(RING_SHAPES[0]))
+
+
+def test_a_draw_worker_that_dies_midway_fails_the_next_slot(fit_path):
+    made = []
+
+    def dies_at_ten(shape):  # in the worker: its own copy of ``made``
+        made.append(shape)
+        if len(made) == 10:
+            os._exit(3)
+        return np.zeros(shape)
+
+    fit_path(True)
+    read = []
+    with pytest.raises(ValueError, match=rf"^the draw worker exited \(code 3\) before making "
+                                         rf"draw 10 of {len(RING_SHAPES)}$"):
+        with parallel.made_ahead(dies_at_ten, RING_SHAPES) as arrays:
+            read.extend(arrays)
+    assert len(read) == 9 and made == []  # draws 1-9 fill three slots; the fourth never fills
+    assert multiprocessing.active_children() == []

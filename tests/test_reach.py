@@ -4,8 +4,8 @@ The test runs ``cli.main`` in-process on a small synthetic trio under a ``sys.se
 tracer that records only ``call`` events, and compares the package functions never entered
 with ``UNREACHED``.  A new function that only tests reach fails it, and so does a listed
 function that starts to run, which must then leave the list.  The fits that ``fork_map``
-spreads over forked workers run there unseen, so the runs take both of its paths: forked,
-and in turn as on one usable CPU.
+spreads over forked workers, and the lane draws that ``made_ahead``'s worker makes, run
+there unseen, so the runs take both paths: forked, and in turn as on one usable CPU.
 """
 
 import ast
@@ -28,6 +28,7 @@ UNREACHED = {
     "evaluation._pool_init": _IN_WORKERS,
     "evaluation._pool_task": _IN_WORKERS,
     "parallel._fork_task": _IN_WORKERS,
+    "parallel._make_ahead": _IN_WORKERS,
     "evaluation._future_row": "the `--jobs` pool, whose workers run in other processes",
     "evaluation._task_error": "the error text of a cell whose fit or prediction raised",
     "neural.adadelta_step": "called only by perfbench/replay.py, whose epoch replay times it",
@@ -60,8 +61,8 @@ def _inventory() -> dict:
                                              path.stem)}
 
 
-def _traced_cli_runs(tmp_path, fit_path) -> set:
-    """The inventory keys of the functions the CLI commands below enter."""
+def _traced_cli_runs(tmp_path, fit_path) -> list[set]:
+    """The inventory keys of the functions each CLI command below enters."""
     data, bad = tmp_path / "data", tmp_path / "bad"
     full = synth_full_dataset(120, seed=1)  # every class has at least 4 rows, so every cell fits
     write_trio(full, data)
@@ -71,7 +72,7 @@ def _traced_cli_runs(tmp_path, fit_path) -> set:
     config.write_text(f"data-dir = {data}\nout = {tmp_path / 'config-run'}\n", encoding="utf-8")
     # width 4, where a forest draws 2 of 4 candidate features by `sample_indices`
     every_model = ["--config", str(config), "bench", "--iters", "1", "--widths", "4"]
-    runs = [  # (argv, exit code, whether fork_map forks)
+    runs = [  # (argv, exit code, whether fork_map and made_ahead fork)
         (["data", "verify", "--data-dir", str(data)], cli.EXIT_DATA, True),  # 120 rows, not 5456
         (["data", "derive", "--data-dir", str(data)], cli.EXIT_OK, True),
         (every_model, cli.EXIT_OK, True),
@@ -83,18 +84,19 @@ def _traced_cli_runs(tmp_path, fit_path) -> set:
         (["data", "verify", "--data-dir", str(bad)], cli.EXIT_DATA, True),
         (["bench", "--data-dir", str(data), "--iters", "0"], cli.EXIT_USAGE, True),
     ]
-    entered = set()
+    entered = []
     outer = sys.gettrace()
 
     def record(frame, event, arg):  # the global tracer sees only "call" events
         code = frame.f_code
-        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+        entered[-1].add((code.co_filename, code.co_firstlineno, code.co_name))
         return outer(frame, event, arg) if outer else None  # an outer tracer keeps its lines
 
     codes = []
     sys.settrace(record)
     try:
         for argv, _, fork in runs:
+            entered.append(set())
             fit_path(fork)
             codes.append(cli.main(argv))
     finally:
@@ -106,7 +108,16 @@ def _traced_cli_runs(tmp_path, fit_path) -> set:
 def test_every_package_function_runs_in_the_cli_or_is_listed_with_a_reason(tmp_path, fit_path):
     assert all(isinstance(reason, str) and reason for reason in UNREACHED.values())
     inventory = _inventory()
-    entered = _traced_cli_runs(tmp_path, fit_path)
+    runs = _traced_cli_runs(tmp_path, fit_path)
+    entered = set().union(*runs)
     never = {name for key, name in inventory.items() if key not in entered}
     assert sorted(never - UNREACHED.keys()) == [], "reached only by tests: move to tests/ or list"
     assert sorted(UNREACHED.keys() - never) == [], "listed, but runs or is gone: unlist"
+    # the every-model bench: DFNN_WS plans its draws and reads them through the plan on
+    # both paths; only the forked run copies them out of the worker's ring
+    forked, serial = ({inventory[key] for key in run if key in inventory} for run in runs[2:4])
+    planned = {"neural._draw_plan", "neural._PlannedDraws.doubles", "rng.XoshiroLanes.permutation",
+               "parallel.made_ahead"}
+    assert planned <= forked & serial
+    assert "parallel._copy_out" in forked - serial
+    assert "rng.XoshiroLanes.u64" in serial
