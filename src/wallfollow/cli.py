@@ -198,10 +198,10 @@ def cmd_bench(args) -> int:
         if value < 1:
             raise UsageError(f"{flag} must be at least 1, got {value}")
     datasets = {w: _load_width(args.data_dir, w) for w in args.widths}
+    args.out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the grid runs
     cfg = CVConfig(iterations=args.iters, master_seed=args.seed)
     report = run_table1(datasets, cfg, args.models, args.widths, args.jobs,
                         progress=lambda text: print(f"running {text}", file=sys.stderr))
-    args.out.mkdir(parents=True, exist_ok=True)
     _write_atomic(args.out / "results.csv", evaluation.report_csv(report).encode("utf-8"))
     table1 = evaluation.render_table1(report)
     _write_atomic(args.out / "table1.md", table1.encode("utf-8"))

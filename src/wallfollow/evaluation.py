@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import neural, stat_models, tree_models
+from . import neural, parallel, stat_models, tree_models
 from .dataset import Dataset, Width, check_count, shuffle_split, standardize
 from .rng import derive_seed
 
@@ -221,17 +221,6 @@ def _run_task(datasets: dict, task):
         return 0.0, 0.0, "", _task_error(task, exc)
 
 
-_POOL_DATASETS: dict = {}  # Width -> Dataset, set once in each pool worker
-
-
-def _pool_init(datasets: dict) -> None:
-    _POOL_DATASETS.update(datasets)
-
-
-def _pool_task(task):
-    return _run_task(_POOL_DATASETS, task)
-
-
 def _future_row(task, future):
     from concurrent.futures.process import BrokenProcessPool
 
@@ -256,24 +245,19 @@ def _cell_rows(datasets: dict, cells: list, jobs: int):
     lost.  In turn, no later task of a failed cell runs; in the pool, those not started are
     cancelled.
     """
+    run = partial(_run_task, datasets)
     if jobs == 1:
         for tasks in cells:
-            yield _until_failure(map(partial(_run_task, datasets), tasks))
+            yield _until_failure(map(run, tasks))
         return
-    # loaded here so that a serial run never imports multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(min(jobs, sum(map(len, cells))),
-                               initializer=_pool_init, initargs=(datasets,))
-    try:
-        futures = [[pool.submit(_pool_task, task) for task in tasks] for tasks in cells]
-        for tasks, cell in zip(cells, futures):
+    with parallel.forked_futures(run, [t for tasks in cells for t in tasks], jobs) as futures:
+        futures = iter(futures)
+        for tasks in cells:
+            cell = [next(futures) for _ in tasks]
             rows = _until_failure(map(_future_row, tasks, cell))
             for future in cell[len(rows):]:
                 future.cancel()
             yield rows
-    finally:  # an abandoned run (Ctrl-C) must not wait for the queued tasks
-        pool.shutdown(cancel_futures=True)
 
 
 def run_table1(datasets: dict, cfg: CVConfig, algorithms=None, widths=None,

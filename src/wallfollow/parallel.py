@@ -1,14 +1,14 @@
-"""A fit's independent parts, run in forked worker processes with unchanged results.
+"""Forked worker processes with unchanged results, for the grid's tasks and a fit's parts.
 
-The SVM's one-vs-rest solves and the forest's trees read shared arrays and
-draw from their own seeds, so each part computes the same bits in any
-process.  ``fork_map`` forks one worker per usable CPU; the workers inherit
-the shared arrays copy-on-write, so only an index goes to a worker and only
-its part's result comes back.
+The SVM's one-vs-rest solves and the forest's trees read shared arrays and draw from
+their own seeds, so each part computes the same bits in any process.  ``fork_map`` forks
+one worker per usable CPU through ``forked_futures``, which also runs the ``--jobs``
+grid's tasks; the workers inherit the shared arrays copy-on-write, so only an index
+goes to a worker and only its part's result comes back.
 
-A network's lane draws depend only on its seed and its batch plan, never on
-its weights, so ``made_ahead`` has one forked worker make them while the
-training that reads them runs here.
+A network's lane draws depend only on its seed and its batch plan, never on its weights,
+so ``made_ahead`` has one forked worker make them while the training that reads them
+runs here.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import threading
 
 import numpy as np
 
-# (fn, items) of the running ``fork_map``, which its forked workers inherit.  The lock
-# is held while any worker forked here runs, so a call from a second thread runs in turn.
+# (fn, items) of the pool that forked this process, set by the pool's initializer in each
+# worker.  The lock is held while any worker that ``_forkable`` allows runs, so that a
+# second thread's call, which would fork as many workers again, runs in turn.
 _WORK: tuple | None = None
 _WORK_LOCK = threading.Lock()
 
@@ -60,34 +61,49 @@ def _forkable(parts: int):
         _WORK_LOCK.release()
 
 
+def _set_work(fn, items) -> None:
+    """In each forked worker, the pool's initializer: the ``(fn, items)`` it inherited."""
+    global _WORK
+    _WORK = fn, items
+
+
 def _fork_task(i: int):
-    """In a forked worker: ``fn(items[i])`` of the ``fork_map`` that forked it."""
+    """In a forked worker: ``fn(items[i])`` of the pool that forked it."""
     fn, items = _WORK
     return fn(items[i])
 
 
+@contextlib.contextmanager
+def forked_futures(fn, items: list, workers: int):
+    """Yields one future of ``fn(item)`` per item, in order, run by at most ``workers``
+    workers of a ``fork``-context pool, which inherit ``(fn, items)``: only an index goes
+    to a worker and only its result comes back.  On leaving, also on an error, the
+    futures not started are cancelled and every worker is joined.
+    """
+    # loaded here, so that a run that forks no pool never imports multiprocessing
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(min(workers, len(items)), mp_context=context,
+                               initializer=_set_work, initargs=(fn, items))
+    try:
+        yield [pool.submit(_fork_task, i) for i in range(len(items))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def fork_map(fn, items) -> list:
     """``[fn(item) for item in items]``, spread over ``min(len(items), usable CPUs)``
-    forked workers, each of which sends its results back pickled.
-
-    The loop runs in this process under ``_forkable``'s conditions.  An error raised
-    by ``fn`` in a worker is raised here; a worker that dies raises
+    forked workers, or run in this process under ``_forkable``'s conditions.  An error
+    raised by ``fn`` in a worker is raised here; a worker that dies raises
     ``BrokenProcessPool``.  No worker outlives the call.
     """
-    global _WORK
     items = list(items)
     with _forkable(len(items)) as workers:
         if workers:
-            import multiprocessing
-            from concurrent.futures.process import ProcessPoolExecutor
-
-            _WORK = fn, items
-            try:
-                context = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                    return list(pool.map(_fork_task, range(len(items))))
-            finally:
-                _WORK = None
+            with forked_futures(fn, items, workers) as futures:
+                return [future.result() for future in futures]
     return [fn(item) for item in items]
 
 

@@ -241,6 +241,17 @@ def test_bench_parallel_matches_serial(published_like_dir, tmp_path):
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
+def test_bench_refuses_an_unusable_out_before_the_grid_runs(published_like_dir, tmp_path,
+                                                            capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    rc = run_cli("bench", "--data-dir", str(published_like_dir), "--models", "dt",
+                 "--widths", "2", "--iters", "2", "--out", str(taken))
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "File exists" in err and "running" not in err
+
+
 def test_bench_unknown_model_tag(published_like_dir, tmp_path, capsys):
     rc = run_cli("bench", "--data-dir", str(published_like_dir), "--models", "xgboost",
                  "--out", str(tmp_path / "r"))

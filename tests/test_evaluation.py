@@ -181,6 +181,7 @@ def test_monte_carlo_parallel_equals_serial(synth_d2):
     cfg = ev.CVConfig(iterations=6, master_seed=3)
     serial = _cell(synth_d2, "dt", cfg, jobs=1)
     parallel = _cell(synth_d2, "dt", cfg, jobs=4)
+    assert multiprocessing.active_children() == []
     assert np.array_equal(serial.accuracies, parallel.accuracies)
     assert serial.seeds == parallel.seeds
 
@@ -204,6 +205,7 @@ def test_parallel_failure_names_cell_iteration_and_seed(synth_d2):
     master, (index, seed) = next((m, f) for m, f in candidates if f is not None and f[0] > 0)
     cfg = ev.CVConfig(iterations=4, master_seed=master)
     report = ev.run_table1({Width.SIMPLIFIED2: ds}, cfg, algorithms=["lda"], jobs=2)
+    assert multiprocessing.active_children() == []
     error = report.cells[("lda", 2)].error
     assert error.startswith(f"lda/2 failed at iteration {index} (seed {seed}): ")
     assert "class 3 has fewer than 2 training rows" in error
@@ -230,8 +232,8 @@ def test_run_table1_starts_one_pool_of_at_most_one_worker_per_task(synth_d2, mon
     assert workers == [2, 1]
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="monkeypatch reaches pool workers only when they are forked")
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the --jobs pool forks only where the platform can")
 def test_dead_worker_fails_the_cells_it_lost_with_context(synth_d2, monkeypatch):
     def exit_worker(x, y, hp, seed):
         os._exit(1)
@@ -239,6 +241,7 @@ def test_dead_worker_fails_the_cells_it_lost_with_context(synth_d2, monkeypatch)
     monkeypatch.setitem(ev.MODELS, "gnb", ev.Model("exits", {}, exit_worker, None))
     cfg = ev.CVConfig(iterations=3, master_seed=4)
     report = ev.run_table1({Width.SIMPLIFIED2: synth_d2}, cfg, ["dt", "gnb", "lda"], jobs=2)
+    assert multiprocessing.active_children() == []
     assert report.cells[("gnb", 2)].error is not None
     for (tag, _), cell in report.cells.items():
         if cell.error is None:
@@ -250,6 +253,25 @@ def test_dead_worker_fails_the_cells_it_lost_with_context(synth_d2, monkeypatch)
                                  cell.error)
             assert found and int(found[2]) == derive_seed(4, int(found[1]))
             assert cell.seeds == [] and cell.accuracies.size == cell.seconds.size == 0
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the --jobs pool forks only where the platform can")
+def test_jobs_workers_fork_whatever_the_default_start_method(synth_d2, monkeypatch):
+    # a spawned worker would import a fresh MODELS, which the patch never reaches
+    def exit_worker(x, y, hp, seed):
+        os._exit(1)
+
+    monkeypatch.setitem(ev.MODELS, "gnb", ev.Model("exits", {}, exit_worker, None))
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        cell = _cell(synth_d2, "gnb", ev.CVConfig(iterations=2, master_seed=4), jobs=2)
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    assert multiprocessing.active_children() == []
+    assert (cell.error or "").startswith(
+        f"gnb/2 failed at iteration 0 (seed {derive_seed(4, 0)}): ")
 
 
 def test_failed_cell_runs_no_iteration_after_its_first_failure(synth_d2, monkeypatch):
@@ -265,8 +287,8 @@ def test_failed_cell_runs_no_iteration_after_its_first_failure(synth_d2, monkeyp
     assert len(seeds) == 1
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="monkeypatch reaches pool workers only when they are forked")
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the --jobs pool forks only where the platform can")
 def test_failed_cell_cancels_its_tasks_not_started(synth_d2, monkeypatch, tmp_path):
     # iteration 0 fails at once and every other one takes 0.5 s, so the two
     # workers have started only a few of the 24 tasks when the failure is read
@@ -282,6 +304,7 @@ def test_failed_cell_cancels_its_tasks_not_started(synth_d2, monkeypatch, tmp_pa
 
     monkeypatch.setitem(ev.MODELS, "gnb", ev.Model("fails", {}, slow_failing_fit, None))
     cell = _cell(synth_d2, "gnb", ev.CVConfig(iterations=24, master_seed=2), jobs=2)
+    assert multiprocessing.active_children() == []
     assert cell.error == f"gnb/2 failed at iteration 0 (seed {first_seed}): diverged"
     assert len(log.read_text().splitlines()) < 24
 

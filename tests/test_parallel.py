@@ -69,7 +69,7 @@ def _wait_for(done, seconds=30.0):
 
 
 def test_a_second_thread_runs_its_fork_map_in_turn(fit_path, tmp_path):
-    # the workers of the first call read its (fn, items); a second call must not replace them
+    # a second call while the first call's workers run would fork as many again
     fit_path(True)
     release = tmp_path / "release"  # a file, which the forked workers see appear
     first = []

@@ -25,8 +25,7 @@ _IN_WORKERS = "runs only in pool workers, which are other processes"
 # Package functions that no traced command enters, each with the reason.
 UNREACHED = {
     "cli._download": "network fetch (`data fetch`)",
-    "evaluation._pool_init": _IN_WORKERS,
-    "evaluation._pool_task": _IN_WORKERS,
+    "parallel._set_work": _IN_WORKERS,
     "parallel._fork_task": _IN_WORKERS,
     "parallel._make_ahead": _IN_WORKERS,
     "evaluation._future_row": "the `--jobs` pool, whose workers run in other processes",
