@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import urllib.parse
 from pathlib import Path
 
 from . import evaluation, tree_models
@@ -51,7 +52,7 @@ class UsageError(Exception):
 
 def exit_code(exc: Exception) -> int:
     """The exit code of a command that raised ``exc``."""
-    # an ArgumentTypeError here is a list rule (``_distinct``) applied after argparse
+    # an ArgumentTypeError here is the list rule (``_list_of``) applied after argparse
     if isinstance(exc, (UsageError, argparse.ArgumentTypeError)):
         return EXIT_USAGE
     if isinstance(exc, (DataFormatError, ArcCalibrationError, OSError)):
@@ -81,33 +82,44 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+def _list_of(parse, what: str):
+    """An argparse ``type`` for a comma list: ``parse`` reads each stripped, lower-cased entry;
+    an empty entry, no entry at all, or an entry repeated once read is a usage error."""
+    def parse_list(text: str) -> list:
+        entries = [entry.strip().lower() for entry in text.split(",")]
+        if "" in entries:  # "no width in ','", or "empty width in '4,'"
+            raise argparse.ArgumentTypeError(
+                f"{'empty' if any(entries) else 'no'} {what} in {text!r}")
+        items = [parse(entry) for entry in entries]
+        if len(set(items)) < len(items):
+            raise argparse.ArgumentTypeError(f"repeated {what} in {text!r}")
+        return items
+    return parse_list
+
+
 def _parse_width(text: str) -> Width:
     if text.strip() not in ("24", "4", "2"):
         raise argparse.ArgumentTypeError(f"unknown width {text.strip()!r} (expected 24, 4 or 2)")
     return Width(int(text))
 
 
-def _distinct(text: str, items: list, what: str) -> list:
-    """``items`` parsed from ``text``; an empty list or a repeated entry is a usage error."""
-    if not items:
-        raise argparse.ArgumentTypeError(f"no {what} in {text!r}")
-    if len(set(items)) < len(items):
-        raise argparse.ArgumentTypeError(f"repeated {what} in {text!r}")
-    return items
+def _parse_model(tag: str) -> str:
+    if tag not in evaluation.ALL_TAGS:
+        raise argparse.ArgumentTypeError(
+            f"unknown model tag {tag!r} (expected one of {', '.join(evaluation.ALL_TAGS)})")
+    return tag
 
 
-def _parse_widths(text: str) -> list[Width]:
-    return _distinct(text, [_parse_width(token) for token in text.split(",")], "width")
-
-
-def _parse_models(text: str) -> list[str]:
-    tags = [t.strip().lower() for t in text.split(",") if t.strip()]
-    for tag in tags:
-        if tag not in evaluation.ALL_TAGS:
-            raise argparse.ArgumentTypeError(
-                f"unknown model tag {tag!r} (expected one of {', '.join(evaluation.ALL_TAGS)})"
-            )
-    return _distinct(text, tags, "model tag")
+def _parse_base_url(text: str) -> str:
+    """``text`` if ``urlsplit`` reads it as an http or https URL with a host, or a file URL."""
+    try:
+        url = urllib.parse.urlsplit(text)
+        url.port  # a port that is not a number in range raises ValueError
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad URL {text!r}: {exc}") from exc
+    if not (url.scheme == "file" or url.scheme in ("http", "https") and url.netloc):
+        raise argparse.ArgumentTypeError(f"not an http, https or file URL: {text!r}")
+    return text
 
 
 def _load_width(data_dir: Path, width: Width):
@@ -117,19 +129,23 @@ def _load_width(data_dir: Path, width: Width):
     return load_dataset(path, width)
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
-
-    A failure leaves neither a truncated ``path`` nor the temp file.
-    """
-    part = path.with_name(path.name + ".part")
+def _write_files(files: dict) -> None:
+    """Write each ``{path: bytes}`` entry to ``<name>.part``, then rename every part over its
+    path: a failed write replaces no file, and only the parts made here are removed."""
+    made = []
     try:
-        part.write_bytes(data)
-        os.replace(part, path)
+        for path, data in files.items():
+            part = path.with_name(path.name + ".part")
+            with open(part, "wb") as handle:
+                made.append(part)
+                handle.write(data)
+        for part, path in zip(made, files):
+            os.replace(part, path)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
     finally:
-        part.unlink(missing_ok=True)
+        for part in made:
+            part.unlink(missing_ok=True)
 
 
 def _download(url: str, path: Path) -> int:
@@ -143,7 +159,7 @@ def _download(url: str, path: Path) -> int:
             payload = response.read()  # raises IncompleteRead on a short body
     except (OSError, http.client.HTTPException) as exc:
         raise OSError(f"download failed for {url}: {exc}") from exc
-    _write_atomic(path, payload)
+    _write_files({path: payload})
     return len(payload)
 
 
@@ -202,15 +218,13 @@ def cmd_bench(args) -> int:
     cfg = CVConfig(iterations=args.iters, master_seed=args.seed)
     report = run_table1(datasets, cfg, args.models, args.widths, args.jobs,
                         progress=lambda text: print(f"running {text}", file=sys.stderr))
-    _write_atomic(args.out / "results.csv", evaluation.report_csv(report).encode("utf-8"))
     table1 = evaluation.render_table1(report)
-    _write_atomic(args.out / "table1.md", table1.encode("utf-8"))
-    wrote = ["results.csv", "table1.md"]
+    files = {"results.csv": evaluation.report_csv(report), "table1.md": table1}
     if all((tag, w) in report.cells and report.cells[(tag, w)].error is None
            for w, tag in evaluation.TABLE2_OURS.items()):
-        _write_atomic(args.out / "table2.md", evaluation.render_table2(report).encode("utf-8"))
-        wrote.append("table2.md")
-    else:  # a table2.md left by an earlier run would not match this run's results
+        files["table2.md"] = evaluation.render_table2(report)
+    _write_files({args.out / name: text.encode("utf-8") for name, text in files.items()})
+    if "table2.md" not in files:  # an earlier run's table2.md would not match this run
         (args.out / "table2.md").unlink(missing_ok=True)
     print(table1)
     for (tag, width), cell in report.ordered_cells():
@@ -221,21 +235,19 @@ def cmd_bench(args) -> int:
                   f"({secs:.1f}s)")
         else:
             print(f"{tag}/{width}: FAILED: {cell.error}")
-    print(f"wrote {', '.join(wrote)} to {args.out}")
+    print(f"wrote {', '.join(files)} to {args.out}")
     return EXIT_EXEC if any(c.error is not None for c in report.cells.values()) else EXIT_OK
 
 
 def _parse_restrict(text: str, width: Width) -> list[int]:
     names = () if width is Width.FULL24 else ARC_DIRECTIONS[:width]
-    out = []
-    for token in (t.strip().lower() for t in text.split(",") if t.strip()):
+    def feature(token: str) -> int:
         if token in names:
-            out.append(names.index(token))
-        elif token.isascii() and token.isdigit() and int(token) < int(width):
-            out.append(int(token))
-        else:
-            raise UsageError(f"cannot restrict to feature {token!r} at width {int(width)}")
-    return sorted(_distinct(text, out, "feature"))
+            return names.index(token)
+        if token.isascii() and token.isdigit() and int(token) < int(width):
+            return int(token)
+        raise UsageError(f"cannot restrict to feature {token!r} at width {int(width)}")
+    return sorted(_list_of(feature, "feature")(text))
 
 
 def cmd_export_tree(args) -> int:
@@ -253,7 +265,7 @@ def cmd_export_tree(args) -> int:
     predicted = tree_models.predict_tree(root, ds.features[split.test_indices][:, columns])
     test_accuracy = accuracy(predicted, ds.labels[split.test_indices])
     text = tree_models.export_tree_text(root, [f"X_{i}" for i in columns])
-    _write_atomic(args.out, text.encode("utf-8"))
+    _write_files({args.out: text.encode("utf-8")})
     print(f"wrote {args.out}")
     print(f"test accuracy (seed {args.seed}): {100.0 * test_accuracy:.2f}%")
     return EXIT_OK
@@ -275,7 +287,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     data.add_argument("subcommand", choices=("fetch", "verify", "derive"))
     data.add_argument("--data-dir", type=Path, default="data",
                       help="directory holding the three .data files")
-    data.add_argument("--base-url", default=DEFAULT_BASE_URL,
+    data.add_argument("--base-url", type=_parse_base_url, default=DEFAULT_BASE_URL,
                       help="download base URL (fetch only)")
 
     bench = sub.add_parser("bench", help="run the Monte-Carlo benchmark")
@@ -283,9 +295,10 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
     bench.add_argument("--iters", type=int, default=50,
                        help="Monte-Carlo iterations (default %(default)s)")
-    bench.add_argument("--models", type=_parse_models, default=",".join(evaluation.ALL_TAGS),
+    bench.add_argument("--models", type=_list_of(_parse_model, "model tag"),
+                       default=",".join(evaluation.ALL_TAGS),
                        help="comma-separated model tags (default: all)")
-    bench.add_argument("--widths", type=_parse_widths, default="24,4,2",
+    bench.add_argument("--widths", type=_list_of(_parse_width, "width"), default="24,4,2",
                        help="comma-separated widths out of 24,4,2")
     bench.add_argument("--jobs", type=int, default=1,
                        help="parallel workers (default %(default)s)")

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -108,6 +109,84 @@ def test_derive_rejects_files_of_different_lengths(published_like_dir, tmp_path,
     path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
     assert run_cli("data", "derive", "--data-dir", str(tmp_path)) == cli.EXIT_DATA
     assert capsys.readouterr().err == "error: row counts differ: 5456 vs 5455\n"
+
+
+# Every kind of damage a data file may take; ``mutated_trio`` applies one to the 120-row trio.
+MUTATIONS = ("drop", "duplicate", "swap", "flip", "delete", "double-comma", "truncate",
+             "bad-token", "nan", "1e999", "blank", "crlf", "bom", "empty", "swap-files",
+             "extra-column")
+
+
+@pytest.fixture(scope="module")
+def small_trio(tmp_path_factory):
+    """The bytes of each file of a 120-row synthetic trio."""
+    directory = tmp_path_factory.mktemp("small")
+    write_trio(synth_full_dataset(120, seed=1), directory)
+    return {name: (directory / name).read_bytes() for name in DATA_FILES}
+
+
+def mutated_trio(files: dict, kind: str, rng: random.Random) -> dict:
+    """``files`` with one file (two for ``swap-files``) damaged by ``kind``."""
+    files = dict(files)
+    name = rng.choice(DATA_FILES)
+    data = files[name]
+    lines = data.split(b"\n")[:-1]  # every line ends with a newline
+    i = rng.randrange(len(lines))
+    fields = lines[i].split(b",")
+    field = rng.randrange(len(fields) - 1)  # a number, not the label
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = rng.choice([j for j in range(len(lines)) if lines[j] != lines[i]])
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "blank":
+        lines.insert(i, b"")
+    elif kind == "extra-column":
+        lines[i] += b",1.0"
+    elif kind in ("bad-token", "nan", "1e999"):
+        token = {"bad-token": b"Move-Sideways", "nan": b"nan", "1e999": b"1e999"}[kind]
+        fields[rng.choice([field, -1]) if kind == "bad-token" else field] = token
+        lines[i] = b",".join(fields)
+    if kind in ("drop", "duplicate", "swap", "blank", "bad-token", "nan", "1e999",
+                "extra-column"):
+        data = b"".join(line + b"\n" for line in lines)
+    at = rng.randrange(len(data))
+    if kind == "flip":
+        data = data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+    elif kind == "delete":
+        data = data[:at] + data[at + 1:]
+    elif kind == "double-comma":
+        comma = data.index(b",", at) if b"," in data[at:] else data.index(b",")
+        data = data[:comma] + b"," + data[comma:]
+    elif kind == "truncate":
+        data = data[:at]
+    elif kind == "crlf":
+        data = data.replace(b"\n", b"\r\n")
+    elif kind == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif kind == "empty":
+        data = b""
+    files[name] = data
+    if kind == "swap-files":
+        other = rng.choice([other for other in DATA_FILES if other != name])
+        files[name], files[other] = files[other], files[name]
+    return files
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_a_damaged_data_file_is_a_data_error_never_an_execution_error(small_trio, tmp_path,
+                                                                       capsys, case):
+    # exit 0 (the damage is harmless, as CRLF line ends are) or 3, with the reason
+    kind = MUTATIONS[case % len(MUTATIONS)]
+    for name, data in mutated_trio(small_trio, kind, random.Random(case)).items():
+        (tmp_path / name).write_bytes(data)
+    for command in ("verify", "derive"):
+        status = run_cli("data", command, "--data-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert status in (cli.EXIT_OK, cli.EXIT_DATA), f"{kind}: data {command}: {err}"
+        assert (status == cli.EXIT_OK) == (err == ""), f"{kind}: data {command}: {err}"
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +361,25 @@ def test_bench_writes_table2_when_cells_present(published_like_dir, tmp_path):
     assert (out / "results.csv").read_text().splitlines()[1].startswith("dt,2,0,")
 
 
+def test_bench_whose_write_fails_replaces_no_earlier_output(tmp_path, capsys):
+    # a directory at table1.md.part stands in for a full disk while table1.md is written
+    data, out = tmp_path / "data", tmp_path / "results"
+    write_trio(synth_full_dataset(120, seed=1), data)
+    args = ("bench", "--data-dir", str(data), "--models", "dt,gbc", "--iters", "1",
+            "--out", str(out))
+    assert run_cli(*args, "--seed", "1") == 0
+    names = ["results.csv", "table1.md", "table2.md"]
+    before = {name: (out / name).read_bytes() for name in names}
+    (out / "table1.md.part").mkdir()
+    capsys.readouterr()
+    assert run_cli(*args, "--seed", "2") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: cannot write {out / 'table1.md'}: "
+                        f"[Errno 21] Is a directory: '{out / 'table1.md.part'}'\n")
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert sorted(path.name for path in out.iterdir()) == sorted(names + ["table1.md.part"])
+
+
 BENCH_USAGE_ERRORS = [
     *(pytest.param(source, f"jobs={jobs}", "--jobs must be at least 1", id=f"{jobs}-{source}")
       for jobs in (0, -1) for source in ("flag", "config")),
@@ -424,6 +522,49 @@ def test_export_tree_repeated_restrict_is_a_usage_error(published_like_dir, tmp_
         assert rc == cli.EXIT_USAGE
         assert f"repeated feature in {token!r}" in capsys.readouterr().err
     assert not (tmp_path / "t.dot").exists()
+
+
+# A malformed value of each flag, given as a flag and as a config value: usage errors
+# (exit 2) before any line is printed or any file or directory is made.
+MALFORMED = [
+    ("data fetch", "base-url=notaurl", "not an http, https or file URL: 'notaurl'"),
+    ("data fetch", "base-url=", "not an http, https or file URL: ''"),
+    ("data fetch", "base-url=http://[::1", "bad URL 'http://[::1': Invalid IPv6 URL"),
+    ("data fetch", "base-url=ftp://127.0.0.1:1/data", "not an http, https or file URL"),
+    ("bench", "widths=8", "unknown width '8' (expected 24, 4 or 2)"),
+    ("bench", "widths=4,", "empty width in '4,'"),
+    ("bench", "models=x", "unknown model tag 'x'"),
+    ("bench", "models=dt,", "empty model tag in 'dt,'"),
+    ("bench", "seed=1.5", "argument --seed: invalid int value: '1.5'"),
+    ("bench", "iters=0", "--iters must be at least 1"),
+    ("export-tree", "width=4 restrict=9", "cannot restrict to feature '9' at width 4"),
+    ("export-tree", "width=4 restrict=front,,left", "empty feature in 'front,,left'"),
+    ("export-tree", "width=4 seed=1.5", "argument --seed: invalid int value: '1.5'"),
+    ("export-tree", "width=8", "unknown width '8' (expected 24, 4 or 2)"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, settings, message", MALFORMED,
+                         ids=[f"{c.split()[-1]}-{s}" for c, s, _ in MALFORMED])
+def test_a_malformed_value_is_a_usage_error_before_anything_runs(tmp_path, capsys, command,
+                                                                 settings, message, source):
+    args = [*command.split(), "--data-dir", str(tmp_path / "data")]
+    if command != "data fetch":
+        args += ["--out", str(tmp_path / "out")]
+    pairs = [setting.split("=", 1) for setting in settings.split()]
+    if source == "flag":
+        args += [part for key, value in pairs for part in (f"--{key}", value)]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in pairs))
+        args = ["--config", str(config), *args]
+    assert run_cli(*args) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert "running" not in captured.err and "fetching" not in captured.err
+    assert [path.name for path in tmp_path.iterdir()] == (["run.cfg"] if source == "config"
+                                                          else [])
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
