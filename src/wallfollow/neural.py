@@ -27,13 +27,17 @@ import numpy as np
 
 from . import parallel
 from .dataset import N_CLASSES, check_count, check_finite, check_training_set, one_hot
-from .rng import XoshiroLanes
+from .rng import LANES, LaneReader, XoshiroLanes
 
 ADADELTA_RHO = 0.95
 ADADELTA_EPS = 1e-6
 BN_MOMENTUM = 0.99
 BN_EPS = 1e-5
 PROB_FLOOR = 1e-12
+
+# a made-ahead block of a training run's lane draws: 128 steps of every lane, 512 KB.
+# 32-step blocks woke the draw worker four times as often and slowed the forked fits.
+DRAW_BLOCK = 128 * LANES
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -240,7 +244,6 @@ class Network:
 
     def __post_init__(self):
         self.width = width = None  # read by the first sized layer, made by the last
-        reads_each = []
         for i, layer in enumerate(self.layers):
             reads = makes = width  # relu and dropout pass their input on
             if isinstance(layer, Layer):  # the encoder names what is not a layer
@@ -260,13 +263,10 @@ class Network:
                 reads, makes = layer.d, layer.d * layer.d
             if width is not None and reads != width:
                 raise ValueError(f"{layer.KIND} layer {i} reads {reads} values, but gets {width}")
-            reads_each.append(reads)
             self.width, width = self.width or reads, makes
         if width != N_CLASSES:
             raise ValueError(f"a network's last dense, shared or batchnorm layer must be "
                              f"{N_CLASSES} wide, got {width}")
-        # each layer's input row width; one before the first sized layer reads the network's
-        self.reads = [self.width if reads is None else reads for reads in reads_each]
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         for layer in self.layers:
@@ -402,37 +402,6 @@ def _kept_batches(n: int, batch_size: int, has_bn: bool) -> list[slice]:
     return batches
 
 
-def _draw_plan(model: Network, n: int, epochs: int, batches: list[slice]) -> list[tuple]:
-    """The shapes of a training run's lane draws, in order: ``(n,)`` for each epoch's
-    permutation keys, then ``(rows, width)`` for each dropout layer with a rate above
-    0, for each kept batch."""
-    widths = [reads for layer, reads in zip(model.layers, model.reads)
-              if isinstance(layer, Dropout) and layer.rate > 0]
-    epoch = [(n,)] + [(rows.stop - rows.start, w) for rows in batches for w in widths]
-    return epoch * epochs  # every epoch shares one epoch's shape tuples
-
-
-class _PlannedDraws:
-    """A training run's lane draws, handed out in its plan's order; ``arrays`` yields
-    each planned shape's uniform doubles.  A request off the plan raises."""
-
-    def __init__(self, plan: list[tuple], arrays):
-        self._plan = enumerate(plan, 1)
-        self._past = len(plan) + 1, None
-        self._arrays = arrays
-
-    def doubles(self, shape) -> np.ndarray:
-        shape = shape if isinstance(shape, tuple) else (shape,)
-        k, planned = next(self._plan, self._past)
-        if shape != planned:
-            raise ValueError(f"lane draw {k} asks for shape {shape}, but the plan's is "
-                             f"{planned}")
-        return next(self._arrays)
-
-    # the lanes' own: a stable sort of n planned keys
-    permutation = XoshiroLanes.permutation
-
-
 def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
                   config: TrainConfig, log=None) -> Network:
     """Seeded mini-batch training with Adadelta on mean cross-entropy.
@@ -448,10 +417,11 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
     trained weights.  Raises ``ValueError`` naming the epoch after which a
     weight is no longer finite.
 
-    The lane draws depend only on the seed and the batch plan, so their shapes
-    are planned first (``_draw_plan``).  When the plan holds a dropout mask,
-    ``parallel.made_ahead`` may make them in a forked worker, ahead of the
-    batches that read them; a worker that dies raises ``ValueError``.
+    The lane draws depend only on the seed, never on the weights.  When the run
+    draws dropout masks, ``parallel.made_ahead`` may make the lane stream in a
+    forked worker, in blocks of ``DRAW_BLOCK`` doubles ahead of the batches, and
+    each draw reads its whole steps from them (``LaneReader``); a worker that
+    dies raises ``ValueError``.
     """
     check_training_set(features, labels)
     check_finite("features", features, (None, model.width))
@@ -472,14 +442,14 @@ def train_network(model: Network, features: np.ndarray, labels: np.ndarray,
     state = AdadeltaState(shapes=shapes)
     onehot = one_hot(labels)
     batches = _kept_batches(n, config.batch_size, has_bn)
-    plan = _draw_plan(model, n, config.epochs, batches)
     lanes = XoshiroLanes(config.seed)
-    if any(len(shape) == 2 for shape in plan):
-        draws = parallel.made_ahead(lanes.doubles, plan)
+    if (config.epochs and config.dropout
+            and any(isinstance(layer, Dropout) for layer in model.layers)):
+        draws = parallel.made_ahead(lambda: lanes.doubles(DRAW_BLOCK), DRAW_BLOCK)
     else:  # one permutation an epoch: a worker would cost more than it saves
-        draws = contextlib.nullcontext(map(lanes.doubles, plan))
-    with draws as arrays:
-        rng = _PlannedDraws(plan, arrays)
+        draws = contextlib.nullcontext()
+    with draws as blocks:
+        rng = lanes if blocks is None else LaneReader(blocks)
         for epoch in range(config.epochs):
             perm = rng.permutation(n)
             loss_sum = 0.0

@@ -6,15 +6,15 @@ one worker per usable CPU through ``forked_futures``, which also runs the ``--jo
 grid's tasks; the workers inherit the shared arrays copy-on-write, so only an index
 goes to a worker and only its part's result comes back.
 
-A network's lane draws depend only on its seed and its batch plan, never on its weights,
-so ``made_ahead`` has one forked worker make them while the training that reads them
-runs here.
+A network's lane draws depend only on its seed, never on its weights, so ``made_ahead``
+has one forked worker make the lane stream ahead, block by block, while the training
+that reads it runs here.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
+import itertools
 import mmap
 import os
 import threading
@@ -27,10 +27,9 @@ import numpy as np
 _WORK: tuple | None = None
 _WORK_LOCK = threading.Lock()
 
-# ``made_ahead``'s ring: this many slots, each at least this many bytes, so that a
-# slot holds several small arrays and the worker can run a few slots ahead
+# ``made_ahead``'s ring: this many slots of one block each, so that the worker can run
+# a few blocks ahead
 RING_SLOTS = 4
-SLOT_FLOOR = 512 * 1024
 
 
 @contextlib.contextmanager
@@ -107,79 +106,55 @@ def fork_map(fn, items) -> list:
     return [fn(item) for item in items]
 
 
-def _places(shapes, slot_values: int):
-    """(slot number, offset in values) of each shape's float64 array, packed in
-    order: an array that does not fit the rest of its slot starts the next slot."""
-    slot = used = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        if used + size > slot_values:
-            slot, used = slot + 1, 0
-        yield slot, used
-        used += size
-
-
-def _make_ahead(draw, shapes, ring, slot_values: int, full_w: int, free_r: int,
-                parent_ends) -> None:
-    """In the forked worker: each ``draw(shape)`` into the ring, one "slot full" token
-    per slot; a slot past the first ``RING_SLOTS`` waits for a "slot free" token."""
+def _make_ahead(draw, ring, full_w: int, free_r: int, parent_ends) -> None:
+    """In the forked worker: ``draw()`` into each slot of the ring in turn, one "slot full"
+    token per block; a block past the first ``RING_SLOTS`` waits for a "slot free" token."""
     for fd in parent_ends:  # so that the parent closing its ends is seen here as EOF
         os.close(fd)
-    current = 0
-    for (slot, offset), shape in zip(_places(shapes, slot_values), shapes):
-        if slot != current:
-            os.write(full_w, b"f")
-            current = slot
-            if slot >= RING_SLOTS and not os.read(free_r, 1):
-                return  # the parent stopped reading
-        start = slot % RING_SLOTS * slot_values + offset
-        values = draw(shape).reshape(-1)
-        ring[start:start + values.size] = values
-    os.write(full_w, b"f")
+    for k in itertools.count():
+        if k >= RING_SLOTS and not os.read(free_r, 1):
+            return  # the parent stopped reading
+        ring[k % RING_SLOTS] = draw()
+        os.write(full_w, b"f")
 
 
-def _copy_out(shapes, ring, slot_values: int, full_r: int, free_w: int, worker):
-    """The parent's side of the ring: each array copied out in order."""
-    current = -1
-    for k, ((slot, offset), shape) in enumerate(zip(_places(shapes, slot_values), shapes)):
-        if slot != current:
-            if current >= 0:
-                # a worker past its last slot has exited; if it exited early, the read says so
-                with contextlib.suppress(BrokenPipeError):
-                    os.write(free_w, b"f")
-            if not os.read(full_r, 1):
-                worker.join()
-                raise ValueError(f"the draw worker exited (code {worker.exitcode}) before "
-                                 f"making draw {k + 1} of {len(shapes)}")
-            current = slot
-        start = slot % RING_SLOTS * slot_values + offset
-        yield ring[start:start + math.prod(shape)].reshape(shape).copy()
+def _ring_blocks(ring, full_r: int, free_w: int, worker):
+    """The parent's side of the ring: each block in order, as a view of its slot."""
+    for k in itertools.count():
+        if k:  # the slot of the block before is free
+            # a worker that exited early says so in the read below
+            with contextlib.suppress(BrokenPipeError):
+                os.write(free_w, b"f")
+        if not os.read(full_r, 1):
+            worker.join()
+            raise ValueError(f"the draw worker exited (code {worker.exitcode}) before "
+                             f"making block {k + 1}")
+        yield ring[k % RING_SLOTS]
 
 
 @contextlib.contextmanager
-def made_ahead(draw, shapes):
-    """Yields an iterator over ``draw(shape)`` for each shape of ``shapes`` in order,
-    each a float64 array that ``draw`` makes from its own state alone.
+def made_ahead(draw, size: int):
+    """Yields an endless iterator over ``draw()``, each a float64 array of ``size``
+    values that ``draw`` makes from its own state alone.  A block may change once the
+    next is read.
 
-    Under ``_forkable``'s conditions for two parts, one forked worker makes the arrays
-    ahead into a shared ring of ``RING_SLOTS`` slots, each the size of the largest
-    array or ``SLOT_FLOOR`` bytes if that is larger, and this process copies each out
-    as it is read; otherwise ``draw`` runs here as each is read.  A worker that dies
-    raises ``ValueError``.  The worker is joined on leaving, also on an error.
+    Under ``_forkable``'s conditions for two parts, one forked worker makes the blocks
+    ahead into a shared ring of ``RING_SLOTS`` slots of ``size`` values, and this process
+    reads each in its slot; otherwise ``draw`` runs here as each is read.  A worker that
+    dies raises ``ValueError``.  The worker is joined on leaving, also on an error.
     """
     with _forkable(2) as workers:
         if not workers:
-            yield map(draw, shapes)
+            yield (draw() for _ in itertools.count())
             return
         import multiprocessing
 
-        slot_bytes = max(SLOT_FLOOR, 8 * max(map(math.prod, shapes), default=0))
-        ring = np.frombuffer(mmap.mmap(-1, RING_SLOTS * slot_bytes), dtype=np.float64)
+        ring = np.frombuffer(mmap.mmap(-1, RING_SLOTS * size * 8)).reshape(RING_SLOTS, size)
         full_r, full_w = os.pipe()
         free_r, free_w = os.pipe()
         worker = multiprocessing.get_context("fork").Process(
             target=_make_ahead, daemon=True,
-            args=(draw, shapes, ring, slot_bytes // 8, full_w, free_r, (full_r, free_w)))
+            args=(draw, ring, full_w, free_r, (full_r, free_w)))
         try:
             worker.start()
         except BaseException:
@@ -190,7 +165,7 @@ def made_ahead(draw, shapes):
             os.close(full_w)
             os.close(free_r)
         try:
-            yield _copy_out(shapes, ring, slot_bytes // 8, full_r, free_w, worker)
+            yield _ring_blocks(ring, full_r, free_w, worker)
         finally:
             os.close(free_w)  # a worker that waits for a free slot reads EOF and returns
             worker.join()

@@ -14,6 +14,8 @@ which no BLAS kernel or SIMD dispatch touches:
   lockstep with numpy, used where bulk draws are needed (weight init, dropout
   masks, per-epoch shuffle keys).  Outputs are ordered step-major: the first
   ``LANES`` values are step 0 of lanes 0..LANES-1, and so on.
+* ``LaneReader`` -- the same ``doubles`` and ``permutation`` read from blocks of
+  the lanes' doubles made elsewhere (a training run's made-ahead draws).
 
 Derived seeds use ``derive_seed(base, index) = splitmix64(base ^ index)``.
 
@@ -179,3 +181,38 @@ class XoshiroLanes:
         """Deterministic permutation of range(n) by sorting random keys."""
         keys = self.doubles(n)
         return np.argsort(keys, kind="stable")
+
+
+class LaneReader:
+    """``XoshiroLanes``'s ``doubles`` and ``permutation``, read from ``blocks``: an
+    iterator of float64 arrays that hold the lanes' doubles in order, each a whole
+    number of steps and each valid only until the next is read.
+
+    A request takes whole steps and drops the unread rest of the last, as the lanes
+    do, so it gets the values that the same call on the lanes would.
+    """
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self._left = np.empty(0)  # the unread steps of the current block
+
+    def doubles(self, shape) -> np.ndarray:
+        """Uniform doubles in [0, 1), row-major over ``shape``."""
+        shape = (shape,) if np.isscalar(shape) else tuple(shape)
+        count = math.prod(shape)
+        out = np.empty(-(-count // LANES) * LANES)
+        filled = 0
+        while filled < out.size:
+            if not self._left.size:
+                self._left = next(self._blocks)
+                if self._left.size % LANES:
+                    raise ValueError(f"a block of {self._left.size} doubles is not whole "
+                                     f"steps of {LANES} lanes")
+            part = self._left[:out.size - filled]
+            out[filled:filled + part.size] = part
+            filled += part.size
+            self._left = self._left[part.size:]
+        return out[:count].reshape(shape)
+
+    # the lanes' own: a stable sort of n keys
+    permutation = XoshiroLanes.permutation

@@ -1,8 +1,11 @@
 """``fork_map``: the SVM's solves and the forest's trees give the same bits forked or in turn,
 a failure in a worker fails only its cell, and no worker outlives a fit.  ``made_ahead``: a
 network trains to the same bits with its lane draws made in a forked worker or in turn,
-forks only when its plan holds a dropout mask, and no draw worker outlives a training run."""
+forks only when the run draws dropout masks, and no draw worker, file descriptor or shared
+mapping outlives a training run."""
 
+import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -25,7 +28,7 @@ from wallfollow import stat_models as sm
 from wallfollow import tree_models as tm
 from wallfollow.dataset import Width
 from wallfollow.parallel import fork_map
-from wallfollow.rng import XoshiroLanes, derive_seed
+from wallfollow.rng import LANES, XoshiroLanes, derive_seed
 
 pytestmark = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="fork_map forks only where the platform can")
@@ -251,7 +254,7 @@ def test_a_dead_draw_worker_fails_the_training_run(fit_path, monkeypatch):
     features, labels = _rows(75, 4)
     fit_path(True)
     with pytest.raises(ValueError, match=r"^the draw worker exited \(code 1\) before making "
-                                         r"draw 1 of \d+$"):
+                                         r"block 1$"):
         nn.train_network(nn.build_preset("DFNN_WS", 4, 0.1), features, labels,
                          nn.TrainConfig(batch_size=32, epochs=2, dropout=0.1, seed=1))
     assert multiprocessing.active_children() == []
@@ -293,62 +296,85 @@ def test_a_diverging_run_keeps_its_message_and_leaves_no_worker(fit_path, forks,
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("fork", [True, False])
-def test_a_draw_off_the_plan_raises(fit_path, monkeypatch, fork):
-    planned = nn._draw_plan
+def _held():
+    """This process's open file descriptors and anonymous shared mappings (a ring is
+    one), counted once garbage is collected."""
+    gc.collect()
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        fields = [line.split(maxsplit=5) for line in maps]
+    shared = sum(1 for f in fields
+                 if f[1].endswith("s") and f[5:] in ([], ["/dev/zero (deleted)\n"]))
+    return len(os.listdir("/proc/self/fd")), shared
 
-    def off_by_one(*args):
-        plan = planned(*args)
-        plan[2] = (plan[2][0], plan[2][1] + 1)  # the second mask of the first batch
-        return plan
 
-    monkeypatch.setattr(nn, "_draw_plan", off_by_one)
+def _normally(monkeypatch):
+    return contextlib.nullcontext()
+
+
+def _diverging(monkeypatch):
+    monkeypatch.setattr(nn.Dense, "init_params", _overflowing_dense_init)
+    return pytest.raises(ValueError, match="non-finite weights after epoch 1$")
+
+
+def _dying(monkeypatch):
+    monkeypatch.setattr(parallel, "_make_ahead", lambda *args: os._exit(1))
+    return pytest.raises(ValueError, match=r"^the draw worker exited \(code 1\)")
+
+
+# a guard: no forked training run has been seen to leave either behind
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/self")
+@pytest.mark.parametrize("ending", [_normally, _diverging, _dying])
+def test_a_forked_training_run_leaves_no_descriptor_or_mapping(fit_path, forks, monkeypatch,
+                                                               ending):
     features, labels = _rows(75, 4)
-    fit_path(fork)
-    with pytest.raises(ValueError, match=r"^lane draw 3 asks for shape \(32, 16\), but the "
-                                         r"plan's is \(32, 17\)$"):
-        nn.train_network(nn.build_preset("DFNN_WS", 4, 0.1), features, labels,
-                         nn.TrainConfig(batch_size=32, epochs=2, dropout=0.1, seed=1))
-    assert multiprocessing.active_children() == []
+    fit_path(True)
+    expect = ending(monkeypatch)
+    before = _held()
+    with np.errstate(over="ignore", invalid="ignore"), expect:
+        nn.train_network(_no_batch_norm_net(4), features, labels,
+                         nn.TrainConfig(batch_size=8, epochs=3, dropout=0.1, seed=1))
+    del expect  # its traceback holds the run's frames; the grid keeps only the message
+    assert len(forks) == 1 and multiprocessing.active_children() == []
+    assert _held() == before
 
 
-# shapes larger than a slot's 512 KB floor and runs of small ones that share a slot, so
-# that the ring wraps several times
-RING_SHAPES = [(300, 300), (7,), (3, 5)] * 12 + [(40000, 3)] * 6
+BLOCK = 3 * LANES  # values in each block of the ring tests
 
 
 def test_made_ahead_wraps_its_ring_and_keeps_the_order(fit_path, forks):
     fit_path(True)
-    with parallel.made_ahead(XoshiroLanes(5).doubles, RING_SHAPES) as arrays:
-        forked = list(arrays)
+    lanes = XoshiroLanes(5)
+    with parallel.made_ahead(lambda: lanes.doubles(BLOCK), BLOCK) as blocks:
+        forked = [next(blocks).copy() for _ in range(3 * parallel.RING_SLOTS + 1)]
     assert len(forks) == 1 and multiprocessing.active_children() == []
     lanes = XoshiroLanes(5)
-    assert all(np.array_equal(a, lanes.doubles(shape))
-               for a, shape in zip(forked, RING_SHAPES, strict=True))
+    assert all(np.array_equal(block, lanes.doubles(BLOCK)) for block in forked)
 
 
 def test_a_reader_that_stops_early_leaves_no_worker(fit_path):
     fit_path(True)
-    with parallel.made_ahead(XoshiroLanes(5).doubles, RING_SHAPES) as arrays:
-        first = next(arrays)
+    lanes = XoshiroLanes(5)
+    with parallel.made_ahead(lambda: lanes.doubles(BLOCK), BLOCK) as blocks:
+        first = next(blocks).copy()
     assert multiprocessing.active_children() == []
-    assert np.array_equal(first, XoshiroLanes(5).doubles(RING_SHAPES[0]))
+    assert np.array_equal(first, XoshiroLanes(5).doubles(BLOCK))
 
 
 def test_a_draw_worker_that_dies_midway_fails_the_next_slot(fit_path):
     made = []
 
-    def dies_at_ten(shape):  # in the worker: its own copy of ``made``
-        made.append(shape)
+    def dies_at_ten():  # in the worker: its own copy of ``made``
+        made.append(1)
         if len(made) == 10:
             os._exit(3)
-        return np.zeros(shape)
+        return np.full(BLOCK, float(len(made)))
 
     fit_path(True)
     read = []
-    with pytest.raises(ValueError, match=rf"^the draw worker exited \(code 3\) before making "
-                                         rf"draw 10 of {len(RING_SHAPES)}$"):
-        with parallel.made_ahead(dies_at_ten, RING_SHAPES) as arrays:
-            read.extend(arrays)
-    assert len(read) == 9 and made == []  # draws 1-9 fill three slots; the fourth never fills
+    with pytest.raises(ValueError, match=r"^the draw worker exited \(code 3\) before making "
+                                         r"block 10$"):
+        with parallel.made_ahead(dies_at_ten, BLOCK) as blocks:
+            for block in blocks:
+                read.append(block[0])
+    assert read == list(range(1, 10)) and made == []
     assert multiprocessing.active_children() == []

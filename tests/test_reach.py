@@ -4,8 +4,9 @@ The test runs ``cli.main`` in-process on a small synthetic trio under a ``sys.se
 tracer that records only ``call`` events, and compares the package functions never entered
 with ``UNREACHED``.  A new function that only tests reach fails it, and so does a listed
 function that starts to run, which must then leave the list.  The fits that ``fork_map``
-spreads over forked workers, and the lane draws that ``made_ahead``'s worker makes, run
-there unseen, so the runs take both paths: forked, and in turn as on one usable CPU.
+spreads over forked workers, and the blocks of lane draws that ``made_ahead``'s worker
+makes, run there unseen, so the runs take both paths: forked, and in turn as on one usable
+CPU.
 """
 
 import ast
@@ -112,11 +113,10 @@ def test_every_package_function_runs_in_the_cli_or_is_listed_with_a_reason(tmp_p
     never = {name for key, name in inventory.items() if key not in entered}
     assert sorted(never - UNREACHED.keys()) == [], "reached only by tests: move to tests/ or list"
     assert sorted(UNREACHED.keys() - never) == [], "listed, but runs or is gone: unlist"
-    # the every-model bench: DFNN_WS plans its draws and reads them through the plan on
-    # both paths; only the forked run copies them out of the worker's ring
+    # the every-model bench: DFNN_WS reads its draws from made-ahead blocks on both
+    # paths; only the forked run reads the blocks from the worker's ring
     forked, serial = ({inventory[key] for key in run if key in inventory} for run in runs[2:4])
-    planned = {"neural._draw_plan", "neural._PlannedDraws.doubles", "rng.XoshiroLanes.permutation",
-               "parallel.made_ahead"}
-    assert planned <= forked & serial
-    assert "parallel._copy_out" in forked - serial
+    made = {"rng.LaneReader.doubles", "rng.XoshiroLanes.permutation", "parallel.made_ahead"}
+    assert made <= forked & serial
+    assert "parallel._ring_blocks" in forked - serial
     assert "rng.XoshiroLanes.u64" in serial

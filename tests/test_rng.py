@@ -8,6 +8,7 @@ from wallfollow.rng import (
     GOLDEN,
     LANES,
     MASK64,
+    LaneReader,
     Xoshiro256StarStar,
     XoshiroLanes,
     derive_seed,
@@ -270,3 +271,48 @@ def test_lanes_mixed_size_calls_equal_reference_stepping(seed):
     for count in (18432, 512, 256, 128, 4910, 1, 0, 513):
         assert np.array_equal(lanes.u64(count), _reference_lane_u64(state, count)), count
     assert np.array_equal(lanes._s, state)
+
+
+def _blocks(seed: int, steps: int):
+    """The lanes' doubles in blocks of ``steps`` whole steps, each yielded in one buffer
+    that the next block overwrites."""
+    lanes = XoshiroLanes(seed)
+    buffer = np.empty(steps * LANES)
+    while True:
+        buffer[:] = lanes.doubles(buffer.size)
+        yield buffer
+
+
+# (a permutation?, shape): a permutation of n, or doubles of a shape up to 5 steps long
+_REQUESTS = st.lists(st.tuples(st.booleans(), st.integers(0, 5 * LANES)), max_size=5)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 4), _REQUESTS, _REQUESTS)
+def test_the_lane_reader_equals_the_lanes_call_by_call(seed, steps, before, after):
+    lanes, reader = XoshiroLanes(seed), LaneReader(_blocks(seed, steps))
+    taken = 0  # steps read
+
+    def request(permutation, shape):
+        nonlocal taken
+        if permutation:
+            got, want = reader.permutation(shape), lanes.permutation(shape)
+        else:
+            got, want = reader.doubles(shape), lanes.doubles(shape)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        taken += -(-want.size // LANES)
+
+    for permutation, n in before:
+        request(permutation, n)
+    request(False, (0, 3))  # empty: reads no step
+    request(False, ())  # one value: one step
+    request(True, (steps - taken % steps) * LANES + 1)  # the rest of a block and one step more
+    request(False, (2, (steps + 2) * LANES // 2))  # longer than a block
+    for permutation, n in after:
+        request(permutation, n)
+
+
+def test_the_lane_reader_refuses_a_block_of_part_steps():
+    reader = LaneReader(iter([np.zeros(LANES + 1)]))
+    with pytest.raises(ValueError, match=f"^a block of {LANES + 1} doubles is not whole "
+                                         f"steps of {LANES} lanes$"):
+        reader.doubles(1)
